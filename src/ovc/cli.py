@@ -19,11 +19,14 @@ import numpy as np
 
 from . import ncpart
 from .cumulants import build_boolean, build_free, build_monotone, moment_family
-from .ncpart import EnumerationBound, enumerate_interval, enumerate_nc
+from .ncpart import (
+    BoundSettingError,
+    EnumerationBound,
+    enumerate_interval,
+    enumerate_nc,
+)
 from .ovps import (
-    EXACT_BASIS_LIMIT,
     OVMatrixSpace,
-    elementary_batch,
     matrix_from_json,
     matrix_to_json,
     probe_batch,
@@ -95,7 +98,13 @@ class RunConfig:
                     rng2 = np.random.default_rng(int(spec.get("seed", self.seed + i)) + 1)
                     mat = (mat + random_hermitian(rng2, d * k) * 1j) / np.sqrt(2)
             else:
-                mat = matrix_from_json(spec)
+                try:
+                    mat = matrix_from_json(spec)
+                except (TypeError, ValueError):
+                    raise ConfigError(
+                        "variable %r is neither a seed spec nor a matrix of "
+                        "[re, im] pairs" % (name,)
+                    ) from None
                 if mat.shape != (d * k, d * k):
                     raise ConfigError(
                         "variable %r has shape %r, expected (%d, %d)"
@@ -131,6 +140,8 @@ def _emit(ns, payload) -> None:
 
 
 def cmd_enumerate(ns) -> int:
+    if ns.p < 0:
+        raise ConfigError("the number of elements must be non-negative, got %d" % ns.p)
     kind = enumerate_interval if ns.interval else enumerate_nc
     try:
         parts = kind(ns.p)
@@ -164,11 +175,10 @@ def cmd_cumulants(ns) -> int:
         "monotone": lambda: build_monotone(moments),
     }[ns.kind]()
     gen = family.generator(word)
-    if (space.d * space.d) ** gen.arity <= EXACT_BASIS_LIMIT:
-        batch, basis = elementary_batch(space.d, gen.arity), "elementary"
-    else:
-        batch, basis = probe_batch(space.d, gen.arity, seed=config.seed), "probes"
-    values = gen.eval_batch(batch)
+    values, basis = gen.tensor(), "elementary"
+    if values is None:
+        batch = probe_batch(space.d, gen.arity, seed=config.seed)
+        values, basis = gen.eval_batch(batch), "probes"
     _emit(
         ns,
         {
@@ -271,7 +281,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.fn(ns)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, BoundSettingError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
 

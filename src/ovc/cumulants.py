@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .ncpart import (
+    CrossingError,
     NCPartition,
     enumerate_interval,
     enumerate_nc,
@@ -79,22 +80,28 @@ class CumulantFamily:
         if n == 0:
             return identity_map(self.space)
         terms = [(1, moment_map(self.space, word))]
-        if self.kind == "free":
-            lattice = [(Fraction(1), pi) for pi in enumerate_nc(n)]
-        elif self.kind == "boolean":
-            lattice = [(Fraction(1), pi) for pi in enumerate_interval(n)]
-        else:
-            lattice = [
-                (Fraction(1, tree_factorial(nesting_forest(pi))), pi)
-                for pi in enumerate_nc(n)
-            ]
         full = full_partition(n)
-        for weight, pi in lattice:
+        for weight, pi in lattice(self.kind, n):
             if pi == full:
                 continue
             colored = NCPartition(pi.blocks, colors=word)
             terms.append((-weight, e_pi_map(colored, self)))
         return multimap_lincomb(self.space, n + 1, terms)
+
+
+def lattice(kind, n):
+    """The (weight, partition) pairs of a cumulant kind on n elements: all
+    non-crossing partitions with weight 1 for free, interval partitions with
+    weight 1 for boolean, non-crossing partitions weighted by the inverse
+    tree factorial of their nesting forest for monotone."""
+    if kind == "boolean":
+        return [(Fraction(1), pi) for pi in enumerate_interval(n)]
+    if kind == "monotone":
+        return [
+            (Fraction(1, tree_factorial(nesting_forest(pi))), pi)
+            for pi in enumerate_nc(n)
+        ]
+    return [(Fraction(1), pi) for pi in enumerate_nc(n)]
 
 
 def moment_family(space, max_order=8) -> CumulantFamily:
@@ -132,7 +139,8 @@ def e_pi_map(pi: NCPartition, family: CumulantFamily, pick: int = 0):
         return identity_map(family.space)
     colors = pi.colors if pi.colors is not None else (0,) * pi.size
     leaves = contiguous_blocks(pi)
-    assert leaves, pi
+    if not leaves:
+        raise CrossingError("no interval block to collapse in %r" % (pi,))
     block = pi.blocks[leaves[pick % len(leaves)]]
     k, l = block[0], block[-1]
     gen = family.generator(colors[k - 1 : l])
@@ -149,22 +157,12 @@ def e_pi(pi: NCPartition, family: CumulantFamily, args):
 
 
 def family_sum_map(word, family: CumulantFamily):
-    """The lattice sum of e_pi over the family's partitions for one word:
-    all non-crossing partitions for free, interval partitions for boolean,
-    inverse-tree-factorial weights for monotone."""
+    """The weighted sum of e_pi over ``lattice(family.kind, len(word))``
+    for one word."""
     n = len(word)
-    if family.kind == "boolean":
-        lattice = [(Fraction(1), pi) for pi in enumerate_interval(n)]
-    elif family.kind == "monotone":
-        lattice = [
-            (Fraction(1, tree_factorial(nesting_forest(pi))), pi)
-            for pi in enumerate_nc(n)
-        ]
-    else:
-        lattice = [(Fraction(1), pi) for pi in enumerate_nc(n)]
     terms = [
         (w, e_pi_map(NCPartition(pi.blocks, colors=tuple(word)), family))
-        for w, pi in lattice
+        for w, pi in lattice(family.kind, n)
     ]
     return multimap_lincomb(family.space, n + 1, terms)
 

@@ -131,7 +131,11 @@ class WordSum:
             if coeff == 0:
                 continue
             maps = tuple(maps)
-            assert tuple(m.arity for m in maps) == self.profile
+            if tuple(m.arity for m in maps) != self.profile:
+                raise DimensionMismatch(
+                    "word of arities %r in a sum of profile %r"
+                    % (tuple(m.arity for m in maps), self.profile)
+                )
             kept.append((coeff, maps))
         self.terms = tuple(kept)
 
@@ -148,7 +152,8 @@ class WordSum:
         return not self.terms
 
     def __add__(self, other):
-        assert self.profile == other.profile
+        if self.profile != other.profile:
+            raise DimensionMismatch("profiles %r vs %r" % (self.profile, other.profile))
         return WordSum(self.space, self.profile, self.terms + other.terms)
 
     def scale(self, coeff):
@@ -196,7 +201,8 @@ class WordSum:
 
     def collapse(self):
         """Single-letter sums fold to one multilinear map."""
-        assert len(self.profile) == 1
+        if len(self.profile) != 1:
+            raise DimensionMismatch("cannot collapse a sum of %d-letter words" % len(self.profile))
         return multimap_lincomb(
             self.space, self.profile[0], [(c, maps[0]) for c, maps in self.terms]
         )

@@ -41,10 +41,21 @@ class EnumerationBound(RuntimeError):
     """Requested enumeration exceeds the configured size limit."""
 
 
+class BoundSettingError(ValueError):
+    """OVC_MAX_ELEMENTS is set to something other than an integer."""
+
+
 def max_elements() -> int:
     """Enumeration bound; override with the OVC_MAX_ELEMENTS env variable."""
     raw = os.environ.get("OVC_MAX_ELEMENTS")
-    return DEFAULT_MAX_ELEMENTS if raw is None else int(raw)
+    if raw is None:
+        return DEFAULT_MAX_ELEMENTS
+    try:
+        return int(raw)
+    except ValueError:
+        raise BoundSettingError(
+            "OVC_MAX_ELEMENTS must be an integer, got %r" % (raw,)
+        ) from None
 
 
 def _checked_ground(blocks) -> int:

@@ -3,16 +3,22 @@
 The model: A is the algebra of (d*k) x (d*k) complex matrices, B the d x d
 matrices embedded as b -> b (x) I_k, and the conditional expectation takes
 the normalized trace of each k x k block.  Multilinear maps B^n -> B are
-held as evaluation DAGs whose leaves are generator maps and whose internal
-nodes are operadic compositions or pointwise linear combinations; evaluation
-is vectorized over batches of argument tuples.
+held as evaluation DAGs whose leaves are the identity or generator maps and
+whose internal nodes are operadic compositions or pointwise linear
+combinations.
+
+Two evaluations exist.  Where (d^2)^arity <= EXACT_BASIS_LIMIT a map has a
+structure tensor, its values on every tuple of elementary matrices, built
+bottom-up from its parts: leaves build theirs directly, linear combinations
+sum their parts' tensors, compositions contract one slot at a time.
+Whole-basis equality checks compare these tensors.  Above the limit,
+equality is checked on 20 seeded probe tuples, evaluated by walking the DAG
+on stacked argument batches.
 
 All tolerances are relative with an absolute floor of 1e-12.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -25,6 +31,11 @@ _PROBE_SEED = 0x0C0FFEE
 
 class DimensionMismatch(ValueError):
     """Matrix or arity dimensions do not match the owning space."""
+
+
+class SpaceCheckError(ArithmeticError):
+    """The conditional expectation of a space is not unital or not
+    B-bimodular within the absolute floor."""
 
 
 def matrix_to_json(m) -> list:
@@ -80,14 +91,16 @@ class OVMatrixSpace:
             self._self_check()
 
     def _self_check(self):
-        assert np.max(np.abs(self.cond_expect(self._eye_a) - self._eye_b)) <= ABS_FLOOR
+        if np.max(np.abs(self.cond_expect(self._eye_a) - self._eye_b)) > ABS_FLOOR:
+            raise SpaceCheckError("E(1) is not the identity of B")
         rng = np.random.default_rng(self.seed + 1)
         for _ in range(3):
             a = random_matrix(rng, self.dk)
             b1, b2 = random_matrix(rng, self.d), random_matrix(rng, self.d)
             lhs = self.cond_expect(self.embed(b1) @ a @ self.embed(b2))
             rhs = b1 @ self.cond_expect(a) @ b2
-            assert np.max(np.abs(lhs - rhs)) <= ABS_FLOOR * max(1.0, np.max(np.abs(rhs)))
+            if np.max(np.abs(lhs - rhs)) > ABS_FLOOR * max(1.0, np.max(np.abs(rhs))):
+                raise SpaceCheckError("E(b1 a b2) differs from b1 E(a) b2")
 
     @property
     def identity_b(self) -> np.ndarray:
@@ -124,27 +137,33 @@ class OVMatrixSpace:
 class MultiMap:
     """Multilinear map B^{(x) arity} -> B over a matrix space.
 
-    ``kind`` is one of 'gen' (leaf evaluator), 'compose' (operadic
-    composition) or 'lincomb' (pointwise linear combination).  Instances are
-    immutable; evaluation accepts stacked argument batches of shape
-    (N, d, d) per slot.
+    ``kind`` is one of 'id' (the identity on B), 'gen' (leaf evaluator),
+    'compose' (operadic composition) or 'lincomb' (pointwise linear
+    combination).  A leaf may carry ``build``, which returns its structure
+    tensor directly; otherwise its tensor is ``fn`` on the elementary batch.
+    Instances are immutable; evaluation accepts stacked argument batches of
+    shape (N, d, d) per slot.
     """
 
-    __slots__ = ("space", "arity", "kind", "fn", "label", "parts")
+    __slots__ = ("space", "arity", "kind", "fn", "label", "parts", "build", "_tensor")
 
-    def __init__(self, space, arity, kind, fn=None, label="", parts=()):
+    def __init__(self, space, arity, kind, fn=None, label="", parts=(), build=None):
         self.space = space
         self.arity = arity
         self.kind = kind
         self.fn = fn
         self.label = label
         self.parts = tuple(parts)
+        self.build = build
+        self._tensor = None
 
     def eval_batch(self, args) -> np.ndarray:
         if len(args) != self.arity:
             raise DimensionMismatch(
                 "%s expects %d arguments, got %d" % (self, self.arity, len(args))
             )
+        if self.kind == "id":
+            return args[0]
         if self.kind == "gen":
             return self.fn(args)
         if self.kind == "compose":
@@ -166,21 +185,72 @@ class MultiMap:
         batch = [np.asarray(a, dtype=complex)[None, :, :] for a in args]
         return self.eval_batch(batch)[0]
 
+    def tensor(self):
+        """The structure tensor: values on every tuple of elementary matrices,
+        shape (D**arity, d, d) with D = d*d, tuples ordered as in
+        ``elementary_batch``.  None when D**arity > EXACT_BASIS_LIMIT.
+
+        Leaves and linear combinations keep their tensor once built.
+        Compositions rebuild theirs from their parts on each call, so the
+        many short-lived compositions of a lattice sum hold no memory.
+        """
+        d = self.space.d
+        n_tuples = (d * d) ** self.arity
+        if n_tuples > EXACT_BASIS_LIMIT:
+            return None
+        if self._tensor is not None:
+            return self._tensor
+        if self.kind == "compose":
+            return _compose_tensor(self)
+        if self.kind == "id":
+            t = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+        elif self.kind == "gen":
+            t = self.build() if self.build is not None else self.fn(elementary_batch(d, self.arity))
+        else:
+            t = np.zeros((n_tuples, d, d), dtype=complex)
+            for coeff, m in self.parts:
+                t += complex(coeff) * m.tensor()
+        self._tensor = t
+        return t
+
     def __repr__(self):
         return "MultiMap(%s, arity=%d)" % (self.label or self.kind, self.arity)
 
 
+def _compose_tensor(node: MultiMap) -> np.ndarray:
+    """Contract the outer map's tensor with each inner map's tensor, one slot
+    at a time; identity slots are skipped."""
+    alpha, betas = node.parts[0], node.parts[1:]
+    d = node.space.d
+    n_mats = d * d
+    out = alpha.tensor()
+    done = 1
+    for beta in betas:
+        width = n_mats ** beta.arity
+        if beta.kind != "id":
+            inner = beta.tensor().reshape(width, n_mats)
+            out = np.einsum(
+                "peq,xe->pxq", out.reshape(done, n_mats, -1), inner
+            )
+        done *= width
+    return out.reshape(done, d, d)
+
+
 def identity_map(space) -> MultiMap:
-    return MultiMap(space, 1, "gen", fn=lambda args: args[0], label="id_B")
+    return MultiMap(space, 1, "id", label="id_B")
 
 
 def moment_map(space, var_indices) -> MultiMap:
     """(b_0, ..., b_n) -> E(b_0 a_{v_1} b_1 ... a_{v_n} b_n).
 
-    With no variables this is the identity on B.
+    With no variables this is the identity on B.  On elementary matrices
+    b_m = e_{i_m j_m} the value is e_{i_0 j_n} times
+    tr(A_1[j_0, i_1] ... A_n[j_{n-1}, i_n]) / k, where A[p, q] is the
+    (p, q) k x k block of a variable.
     """
     var_indices = tuple(int(v) for v in var_indices)
     mats = [space.variable(v) for v in var_indices]
+    d, k = space.d, space.k
 
     def fn(args):
         acc = space.embed(args[0])
@@ -188,13 +258,27 @@ def moment_map(space, var_indices) -> MultiMap:
             acc = acc @ mat @ space.embed(b)
         return space.cond_expect(acc)
 
+    def build():
+        chain = np.eye(k, dtype=complex)
+        for mat in mats:
+            blocks = mat.reshape(d, k, d, k).transpose(0, 2, 1, 3)
+            chain = np.einsum("...ab,jibc->...jiac", chain, blocks)
+        traces = np.einsum("...aa->...", chain).reshape(-1) / k
+        eye = np.eye(d)
+        return np.einsum("ar,m,bs->ambrs", eye, traces, eye).reshape(-1, d, d)
+
     label = "E[%s]" % ",".join(str(v) for v in var_indices)
-    return MultiMap(space, len(var_indices) + 1, "gen", fn=fn, label=label)
+    return MultiMap(space, len(var_indices) + 1, "gen", fn=fn, label=label, build=build)
 
 
 def sandwich_map(space, mats, label="sandwich") -> MultiMap:
-    """(b_1, ..., b_n) -> A_0 b_1 A_1 ... b_n A_n for fixed d x d matrices."""
+    """(b_1, ..., b_n) -> A_0 b_1 A_1 ... b_n A_n for fixed d x d matrices.
+
+    On elementary matrices b_m = e_{i_m j_m} entry (r, s) of the value is
+    A_0[r, i_1] A_1[j_1, i_2] ... A_n[j_n, s].
+    """
     mats = [np.asarray(m, dtype=complex) for m in mats]
+    d = space.d
 
     def fn(args):
         acc = np.broadcast_to(mats[0], args[0].shape).copy()
@@ -202,7 +286,13 @@ def sandwich_map(space, mats, label="sandwich") -> MultiMap:
             acc = acc @ b @ mat
         return acc
 
-    return MultiMap(space, len(mats) - 1, "gen", fn=fn, label=label)
+    def build():
+        chain = mats[0]
+        for mat in mats[1:]:
+            chain = np.einsum("...i,jc->...ijc", chain, mat)
+        return np.ascontiguousarray(chain.reshape(d, -1, d).transpose(1, 0, 2))
+
+    return MultiMap(space, len(mats) - 1, "gen", fn=fn, label=label, build=build)
 
 
 def random_multimap(space, arity, rng, label="random") -> MultiMap:
@@ -221,9 +311,9 @@ def multimap_compose(alpha: MultiMap, betas) -> MultiMap:
         )
     if any(b.space is not alpha.space for b in betas):
         raise DimensionMismatch("maps live over different spaces")
-    if all(b.kind == "gen" and b.label == "id_B" for b in betas):
+    if all(b.kind == "id" for b in betas):
         return alpha
-    if alpha.kind == "gen" and alpha.label == "id_B":
+    if alpha.kind == "id":
         return betas[0]
     arity = sum(b.arity for b in betas)
     return MultiMap(alpha.space, arity, "compose", parts=(alpha,) + betas)
@@ -251,14 +341,6 @@ def multimap_lincomb(space, arity, terms) -> MultiMap:
         else:
             flat.append((complex(coeff), m))
     return MultiMap(space, arity, "lincomb", parts=tuple(flat))
-
-
-def multimap_zero(space, arity) -> MultiMap:
-    return MultiMap(space, arity, "lincomb", parts=())
-
-
-def multimap_scale(coeff, m: MultiMap) -> MultiMap:
-    return multimap_lincomb(m.space, m.arity, [(coeff, m)])
 
 
 # ---------------------------------------------------------------------------
@@ -309,72 +391,19 @@ def deviation(x, y) -> float:
 
 
 def multimap_dev(f: MultiMap, g: MultiMap, seed: int = _PROBE_SEED) -> float:
-    """Max relative deviation of f and g over the probe batch."""
+    """Max relative deviation of f and g: over every elementary tuple, by
+    comparing structure tensors, when (d^2)^arity <= EXACT_BASIS_LIMIT;
+    otherwise over the seeded probe batch, by walking both DAGs."""
     if f.arity != g.arity:
         raise DimensionMismatch("arity %d vs %d" % (f.arity, g.arity))
-    args = argument_batch(f.space.d, f.arity, seed=seed)
+    tf = f.tensor()
+    if tf is not None:
+        return deviation(tf, g.tensor())
+    args = probe_batch(f.space.d, f.arity, seed=seed)
     return deviation(f.eval_batch(args), g.eval_batch(args))
 
 
 def multimap_eq(f: MultiMap, g: MultiMap, tol: float = DEFAULT_TOL, seed: int = _PROBE_SEED) -> bool:
-    """Decide f == g by evaluating on all tuples of elementary matrices when
-    (d^2)^arity <= 4096, otherwise on 20 seeded pseudorandom tuples."""
+    """Decide f == g from their values on all tuples of elementary matrices
+    when (d^2)^arity <= 4096, otherwise on 20 seeded pseudorandom tuples."""
     return multimap_dev(f, g, seed=seed) <= tol
-
-
-# ---------------------------------------------------------------------------
-# Words of maps
-
-
-class MultiMapWord:
-    """Horizontal word of multilinear maps: outputs = length, inputs = total
-    arity."""
-
-    __slots__ = ("space", "maps")
-
-    def __init__(self, space, maps=()):
-        self.space = space
-        self.maps = tuple(maps)
-        assert all(m.space is space for m in self.maps)
-
-    @property
-    def outputs(self):
-        return len(self.maps)
-
-    @property
-    def inputs(self):
-        return sum(m.arity for m in self.maps)
-
-    def profile(self):
-        return tuple(m.arity for m in self.maps)
-
-    def __iter__(self):
-        return iter(self.maps)
-
-    def __len__(self):
-        return len(self.maps)
-
-    def __repr__(self):
-        return "MultiMapWord(%r)" % (list(self.maps),)
-
-
-def identity_word(space, n) -> MultiMapWord:
-    return MultiMapWord(space, (identity_map(space),) * n)
-
-
-def vcompose_maps(x: MultiMapWord, y: MultiMapWord) -> MultiMapWord:
-    """Group the maps of ``y`` by the arities of the maps of ``x`` and compose
-    letter by letter."""
-    if x.inputs != y.outputs:
-        raise DimensionMismatch(
-            "vertical mismatch: %d inputs vs %d outputs" % (x.inputs, y.outputs)
-        )
-    out, pos = [], 0
-    for m in x.maps:
-        out.append(multimap_compose(m, y.maps[pos : pos + m.arity]))
-        pos += m.arity
-    return MultiMapWord(x.space, out)
-
-
-def hconcat_maps(x: MultiMapWord, y: MultiMapWord) -> MultiMapWord:
-    return MultiMapWord(x.space, x.maps + y.maps)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ovc
 from ovc import cli
 from ovc.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, RunConfig, main
 from ovc.ovps import elementary_batch, matrix_from_json
@@ -40,6 +44,65 @@ def test_enumerate_env_override(capsys, monkeypatch):
     assert code == EXIT_OK
 
 
+def test_enumerate_negative_size_is_usage_error(capsys):
+    code, out, err = run(capsys, ["enumerate", "-1"])
+    assert code == EXIT_USAGE and out == ""
+    assert "error" in json.loads(err)
+
+
+def test_enumerate_non_integer_bound_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("OVC_MAX_ELEMENTS", "abc")
+    code, out, err = run(capsys, ["enumerate", "3"])
+    assert code == EXIT_USAGE and out == ""
+    assert "OVC_MAX_ELEMENTS" in json.loads(err)["error"]
+
+
+def test_variable_spec_that_is_not_a_matrix_is_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"variables": {"a": "x"}}))
+    code, out, err = run(
+        capsys, ["verify", "--config", str(cfg), "--suite", "operad"]
+    )
+    assert code == EXIT_USAGE and out == ""
+    assert "'a'" in json.loads(err)["error"]
+
+
+def _run_optimized(argv):
+    """Run ``python -O`` so that any ``assert`` in the library is stripped."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ovc.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-O"] + argv, capture_output=True, text=True, env=env,
+        timeout=300,
+    )
+
+
+def test_fault_injection_fails_under_optimize():
+    proc = _run_optimized(
+        ["-m", "ovc.cli", "verify", "--suite", "moment-cumulant", "--order", "2",
+         "--inject-fault"]
+    )
+    assert proc.returncode == EXIT_FAIL, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is False
+
+
+def test_word_sum_mismatch_raises_under_optimize():
+    proc = _run_optimized(["-c", """
+from ovc.morphisms import WordSum
+from ovc.ovps import DimensionMismatch, OVMatrixSpace, moment_map
+space = OVMatrixSpace(d=2, k=2, variables=1)
+try:
+    WordSum(space, (2,), [(1, (moment_map(space, [0, 0]),))])
+except DimensionMismatch:
+    raise SystemExit(0)
+raise SystemExit(3)
+"""])
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cumulants_scalar_constant(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"d": 1, "k": 1, "variables": {"a": [[[2, 0]]]}}))
@@ -72,6 +135,21 @@ def test_cumulants_free_matches_moment_difference(capsys):
     expected = e3.eval_batch(batch) - nested.eval_batch(batch)
     got = np.array([matrix_from_json(v) for v in payload["values"]])
     assert np.max(np.abs(got - expected)) <= 1e-10
+
+
+def test_cumulants_elementary_values_match_tree_evaluation(capsys):
+    code, out, _ = run(capsys, ["cumulants", "--kind", "free", "--word", "a.a"])
+    payload = json.loads(out)
+    assert code == EXIT_OK and payload["basis"] == "elementary"
+    assert payload["arity"] == 3
+    space = RunConfig({}).build_space()
+    from ovc.cumulants import build_free, moment_family
+
+    gen = build_free(moment_family(space)).generator((0, 0))
+    expected = gen.eval_batch(elementary_batch(space.d, 3))
+    got = np.array([matrix_from_json(v) for v in payload["values"]])
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 def test_cumulants_order_overflow(capsys):

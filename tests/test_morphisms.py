@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ovc import formal
@@ -38,12 +39,14 @@ from ovc.ncpart import (
     tree_factorial,
 )
 from ovc.ovps import (
+    DimensionMismatch,
     OVMatrixSpace,
     identity_map,
     moment_map,
     multimap_compose,
     multimap_dev,
     multimap_partial,
+    random_matrix,
     sandwich_map,
 )
 
@@ -368,3 +371,25 @@ def test_concurrent_evaluation_matches_sequential(space):
         list(pool.map(concurrent.value, words * 2))
     dev = max(word_sum_dev(concurrent.value(w), sequential.value(w)) for w in words)
     assert dev <= 1e-12
+
+
+def test_word_sum_profile_checks_raise(space):
+    e2 = moment_map(space, [0])
+    e3 = moment_map(space, [0, 0])
+    with pytest.raises(DimensionMismatch):
+        WordSum(space, (2,), [(1, (e3,))])
+    with pytest.raises(DimensionMismatch):
+        WordSum.word(space, (e2,)) + WordSum.word(space, (e3,))
+    with pytest.raises(DimensionMismatch):
+        WordSum.word(space, (e2, e2)).collapse()
+
+
+def test_word_sum_hconcat_profile_and_values(space):
+    e2 = moment_map(space, [0])
+    x = WordSum.word(space, (identity_map(space),) * 2).hconcat(WordSum.word(space, (e2,)))
+    assert x.profile == (1, 1, 2)
+    rng = np.random.default_rng(4)
+    bs = [random_matrix(rng, space.d) for _ in range(4)]
+    expected = np.kron(np.kron(bs[0], bs[1]), e2.eval(bs[2], bs[3]))
+    got = x.eval_batch([b[None] for b in bs])[0]
+    assert np.max(np.abs(got - expected)) <= 1e-12

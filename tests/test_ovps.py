@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ovc import ovps
 from ovc.ovps import (
     DimensionMismatch,
-    MultiMapWord,
     OVMatrixSpace,
     deviation,
-    hconcat_maps,
+    elementary_batch,
     identity_map,
-    identity_word,
     matrix_from_json,
     matrix_to_json,
     moment_map,
@@ -20,7 +21,7 @@ from ovc.ovps import (
     probe_batch,
     random_matrix,
     random_multimap,
-    vcompose_maps,
+    sandwich_map,
 )
 
 
@@ -140,28 +141,94 @@ def test_lincomb_eval(space):
     assert deviation(doubled.eval(*bs), 2 * e2.eval(*bs)) <= 1e-13
 
 
-def test_vcompose_maps_units_and_letterwise(space):
+def test_compose_letterwise_matches_direct_nesting(space):
     e2 = moment_map(space, [0])
-    e3 = moment_map(space, [0, 1])
-    x = MultiMapWord(space, (e2, e3))
-    assert vcompose_maps(x, identity_word(space, x.inputs)).maps == x.maps
-    y = MultiMapWord(space, (e2, e2, identity_map(space), e2, e2))
-    out = vcompose_maps(x, y)
-    assert out.profile() == (4, 5)
     rng = np.random.default_rng(4)
-    bs = [random_matrix(rng, space.d) for _ in range(9)]
-    first = multimap_compose(e2, (e2, e2)).eval(*bs[:4])
+    bs = [random_matrix(rng, space.d) for _ in range(4)]
     direct = e2.eval(e2.eval(*bs[:2]), e2.eval(*bs[2:4]))
-    assert deviation(first, direct) <= 1e-12
-    assert deviation(out.maps[0].eval(*bs[:4]), direct) <= 1e-12
+    composed = multimap_compose(e2, (e2, e2))
+    assert composed.arity == 4
+    assert deviation(composed.eval(*bs), direct) <= 1e-12
     with pytest.raises(DimensionMismatch):
-        vcompose_maps(x, identity_word(space, 3))
+        multimap_compose(e2, (e2,))
 
 
-def test_hconcat_maps(space):
-    x = identity_word(space, 2)
-    y = MultiMapWord(space, (moment_map(space, [0]),))
-    assert hconcat_maps(x, y).profile() == (1, 1, 2)
+def test_identity_is_not_recognised_by_label(space):
+    f = moment_map(space, [0, 1])
+    lookalike = sandwich_map(space, [space.identity_b] * 2, label="id_B")
+    composed = multimap_compose(f, [lookalike] * f.arity)
+    assert composed is not f and composed.kind == "compose"
+    assert multimap_compose(lookalike, [f]) is not f
+    # same values all the same
+    assert multimap_dev(composed, f) <= 1e-12
+    assert multimap_compose(identity_map(space), [f]) is f
+
+
+def test_identity_tensor_is_the_elementary_basis(space):
+    t = identity_map(space).tensor()
+    assert np.array_equal(t, elementary_batch(space.d, 1)[0])
+
+
+@st.composite
+def multimap_trees(draw, space, arity, depth=3):
+    """Random nested compositions, partial insertions and linear
+    combinations over moment, sandwich and identity leaves."""
+    shape = draw(st.sampled_from(("leaf", "lincomb", "compose", "partial")))
+    if depth == 0 or shape == "leaf":
+        leaf = draw(st.sampled_from(("id", "moment", "sandwich")))
+        if leaf == "id" and arity == 1:
+            return identity_map(space)
+        if leaf == "moment":
+            word = draw(st.lists(st.sampled_from(sorted(space.variables)),
+                                 min_size=arity - 1, max_size=arity - 1))
+            return moment_map(space, word)
+        seed = draw(st.integers(min_value=0, max_value=2**16))
+        return random_multimap(space, arity, np.random.default_rng(seed))
+    sub = lambda n: multimap_trees(space, n, depth - 1)
+    if shape == "lincomb":
+        coeffs = draw(st.lists(st.complex_numbers(max_magnitude=3, allow_nan=False,
+                                                  allow_infinity=False),
+                               min_size=1, max_size=3))
+        return multimap_lincomb(space, arity, [(c, draw(sub(arity))) for c in coeffs])
+    if shape == "partial":
+        outer = draw(st.integers(min_value=1, max_value=arity))
+        slot = draw(st.integers(min_value=1, max_value=outer))
+        return multimap_partial(draw(sub(outer)), slot, draw(sub(arity - outer + 1)))
+    # split the arity into the inner maps' arities, each at least one
+    cuts = []
+    if arity > 1:
+        cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=arity - 1))))
+    widths = [b - a for a, b in zip([0] + cuts, cuts + [arity])]
+    return multimap_compose(draw(sub(len(widths))), [draw(sub(w)) for w in widths])
+
+
+@st.composite
+def spaces_and_trees(draw):
+    d = draw(st.sampled_from((1, 2)))
+    space = OVMatrixSpace(d=d, k=2, variables=2, seed=draw(st.integers(0, 99)))
+    arity = draw(st.integers(min_value=1, max_value=5))
+    return space, draw(multimap_trees(space, arity))
+
+
+@settings(max_examples=80, deadline=None)
+@given(spaces_and_trees())
+def test_tensor_matches_tree_evaluation(space_and_tree):
+    space, f = space_and_tree
+    t = f.tensor()
+    assert t.shape == ((space.d * space.d) ** f.arity, space.d, space.d)
+    assert deviation(t, f.eval_batch(elementary_batch(space.d, f.arity))) <= 1e-12
+
+
+def test_tensor_above_the_basis_limit_uses_probes(space, monkeypatch):
+    f = moment_map(space, [0, 1, 0, 1, 0, 1])
+    assert f.arity == 7 and f.tensor() is None
+    calls = []
+    original = ovps.probe_batch
+    monkeypatch.setattr(
+        ovps, "probe_batch", lambda *a, **kw: calls.append(a) or original(*a, **kw)
+    )
+    assert multimap_dev(f, f) == 0.0
+    assert calls == [(space.d, 7)]
 
 
 def test_probe_batch_deterministic():
