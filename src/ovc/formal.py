@@ -2,8 +2,11 @@
 
 Basis elements are horizontal words (concatenations) of non-crossing
 partitions, plus vertically stacked tuples of such words.  Linear
-combinations carry exact rational coefficients, so every identity checked
-at this level is exact, never tolerance-based.
+combinations carry exact coefficients: ``int`` while a coefficient is
+integral, ``Fraction`` otherwise.  Every identity checked at this level is
+exact, never tolerance-based.  Each builder adds its terms into one dict
+and makes a single ``FormalSum`` from it, so its cost is linear in the
+number of terms it produces.
 
 A word with ``s`` letters has ``s`` outputs and ``sum(arity)`` inputs.  In a
 stacked pair ``L % U`` the bottom word ``L`` consumes the outputs of the top
@@ -149,24 +152,39 @@ def stack(*parts) -> BoxStack:
     return BoxStack(parts)
 
 
+def _exact(coeff):
+    """An exact coefficient: an ``int`` when integral, else a ``Fraction``."""
+    if type(coeff) is int:
+        return coeff
+    coeff = Fraction(coeff)
+    return coeff.numerator if coeff.denominator == 1 else coeff
+
+
 class FormalSum:
     """Finite rational linear combination of basis elements.
 
     Basis elements are words or stacks; zero coefficients are never stored.
+    Coefficients are ``int`` when integral and ``Fraction`` otherwise; the
+    two compare and hash alike, so equality does not depend on the type.
     Supports +, -, scalar multiplication and exact equality.
+
+    ``terms`` is a dict from basis elements to coefficients or an iterable
+    of (basis, coefficient) pairs, whose repeated bases are summed.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
+        if not isinstance(terms, dict):
+            acc = {}
+            for basis, coeff in terms:
+                acc[basis] = acc.get(basis, 0) + _exact(coeff)
+            terms = acc
         data = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for basis, coeff in items:
-            coeff = Fraction(coeff)
+        for basis, coeff in terms.items():
+            coeff = _exact(coeff)
             if coeff:
-                data[basis] = data.get(basis, Fraction(0)) + coeff
-                if not data[basis]:
-                    del data[basis]
+                data[basis] = coeff
         object.__setattr__(self, "terms", data)
 
     def __setattr__(self, name, value):
@@ -176,13 +194,13 @@ class FormalSum:
     def lift(cls, x):
         if isinstance(x, FormalSum):
             return x
-        return cls([(x, Fraction(1))])
+        return cls({x: 1})
 
     def items(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
-    def coeff(self, basis) -> Fraction:
-        return self.terms.get(basis, Fraction(0))
+    def coeff(self, basis):
+        return self.terms.get(basis, 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -190,7 +208,7 @@ class FormalSum:
     def __add__(self, other):
         merged = dict(self.terms)
         for b, c in other.terms.items():
-            merged[b] = merged.get(b, Fraction(0)) + c
+            merged[b] = merged.get(b, 0) + c
         return FormalSum(merged)
 
     def __sub__(self, other):
@@ -200,7 +218,7 @@ class FormalSum:
         return FormalSum({b: -c for b, c in self.terms.items()})
 
     def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = _exact(scalar)
         return FormalSum({b: scalar * c for b, c in self.terms.items()})
 
     def __eq__(self, other):
@@ -214,10 +232,11 @@ class FormalSum:
 
     def map_basis(self, f) -> "FormalSum":
         """Linear extension of a basis map returning sums or basis elements."""
-        out = FormalSum()
+        acc = {}
         for b, c in self.terms.items():
-            out = out + c * FormalSum.lift(f(b))
-        return out
+            for fb, fc in FormalSum.lift(f(b)).terms.items():
+                acc[fb] = acc.get(fb, 0) + c * fc
+        return FormalSum(acc)
 
     def __repr__(self):
         return "FormalSum(%r)" % (sum_to_text(self),)
@@ -227,7 +246,7 @@ ZERO = FormalSum()
 
 
 def single(basis, coeff=1) -> FormalSum:
-    return FormalSum([(basis, Fraction(coeff))])
+    return FormalSum({basis: coeff})
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +271,7 @@ def hconcat(u, v) -> FormalSum:
     for a, ca in u.terms.items():
         for b, cb in v.terms.items():
             basis = _hconcat_basis(a, b)
-            out[basis] = out.get(basis, Fraction(0)) + ca * cb
+            out[basis] = out.get(basis, 0) + ca * cb
     return FormalSum(out)
 
 
@@ -277,31 +296,19 @@ def vcompose(x, y) -> FormalSum:
     for a, ca in x.terms.items():
         for b, cb in y.terms.items():
             basis = _vcompose_words(a, b)
-            out[basis] = out.get(basis, Fraction(0)) + ca * cb
+            out[basis] = out.get(basis, 0) + ca * cb
     return FormalSum(out)
 
 
 def nabla(pairs) -> FormalSum:
     """Collapse a sum of two-level stacks with the vertical product."""
-    out = FormalSum()
+    out = {}
     for b, c in FormalSum.lift(pairs).terms.items():
         if not (isinstance(b, BoxStack) and len(b.parts) == 2):
             raise GradingError("nabla expects two-level stacks")
-        out = out + c * vcompose(b.parts[0], b.parts[1])
-    return out
-
-
-def interchange(a: BoxStack, b: BoxStack) -> BoxStack:
-    """Middle-four interchange: send the horizontal pair of stacks
-    (x1 % x2), (x3 % x4) to the stack of concatenations (x1 x3) % (x2 x4)."""
-    if not (isinstance(a, BoxStack) and isinstance(b, BoxStack)):
-        raise GradingError("interchange expects two stacks")
-    return _hconcat_basis(a, b)
-
-
-def stack_product(u, v) -> FormalSum:
-    """Product on sums of stacks induced by the interchange map."""
-    return hconcat(u, v)
+        basis = _vcompose_words(b.parts[0], b.parts[1])
+        out[basis] = out.get(basis, 0) + c
+    return FormalSum(out)
 
 
 # ---------------------------------------------------------------------------
@@ -338,35 +345,50 @@ def coproduct(w) -> FormalSum:
 
     ``coproduct(ONE)`` is 1 % 1.
     """
-    out = FormalSum()
+    out = {}
     for basis, c in FormalSum.lift(w).terms.items():
         for lower, upper, _ in word_cuts(basis):
-            out = out + single(BoxStack((lower, upper)), c)
-    return out
+            key = BoxStack((lower, upper))
+            out[key] = out.get(key, 0) + c
+    return FormalSum(out)
 
 
 def reduced_coproduct(w) -> FormalSum:
     """Coproduct minus the two trivial terms; zero on unit words."""
-    out = FormalSum()
+    out = {}
     for basis, c in FormalSum.lift(w).terms.items():
         if basis.is_unit():
             continue
-        part = coproduct(basis)
-        part = part - single(BoxStack((basis, unit_word(basis.inputs))))
-        part = part - single(BoxStack((unit_word(basis.outputs), basis)))
-        out = out + c * part
-    return out
+        for lower, upper, _ in word_cuts(basis):
+            key = BoxStack((lower, upper))
+            out[key] = out.get(key, 0) + c
+        for key in (
+            BoxStack((basis, unit_word(basis.inputs))),
+            BoxStack((unit_word(basis.outputs), basis)),
+        ):
+            out[key] = out.get(key, 0) - c
+    return FormalSum(out)
 
 
-def _half_coproduct(w, keep_flag: bool) -> FormalSum:
-    out = FormalSum()
+def _half_coproduct(w, keep_flag: bool, reduced: bool = False) -> FormalSum:
+    """Cut terms whose first-position flag equals ``keep_flag``; ``reduced``
+    also subtracts the trivial term that the flag keeps (w % unit when the
+    first block stays below, unit % w when it moves above)."""
+    out = {}
     for basis, c in FormalSum.lift(w).terms.items():
         if basis.is_unit():
             raise UnitWordError("half-coproducts are undefined on unit words")
         for lower, upper, flag in word_cuts(basis):
             if flag == keep_flag:
-                out = out + single(BoxStack((lower, upper)), c)
-    return out
+                key = BoxStack((lower, upper))
+                out[key] = out.get(key, 0) + c
+        if reduced:
+            if keep_flag:
+                key = BoxStack((basis, unit_word(basis.inputs)))
+            else:
+                key = BoxStack((unit_word(basis.outputs), basis))
+            out[key] = out.get(key, 0) - c
+    return FormalSum(out)
 
 
 def delta_prec_plus(w) -> FormalSum:
@@ -381,24 +403,12 @@ def delta_succ_plus(w) -> FormalSum:
 
 def delta_prec(w) -> FormalSum:
     """Reduced left half-coproduct: delta_prec_plus minus w % unit."""
-    out = FormalSum()
-    for basis, c in FormalSum.lift(w).terms.items():
-        part = delta_prec_plus(basis) - single(
-            BoxStack((basis, unit_word(basis.inputs)))
-        )
-        out = out + c * part
-    return out
+    return _half_coproduct(w, True, reduced=True)
 
 
 def delta_succ(w) -> FormalSum:
     """Reduced right half-coproduct: delta_succ_plus minus unit % w."""
-    out = FormalSum()
-    for basis, c in FormalSum.lift(w).terms.items():
-        part = delta_succ_plus(basis) - single(
-            BoxStack((unit_word(basis.outputs), basis))
-        )
-        out = out + c * part
-    return out
+    return _half_coproduct(w, False, reduced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +444,15 @@ def eta_eps(w) -> FormalSum:
 
 def map_stack(f_bottom, f_top, pairs) -> FormalSum:
     """Apply linear maps to the two levels of a sum of stacked pairs."""
-    out = FormalSum()
+    out = {}
     for b, c in FormalSum.lift(pairs).terms.items():
         low = FormalSum.lift(f_bottom(b.parts[0]))
         high = FormalSum.lift(f_top(b.parts[1]))
         for lb, lc in low.terms.items():
             for hb, hc in high.terms.items():
-                out = out + single(_restack(lb, hb), c * lc * hc)
-    return out
+                key = _restack(lb, hb)
+                out[key] = out.get(key, 0) + c * lc * hc
+    return FormalSum(out)
 
 
 def _restack(low, high):
@@ -531,7 +542,7 @@ def sum_from_text(text: str) -> FormalSum:
     chunks = [(1, tokens[0])]
     for op, tok in zip(tokens[1::2], tokens[2::2]):
         chunks.append((1 if op == "+" else -1, tok))
-    out = ZERO
+    terms = []
     for sgn, chunk in chunks:
         chunk = chunk.strip()
         if chunk.startswith("-"):
@@ -540,6 +551,6 @@ def sum_from_text(text: str) -> FormalSum:
             coeff_text, body = chunk.split("*", 1)
             coeff = Fraction(coeff_text)
         else:
-            coeff, body = Fraction(1), chunk
-        out = out + single(basis_from_text(body), sgn * coeff)
-    return out
+            coeff, body = 1, chunk
+        terms.append((basis_from_text(body), sgn * coeff))
+    return FormalSum(terms)

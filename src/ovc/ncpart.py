@@ -9,11 +9,14 @@ another; restricted to non-crossing partitions this is again non-crossing.
 
 Partitions may carry *colors*: one variable index per element.  Uncolored is
 represented by the absence of a color list, never by a default color.
-All values are immutable; every function here is pure.
+All values are immutable; every function here is pure.  ``enumerate_nc``
+and ``cuts`` of uncolored partitions are memoised per process; both return
+a fresh list on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -43,6 +46,10 @@ class EnumerationBound(RuntimeError):
 
 class BoundSettingError(ValueError):
     """OVC_MAX_ELEMENTS is set to something other than an integer."""
+
+
+class InvariantError(ArithmeticError):
+    """A computed result failed its internal consistency check."""
 
 
 def max_elements() -> int:
@@ -84,6 +91,27 @@ def _blocks_cross(b1, b2) -> bool:
     return changes >= 3
 
 
+def _crossing_free(canon, size) -> bool:
+    """Stack scan in O(p) over canonical blocks: reading 1..p left to right,
+    every element after the first of its block must belong to the innermost
+    block still open."""
+    owner = [0] * (size + 1)
+    for i, b in enumerate(canon):
+        for x in b:
+            owner[x] = i
+    open_blocks = []
+    for x in range(1, size + 1):
+        i = owner[x]
+        b = canon[i]
+        if x == b[0]:
+            open_blocks.append(i)
+        elif open_blocks[-1] != i:
+            return False
+        if x == b[-1]:
+            open_blocks.pop()
+    return True
+
+
 def is_noncrossing(blocks) -> bool:
     """True iff no a < c < b < d exists with a,b in one block, c,d in another.
 
@@ -110,9 +138,11 @@ class NCPartition:
     def __init__(self, blocks: Iterable[Iterable[int]], colors: Optional[Sequence[int]] = None):
         canon = tuple(sorted(tuple(sorted(b)) for b in blocks))
         size = _checked_ground(canon)
-        for b1, b2 in itertools.combinations(canon, 2):
-            if _blocks_cross(b1, b2):
-                raise CrossingError("blocks %r and %r cross" % (b1, b2))
+        if not _crossing_free(canon, size):
+            b1, b2 = next(
+                pair for pair in itertools.combinations(canon, 2) if _blocks_cross(*pair)
+            )
+            raise CrossingError("blocks %r and %r cross" % (b1, b2))
         if colors is not None:
             colors = tuple(colors)
             if len(colors) != size:
@@ -261,15 +291,23 @@ def _nc_block_lists(ground):
 
 def enumerate_nc(p: int, bound: Optional[int] = None) -> list:
     """All non-crossing partitions of {1..p}, sorted lexicographically by
-    canonical block list.  ``enumerate_nc(0)`` is ``[EMPTY]``."""
+    canonical block list.  ``enumerate_nc(0)`` is ``[EMPTY]``.
+
+    The bound is checked on every call; the partitions are computed once
+    per size and process."""
     limit = max_elements() if bound is None else bound
     if p > limit:
         raise EnumerationBound("p=%d exceeds the enumeration bound %d" % (p, limit))
     if p < 0:
         raise MalformedPartition("negative size")
+    return list(_nc_partitions(p))
+
+
+@functools.lru_cache(maxsize=None)
+def _nc_partitions(p: int) -> tuple:
     parts = [NCPartition(bs) for bs in _nc_block_lists(tuple(range(1, p + 1)))]
     parts.sort(key=NCPartition.sort_key)
-    return parts
+    return tuple(parts)
 
 
 def enumerate_interval(p: int, bound: Optional[int] = None) -> list:
@@ -354,7 +392,10 @@ def standardize(blocks, colors=None) -> NCPartition:
     """Relabel blocks over an arbitrary finite integer ground set to {1..p}.
 
     ``colors``, if given, maps each original element to its variable index.
+    No blocks give the shared EMPTY.
     """
+    if not blocks:
+        return EMPTY
     ground = sorted(x for b in blocks for x in b)
     if len(set(ground)) != len(ground):
         raise MalformedPartition("ground set elements repeat")
@@ -450,7 +491,7 @@ def count_monotone_labelings(pi: NCPartition, bound: int = DEFAULT_MAX_BLOCKS) -
     """Number of bijective block labelings with nested blocks labeled smaller.
 
     Computed by brute force over all permutations and cross-checked against
-    #blocks! / tree_factorial; the two counts are asserted equal.
+    #blocks! / tree_factorial; InvariantError is raised if they differ.
     """
     k = pi.n_blocks
     if k > bound:
@@ -461,8 +502,13 @@ def count_monotone_labelings(pi: NCPartition, bound: int = DEFAULT_MAX_BLOCKS) -
     for labels in itertools.permutations(range(1, k + 1)):
         if all(labels[child] < labels[par] for child, par in pairs):
             brute += 1
-    formula, remainder = divmod(math.factorial(k), tree_factorial(forest))
-    assert remainder == 0 and brute == formula, (pi, brute, formula)
+    factorial = tree_factorial(forest)
+    formula, remainder = divmod(math.factorial(k), factorial)
+    if remainder or brute != formula:
+        raise InvariantError(
+            "%r: %d monotone labelings by brute force, %d!/%d by the formula"
+            % (pi, brute, k, factorial)
+        )
     return brute
 
 
@@ -487,8 +533,30 @@ def cuts(pi: NCPartition) -> list:
     """All cuts of ``pi``, ordered by kept_mask value.
 
     Includes the two trivial cuts (no blocks kept / all blocks kept).  The
-    empty partition has the single cut (EMPTY, (EMPTY,)).
+    empty partition has the single cut (EMPTY, (EMPTY,)).  The cuts of an
+    uncolored partition are computed once per process.
     """
+    if pi.colors is None:
+        return list(_uncolored_cuts(pi))
+    return _cuts(pi)
+
+
+@functools.lru_cache(maxsize=None)
+def _uncolored_cuts(pi: NCPartition) -> tuple:
+    return tuple(
+        Cut(_interned(c.lower), tuple(map(_interned, c.upper)), c.kept_mask)
+        for c in _cuts(pi)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _interned(pi: NCPartition) -> NCPartition:
+    """One shared instance per distinct partition: the cached cuts repeat
+    the same small partitions many times over, and hold one copy of each."""
+    return pi
+
+
+def _cuts(pi: NCPartition) -> list:
     if pi.size == 0:
         return [Cut(EMPTY, (EMPTY,), 0)]
     forest = nesting_forest(pi)
@@ -514,7 +582,10 @@ def cuts(pi: NCPartition) -> list:
             lo, hi = bounds[g], bounds[g + 1]
             segment = [b for b in removed if lo < b[0] and b[-1] < hi]
             upper.append(standardize(segment, colors=colors))
-        assert sum(len(b) for b in removed) == sum(u.size for u in upper)
+        if sum(len(b) for b in removed) != sum(u.size for u in upper):
+            raise InvariantError(
+                "%r: the cut with kept mask %d loses removed elements" % (pi, mask)
+            )
         out.append(Cut(lower, tuple(upper), mask))
     return out
 

@@ -281,7 +281,8 @@ def sandwich_map(space, mats, label="sandwich") -> MultiMap:
     d = space.d
 
     def fn(args):
-        acc = np.broadcast_to(mats[0], args[0].shape).copy()
+        n = args[0].shape[0] if args else 1
+        acc = np.broadcast_to(mats[0], (n, d, d)).copy()
         for mat, b in zip(mats[1:], args):
             acc = acc @ b @ mat
         return acc

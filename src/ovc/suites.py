@@ -336,7 +336,7 @@ def suite_hopf(ctx: VerifyContext):
     halves = all_words(max(ctx.hopf_size - 2, 2), 1)
     mult_ok = all(
         coproduct(formal.hconcat(formal.single(u), formal.single(v)))
-        == formal.stack_product(coproduct(u), coproduct(v))
+        == formal.hconcat(coproduct(u), coproduct(v))
         for u in halves
         for v in halves
         if u.total_size + v.total_size <= ctx.hopf_size

@@ -229,34 +229,46 @@ def w_word_cuts(w: WWord):
 
 def w_coproduct(w) -> FormalSum:
     """Full coproduct: sum of lower % upper over all cuts."""
-    out = FormalSum()
+    out = {}
     for basis, c in FormalSum.lift(w).terms.items():
         for lower, upper, _ in w_word_cuts(basis):
-            out = out + single(BoxStack((lower, upper)), c)
-    return out
+            key = BoxStack((lower, upper))
+            out[key] = out.get(key, 0) + c
+    return FormalSum(out)
 
 
 def w_reduced_coproduct(w) -> FormalSum:
-    out = FormalSum()
+    out = {}
     for basis, c in FormalSum.lift(w).terms.items():
         if basis.is_unit():
             continue
-        part = w_coproduct(basis)
-        part = part - single(BoxStack((basis, w_unit_word(basis.inputs))))
-        part = part - single(BoxStack((w_unit_word(basis.outputs), basis)))
-        out = out + c * part
-    return out
+        for lower, upper, _ in w_word_cuts(basis):
+            key = BoxStack((lower, upper))
+            out[key] = out.get(key, 0) + c
+        for key in (
+            BoxStack((basis, w_unit_word(basis.inputs))),
+            BoxStack((w_unit_word(basis.outputs), basis)),
+        ):
+            out[key] = out.get(key, 0) - c
+    return FormalSum(out)
 
 
-def _w_half(w, keep_flag: bool) -> FormalSum:
-    out = FormalSum()
+def _w_half(w, keep_flag: bool, reduced: bool = False) -> FormalSum:
+    out = {}
     for basis, c in FormalSum.lift(w).terms.items():
         if basis.is_unit():
             raise UnitWordError("half-coproducts are undefined on unit words")
         for lower, upper, flag in w_word_cuts(basis):
             if flag == keep_flag:
-                out = out + single(BoxStack((lower, upper)), c)
-    return out
+                key = BoxStack((lower, upper))
+                out[key] = out.get(key, 0) + c
+        if reduced:
+            if keep_flag:
+                key = BoxStack((basis, w_unit_word(basis.inputs)))
+            else:
+                key = BoxStack((w_unit_word(basis.outputs), basis))
+            out[key] = out.get(key, 0) - c
+    return FormalSum(out)
 
 
 def w_delta_prec_plus(w) -> FormalSum:
@@ -268,33 +280,22 @@ def w_delta_succ_plus(w) -> FormalSum:
 
 
 def w_delta_prec(w) -> FormalSum:
-    out = FormalSum()
-    for basis, c in FormalSum.lift(w).terms.items():
-        part = w_delta_prec_plus(basis) - single(
-            BoxStack((basis, w_unit_word(basis.inputs)))
-        )
-        out = out + c * part
-    return out
+    return _w_half(w, True, reduced=True)
 
 
 def w_delta_succ(w) -> FormalSum:
-    out = FormalSum()
-    for basis, c in FormalSum.lift(w).terms.items():
-        part = w_delta_succ_plus(basis) - single(
-            BoxStack((w_unit_word(basis.outputs), basis))
-        )
-        out = out + c * part
-    return out
+    return _w_half(w, False, reduced=True)
 
 
 def w_nabla(pairs) -> FormalSum:
     """Collapse a sum of two-level stacks of letter-word words."""
-    out = FormalSum()
+    out = {}
     for b, c in FormalSum.lift(pairs).terms.items():
         if not (isinstance(b, BoxStack) and len(b.parts) == 2):
             raise formal.GradingError("nabla expects two-level stacks")
-        out = out + single(w_vcompose(b.parts[0], b.parts[1]), c)
-    return out
+        key = w_vcompose(b.parts[0], b.parts[1])
+        out[key] = out.get(key, 0) + c
+    return FormalSum(out)
 
 
 def w_antipode(w) -> FormalSum:
@@ -340,12 +341,13 @@ def split_insert_defect(alpha: LetterWord, betas) -> tuple:
     inserting vs inserting the split summands.  Returns (lhs, rhs)."""
     inserted = word_insert(alpha, betas)
     lhs = split(w_word(inserted))
-    rhs = FormalSum()
+    rhs = {}
     betas_word = WWord(tuple(betas))
     for low, cl in split(w_word(alpha)).terms.items():
         for high, ch in split(betas_word).terms.items():
-            rhs = rhs + cl * ch * formal.vcompose(low, high)
-    return lhs, rhs
+            for b, c in formal.vcompose(low, high).terms.items():
+                rhs[b] = rhs.get(b, 0) + cl * ch * c
+    return lhs, FormalSum(rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,11 @@ from ovc.formal import (
     delta_succ_plus,
     eta_eps,
     hconcat,
-    interchange,
     map_stack,
     nabla,
     reduced_coproduct,
     single,
     stack,
-    stack_product,
     sum_from_text,
     sum_to_text,
     unit_word,
@@ -154,7 +152,7 @@ def test_coassociativity():
 def test_coproduct_multiplicative_via_interchange():
     for u in all_words(2, 1):
         for v in all_words(2, 1):
-            assert coproduct(hconcat(single(u), single(v))) == stack_product(
+            assert coproduct(hconcat(single(u), single(v))) == hconcat(
                 coproduct(u), coproduct(v)
             )
 
@@ -264,13 +262,13 @@ def test_extension_rule_for_half_coproducts():
                 lead = word(*([EMPTY] * q + [pi]))
                 w = hconcat(single(lead), single(tail))
                 prefix = single(stack(unit_word(q), unit_word(q)))
-                exp_prec = stack_product(
+                exp_prec = hconcat(
                     prefix,
-                    stack_product(delta_prec_plus(word(pi)), coproduct(tail)),
+                    hconcat(delta_prec_plus(word(pi)), coproduct(tail)),
                 )
-                exp_succ = stack_product(
+                exp_succ = hconcat(
                     prefix,
-                    stack_product(delta_succ_plus(word(pi)), coproduct(tail)),
+                    hconcat(delta_succ_plus(word(pi)), coproduct(tail)),
                 )
                 assert w.map_basis(delta_prec_plus) == exp_prec
                 assert w.map_basis(delta_succ_plus) == exp_succ
@@ -334,8 +332,8 @@ def test_conilpotence():
 def test_interchange_example():
     a = stack(word(gen1(3)), unit_word(3))
     b = stack(word(gen1(2)), unit_word(2))
-    out = interchange(a, b)
-    assert out == stack(word(gen1(3), gen1(2)), unit_word(5))
+    out = hconcat(a, b)
+    assert out == single(stack(word(gen1(3), gen1(2)), unit_word(5)))
 
 
 def test_interchange_injective_given_length_split():
@@ -348,14 +346,14 @@ def test_interchange_injective_given_length_split():
                 for c2 in coproduct(w2).terms:
                     quads.add((c1, c2))
                     key = (len(c1.parts[0]), len(c1.parts[1]))
-                    keyed_images.add((key, interchange(c1, c2)))
+                    keyed_images.add((key, hconcat(c1, c2)))
     assert len(keyed_images) == len(quads)
 
 
 def test_interchange_collides_without_length_split():
     a = stack(word(gen1(3)), unit_word(3))
     unit_pair = stack(ONE, ONE)
-    assert interchange(a, unit_pair) == interchange(unit_pair, a)
+    assert hconcat(a, unit_pair) == hconcat(unit_pair, a)
 
 
 # ---------------------------------------------------------------------------
@@ -404,3 +402,49 @@ def formal_sums(draw):
 @given(formal_sums())
 def test_sum_text_round_trip(s):
     assert sum_from_text(sum_to_text(s)) == s
+
+
+# ---------------------------------------------------------------------------
+# Exact coefficients
+
+
+def test_integral_fraction_coefficient_is_an_int():
+    w = word(NESTED)
+    assert single(w, Fraction(4, 2)) == single(w, 2)
+    assert hash(single(w, Fraction(4, 2))) == hash(single(w, 2))
+    assert type(single(w, Fraction(4, 2)).coeff(w)) is int
+    assert type((Fraction(1, 2) * single(w, 2)).coeff(w)) is int
+    assert type((Fraction(1, 3) * single(w)).coeff(w)) is Fraction
+    assert FormalSum([(w, Fraction(1, 2)), (w, Fraction(1, 2))]) == single(w)
+
+
+W_NESTED = word_from_text("[1,3|2]")
+W_PAIR = word_from_text("[1,2|3][1]")
+W_MIXED = word_from_text("[1|2][0][1,2,3]")
+W_COLORED = word_from_text("[1|2;a,b]")
+
+# (sum, its text as printed by the rational-coefficient implementation)
+TEXT_SAMPLES = [
+    (coproduct(W_NESTED), "[0] @ [1,3|2] + [1,2] @ [0][1][0] + [1,3|2] @ [0][0][0][0]"),
+    (
+        reduced_coproduct(W_PAIR),
+        "[0][1] @ [1,2|3][0][0] + [1][0] @ [1,2][0][1] + [1][1] @ [1,2][0][0][0]"
+        " + [1,2][0] @ [0][0][1][1] + [1,2][1] @ [0][0][1][0][0]"
+        " + [1,2|3][0] @ [0][0][0][0][1]",
+    ),
+    (delta_prec(W_NESTED), "[1,2] @ [0][1][0]"),
+    (delta_succ(single(W_COLORED, 2)), "2*[1;b] @ [1;a][0]"),
+    (antipode(W_MIXED), "- [1|2][0][1,2,3]"),
+    (
+        Fraction(1, 2) * antipode(single(W_PAIR) - 3 * single(W_MIXED)),
+        "- 1/2*[1,2|3][1] + 3/2*[1|2][0][1,2,3]",
+    ),
+    (map_stack(antipode, lift, coproduct(W_NESTED)), "[0] @ [1,3|2] - [1,2] @ [0][1][0]"),
+    (Fraction(3, 2) * (single(W_NESTED) + single(W_NESTED)), "3*[1,3|2]"),
+]
+
+
+@pytest.mark.parametrize("s, text", TEXT_SAMPLES)
+def test_sum_text_of_coproducts_and_antipodes_is_unchanged(s, text):
+    assert sum_to_text(s) == text
+    assert sum_from_text(text) == s

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from ovc import ncpart
 from ovc.ncpart import (
     EMPTY,
     ArityMismatch,
+    CrossingError,
     Cut,
     EnumerationBound,
     MalformedPartition,
@@ -375,3 +379,109 @@ def test_standardize_shift_invariance(pi, shift):
     if pi.colors is not None:
         colors = {x + shift: pi.colors[x - 1] for x in range(1, pi.size + 1)}
     assert standardize(shifted, colors=colors) == pi
+
+
+# ---------------------------------------------------------------------------
+# Crossing check, caches and invariants
+
+
+def test_two_crossing_blocks_are_rejected():
+    with pytest.raises(CrossingError, match=r"blocks \(1, 3\) and \(2, 4\) cross"):
+        NCPartition([(1, 3), (2, 4)])
+
+
+@st.composite
+def block_lists(draw):
+    """Random set partitions of {1..p}, p <= 8, in arbitrary block and
+    element order."""
+    p = draw(st.integers(min_value=0, max_value=8))
+    labels = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=p, max_size=p))
+    blocks = {}
+    for x, label in zip(range(1, p + 1), labels):
+        blocks.setdefault(label, []).append(x)
+    blocks = [draw(st.permutations(b)) for b in blocks.values()]
+    return draw(st.permutations(blocks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_lists())
+def test_crossing_error_exactly_when_crossing(blocks):
+    canon = sorted(tuple(sorted(b)) for b in blocks)
+    crossing = [
+        (b1, b2)
+        for b1, b2 in itertools.combinations(canon, 2)
+        if any(
+            a < c < b < d or c < a < d < b
+            for a, b in itertools.combinations(b1, 2)
+            for c, d in itertools.combinations(b2, 2)
+        )
+    ]
+    if is_noncrossing(blocks):
+        assert not crossing
+        assert NCPartition(blocks).blocks == tuple(canon)
+    else:
+        with pytest.raises(CrossingError) as err:
+            NCPartition(blocks)
+        assert str(err.value) == "blocks %r and %r cross" % crossing[0]
+
+
+def test_enumerate_nc_returns_a_fresh_list():
+    first = enumerate_nc(3)
+    first.clear()
+    assert len(enumerate_nc(3)) == CATALAN[3]
+
+
+def test_enumerate_nc_checks_the_bound_after_caching(monkeypatch):
+    assert len(enumerate_nc(6)) == CATALAN[6]
+    monkeypatch.setenv("OVC_MAX_ELEMENTS", "5")
+    with pytest.raises(EnumerationBound):
+        enumerate_nc(6)
+
+
+def test_cuts_returns_a_fresh_list():
+    pi = NCPartition([(1, 3), (2,)])
+    first = cuts(pi)
+    expected = list(first)
+    first.append(first[0])
+    first.reverse()
+    assert cuts(pi) == expected
+
+
+def test_colored_cuts_are_not_cached():
+    pi = NCPartition([(1, 4), (2,), (3,)], colors=(0, 1, 0, 2))
+    before = ncpart._uncolored_cuts.cache_info().currsize
+    for c in cuts(pi):
+        assert gap_insert(c.lower, c.upper) == pi
+    assert ncpart._uncolored_cuts.cache_info().currsize == before
+
+
+def test_invariant_checks_survive_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ncpart.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    script = """
+from ovc import ncpart
+from ovc.ncpart import InvariantError, NCPartition, NestingForest
+
+pi = NCPartition([(1, 3), (2,)])
+fired = []
+ncpart.tree_factorial = lambda forest: 3  # 2 blocks: 2! / 3 is no count
+try:
+    ncpart.count_monotone_labelings(pi)
+except InvariantError:
+    fired.append("count")
+# a forest without nesting lets a cut drop the outer block but keep the inner
+ncpart.nesting_forest = lambda pi: NestingForest(
+    (None,) * pi.n_blocks, ((),) * pi.n_blocks, tuple(range(pi.n_blocks))
+)
+try:
+    ncpart.cuts(pi)
+except InvariantError:
+    fired.append("cuts")
+raise SystemExit(0 if fired == ["count", "cuts"] else 3)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -219,6 +219,14 @@ def test_tensor_matches_tree_evaluation(space_and_tree):
     assert deviation(t, f.eval_batch(elementary_batch(space.d, f.arity))) <= 1e-12
 
 
+def test_arity_zero_sandwich_evaluates_to_a_batch_of_one(space):
+    f = random_multimap(space, 0, np.random.default_rng(5))
+    assert f.arity == 0
+    values = f.eval_batch([])
+    assert values.shape == (1, space.d, space.d)
+    assert np.array_equal(values, f.tensor())
+
+
 def test_tensor_above_the_basis_limit_uses_probes(space, monkeypatch):
     f = moment_map(space, [0, 1, 0, 1, 0, 1])
     assert f.arity == 7 and f.tensor() is None
