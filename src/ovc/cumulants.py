@@ -38,32 +38,35 @@ KINDS = ("moment", "free", "boolean", "monotone")
 
 
 class CumulantFamily:
-    """Generator table for one cumulant kind over a fixed space.
+    """Generator table for one kind over a fixed space.
 
     ``generator(word)`` returns the arity len(word)+1 multilinear map
-    attached to the variable word; entries build lazily and are memoized.
-    ``corrupt`` post-composes one entry with a scaling, used as a fault
-    injection hook by negative-control tests.
+    attached to the variable word; entries build lazily, are memoized and
+    build their structure tensor once (none above the basis limit).  A
+    cumulant family takes the moment term of each entry from the table of
+    ``moments``, so every word has one moment leaf.  ``corrupt``
+    post-composes one entry with a scaling, used as a fault injection hook
+    by negative-control tests; it changes what ``generator`` returns, not
+    the table.
     """
 
-    def __init__(self, space, kind, max_order=8):
+    def __init__(self, space, kind, max_order=8, moments=None):
         if kind not in KINDS:
             raise ValueError("unknown family kind %r" % (kind,))
         self.space = space
         self.kind = kind
         self.max_order = max_order
+        if kind == "moment":
+            moments = self
+        elif moments is None:
+            raise ValueError("a %s family needs the moment family it inverts" % (kind,))
+        self.moments = moments
         self._table = {}
         self._corruption = None
 
     def generator(self, word):
         word = tuple(int(v) for v in word)
-        if len(word) > self.max_order:
-            raise ValueError(
-                "order %d exceeds the populated bound %d" % (len(word), self.max_order)
-            )
-        if word not in self._table:
-            self._table[word] = self._build(word)
-        entry = self._table[word]
+        entry = self._entry(word)
         if self._corruption is not None and self._corruption[0] == word:
             entry = multimap_lincomb(
                 self.space, entry.arity, [(self._corruption[1], entry)]
@@ -73,13 +76,24 @@ class CumulantFamily:
     def corrupt(self, word, factor=1.5):
         self._corruption = (tuple(word), factor)
 
+    def _entry(self, word):
+        if len(word) > self.max_order:
+            raise ValueError(
+                "order %d exceeds the populated bound %d" % (len(word), self.max_order)
+            )
+        entry = self._table.get(word)
+        if entry is None:
+            entry = self._table[word] = self._build(word)
+            entry.tensor()
+        return entry
+
     def _build(self, word):
         if self.kind == "moment":
             return moment_map(self.space, word)
         n = len(word)
         if n == 0:
             return identity_map(self.space)
-        terms = [(1, moment_map(self.space, word))]
+        terms = [(1, self.moments._entry(word))]
         full = full_partition(n)
         for weight, pi in lattice(self.kind, n):
             if pi == full:
@@ -109,15 +123,21 @@ def moment_family(space, max_order=8) -> CumulantFamily:
 
 
 def build_free(family_moment: CumulantFamily) -> CumulantFamily:
-    return CumulantFamily(family_moment.space, "free", family_moment.max_order)
+    return CumulantFamily(
+        family_moment.space, "free", family_moment.max_order, moments=family_moment
+    )
 
 
 def build_boolean(family_moment: CumulantFamily) -> CumulantFamily:
-    return CumulantFamily(family_moment.space, "boolean", family_moment.max_order)
+    return CumulantFamily(
+        family_moment.space, "boolean", family_moment.max_order, moments=family_moment
+    )
 
 
 def build_monotone(family_moment: CumulantFamily) -> CumulantFamily:
-    return CumulantFamily(family_moment.space, "monotone", family_moment.max_order)
+    return CumulantFamily(
+        family_moment.space, "monotone", family_moment.max_order, moments=family_moment
+    )
 
 
 def contiguous_blocks(pi: NCPartition) -> list:

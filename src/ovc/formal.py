@@ -39,7 +39,9 @@ class PartitionWord:
 
     def __init__(self, letters=()):
         letters = tuple(letters)
-        assert all(isinstance(l, NCPartition) for l in letters)
+        for l in letters:
+            if not isinstance(l, NCPartition):
+                raise TypeError("a PartitionWord letter must be an NCPartition, got %r" % (l,))
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "_hash", hash(letters))
 

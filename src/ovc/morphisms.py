@@ -596,7 +596,10 @@ def operadic_extension(space, gen, validate_vars=None, max_order=6, tol=1e-9) ->
             if g.arity != expr.block_size + 1:
                 raise DimensionMismatch("generator arity mismatch")
             return g
-        assert isinstance(expr, PartialNode)
+        if not isinstance(expr, PartialNode):
+            raise TypeError(
+                "a factorization node must be a GenLeaf or a PartialNode, got %r" % (expr,)
+            )
         return multimap_partial(walk(expr.outer), expr.slot, walk(expr.inner))
 
     def letter_fn(pi):

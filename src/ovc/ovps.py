@@ -13,7 +13,9 @@ bottom-up from its parts: leaves build theirs directly, linear combinations
 sum their parts' tensors, compositions contract one slot at a time.
 Whole-basis equality checks compare these tensors.  Above the limit,
 equality is checked on 20 seeded probe tuples, evaluated by walking the DAG
-on stacked argument batches.
+on stacked argument batches.  The walk stops at every linear combination
+that holds its tensor, which is then contracted with the arguments instead,
+so a memoised sub-map below the limit costs one contraction per use.
 
 All tolerances are relative with an absolute floor of 1e-12.
 """
@@ -158,6 +160,9 @@ class MultiMap:
         self._tensor = None
 
     def eval_batch(self, args) -> np.ndarray:
+        """Values on a batch, one (N, d, d) array per slot.  A linear
+        combination that holds its structure tensor contracts it with the
+        arguments; every other node walks its parts."""
         if len(args) != self.arity:
             raise DimensionMismatch(
                 "%s expects %d arguments, got %d" % (self, self.arity, len(args))
@@ -174,6 +179,8 @@ class MultiMap:
                 pos += beta.arity
             return alpha.eval_batch(fed)
         if self.kind == "lincomb":
+            if self._tensor is not None:
+                return _contract(self._tensor, args)
             n = args[0].shape[0] if args else 1
             total = np.zeros((n, self.space.d, self.space.d), dtype=complex)
             for coeff, m in self.parts:
@@ -190,7 +197,8 @@ class MultiMap:
         shape (D**arity, d, d) with D = d*d, tuples ordered as in
         ``elementary_batch``.  None when D**arity > EXACT_BASIS_LIMIT.
 
-        Leaves and linear combinations keep their tensor once built.
+        Leaves and linear combinations keep their tensor once built, and a
+        linear combination that holds one evaluates probe batches from it.
         Compositions rebuild theirs from their parts on each call, so the
         many short-lived compositions of a lattice sum hold no memory.
         """
@@ -215,6 +223,28 @@ class MultiMap:
 
     def __repr__(self):
         return "MultiMap(%s, arity=%d)" % (self.label or self.kind, self.arity)
+
+
+def _contract(t: np.ndarray, args) -> np.ndarray:
+    """Values of the map with structure tensor ``t`` on a batch: a d x d
+    argument's entries, read row-major, are its coordinates in the elementary
+    basis, and the slots are contracted one at a time.  Rows go D = d*d at a
+    time, so no intermediate array outgrows ``t``."""
+    d = t.shape[-1]
+    n_mats = d * d
+    if not args:
+        return t.copy()
+    n = args[0].shape[0]
+    coords = [a.reshape(n, n_mats) for a in args]
+    first = t.reshape(n_mats, -1)
+    out = np.empty((n, d, d), dtype=complex)
+    for lo in range(0, n, n_mats):
+        rows = slice(lo, lo + n_mats)
+        acc = np.einsum("er,ne->nr", first, coords[0][rows])
+        for c in coords[1:]:
+            acc = np.einsum("ner,ne->nr", acc.reshape(len(acc), n_mats, -1), c[rows])
+        out[rows] = acc.reshape(-1, d, d)
+    return out
 
 
 def _compose_tensor(node: MultiMap) -> np.ndarray:

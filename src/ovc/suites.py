@@ -210,16 +210,17 @@ def suite_operad(ctx: VerifyContext):
 
     duality_ok = True
     for p in range(6):
-        for pi in enumerate_nc(p):
+        by_size = [enumerate_nc(s) for s in range(p + 1)]
+        for pi in by_size[p]:
             found = {(c.lower, c.upper) for c in cuts(pi)}
             brute = set()
             for q in range(p + 1):
-                for lower in enumerate_nc(q):
+                for lower in by_size[q]:
                     rest = p - q
                     for sizes in itertools.product(range(rest + 1), repeat=lower.arity):
                         if sum(sizes) != rest:
                             continue
-                        for upper in itertools.product(*(enumerate_nc(s) for s in sizes)):
+                        for upper in itertools.product(*(by_size[s] for s in sizes)):
                             if gap_insert(lower, upper) == pi:
                                 brute.add((lower, tuple(upper)))
             duality_ok &= found == brute

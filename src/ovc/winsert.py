@@ -80,7 +80,9 @@ class WWord:
 
     def __init__(self, letters=()):
         letters = tuple(letters)
-        assert all(isinstance(l, LetterWord) for l in letters)
+        for l in letters:
+            if not isinstance(l, LetterWord):
+                raise TypeError("a WWord letter must be a LetterWord, got %r" % (l,))
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "_hash", hash(("ww", letters)))
 

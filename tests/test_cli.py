@@ -9,7 +9,8 @@ import pytest
 import ovc
 from ovc import cli
 from ovc.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, RunConfig, main
-from ovc.ovps import elementary_batch, matrix_from_json
+from ovc.ovps import deviation, elementary_batch, matrix_from_json, probe_batch
+from reference_walk import walk_eval
 
 
 def run(capsys, argv):
@@ -103,6 +104,31 @@ raise SystemExit(3)
     assert proc.returncode == 0, proc.stderr
 
 
+def test_bad_letters_are_rejected_under_optimize():
+    proc = _run_optimized(["-c", """
+from ovc import morphisms
+from ovc.formal import PartitionWord
+from ovc.ncpart import NCPartition
+from ovc.ovps import OVMatrixSpace, moment_map
+from ovc.winsert import WWord
+rejected = []
+for build in (PartitionWord, WWord):
+    try:
+        build(["x"])
+    except TypeError:
+        rejected.append(build.__name__)
+space = OVMatrixSpace(d=1, k=1, variables=1)
+morphisms.operadic_factorization = lambda pi: "x"
+extension = morphisms.operadic_extension(space, lambda word: moment_map(space, word))
+try:
+    extension.letter_value(NCPartition([(1,)]))
+except TypeError:
+    rejected.append("factorization")
+raise SystemExit(0 if rejected == ["PartitionWord", "WWord", "factorization"] else 3)
+"""])
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cumulants_scalar_constant(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"d": 1, "k": 1, "variables": {"a": [[[2, 0]]]}}))
@@ -146,10 +172,27 @@ def test_cumulants_elementary_values_match_tree_evaluation(capsys):
     from ovc.cumulants import build_free, moment_family
 
     gen = build_free(moment_family(space)).generator((0, 0))
-    expected = gen.eval_batch(elementary_batch(space.d, 3))
+    expected = walk_eval(gen, elementary_batch(space.d, 3))
     got = np.array([matrix_from_json(v) for v in payload["values"]])
     assert got.shape == expected.shape
     assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+def test_cumulants_probe_values_match_tree_evaluation(capsys):
+    word = "a.a.a.a.a.a"
+    code, out, _ = run(capsys, ["cumulants", "--kind", "free", "--word", word, "--order", "6"])
+    payload = json.loads(out)
+    assert code == EXIT_OK and payload["basis"] == "probes"
+    assert payload["arity"] == 7
+    config = RunConfig({"max_order": 6})
+    space = config.build_space()
+    from ovc.cumulants import build_free, moment_family
+
+    gen = build_free(moment_family(space, 6)).generator((0,) * 6)
+    expected = walk_eval(gen, probe_batch(space.d, 7, seed=config.seed))
+    got = np.array([matrix_from_json(v) for v in payload["values"]])
+    assert got.shape == expected.shape
+    assert deviation(got, expected) <= 1e-10
 
 
 def test_cumulants_order_overflow(capsys):

@@ -143,10 +143,29 @@ def test_corrupted_table_fails(space):
         "boolean": build_boolean(moments),
         "monotone": build_monotone(moments),
     }
+    leaf = moments.generator((0, 0))
+    before = leaf.tensor().copy()
     families["free"].corrupt((0, 0))
     report = verify_mc(space, order=3, families=families)
     assert report["max_dev"]["free"] > 1e-6
     assert report["max_dev"]["boolean"] <= 1e-10
+    assert report["max_dev"]["monotone"] <= 1e-10
+    # the moment leaves the families share are untouched
+    assert moments.generator((0, 0)) is leaf
+    assert np.array_equal(leaf.tensor(), before)
+
+
+def test_families_share_the_moment_leaf_of_each_word(space):
+    moments = moment_family(space)
+    families = [build_free(moments), build_boolean(moments), build_monotone(moments)]
+    for word in [(0,), (0, 1), (1, 0, 0)]:
+        leaf = moments.generator(word)
+        # entries hold their tensors from the moment they are built
+        assert leaf.kind == "gen" and leaf._tensor is not None
+        for fam in families:
+            gen = fam.generator(word)
+            assert gen.kind == "lincomb" and gen._tensor is not None
+            assert gen.parts[0] == (1, leaf)
 
 
 def test_family_order_bound(space):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovc import ovps
+from reference_walk import walk_eval
 from ovc.ovps import (
     DimensionMismatch,
     OVMatrixSpace,
@@ -216,7 +217,66 @@ def test_tensor_matches_tree_evaluation(space_and_tree):
     space, f = space_and_tree
     t = f.tensor()
     assert t.shape == ((space.d * space.d) ** f.arity, space.d, space.d)
-    assert deviation(t, f.eval_batch(elementary_batch(space.d, f.arity))) <= 1e-12
+    assert deviation(t, walk_eval(f, elementary_batch(space.d, f.arity))) <= 1e-12
+
+
+def _nodes(m):
+    yield m
+    for part in m.parts:
+        yield from _nodes(part[1] if m.kind == "lincomb" else part)
+
+
+@st.composite
+def probe_cases(draw):
+    """A random tree up to arity 8, so above the basis limit at d=2, in which
+    a random choice of linear combinations hold their tensors, and a probe
+    batch whose size need not be a multiple of d*d."""
+    d = draw(st.sampled_from((1, 2)))
+    space = OVMatrixSpace(d=d, k=2, variables=2, seed=draw(st.integers(0, 99)))
+    arity = draw(st.integers(min_value=1, max_value=8))
+    f = draw(multimap_trees(space, arity))
+    for node in _nodes(f):
+        if node.kind == "lincomb" and draw(st.booleans()):
+            node.tensor()
+    n_probes = draw(st.integers(min_value=1, max_value=9))
+    return f, probe_batch(d, arity, n_probes=n_probes, seed=draw(st.integers(0, 99)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(probe_cases())
+def test_probe_evaluation_matches_reference_walk(case):
+    f, args = case
+    assert deviation(f.eval_batch(args), walk_eval(f, args)) <= 1e-12
+
+
+def test_lincomb_with_tensor_contracts_instead_of_walking(space):
+    leaf = random_multimap(space, 3, np.random.default_rng(9))
+    f = multimap_lincomb(space, 3, [(2 - 1j, leaf)])
+    args = probe_batch(space.d, 3, n_probes=7)
+    expected = walk_eval(f, args)
+    assert f.tensor() is not None
+
+    def no_walk(batch):
+        raise AssertionError("leaf evaluated although its combination holds a tensor")
+
+    leaf.fn = no_walk
+    assert deviation(f.eval_batch(args), expected) <= 1e-12
+
+
+def test_contraction_intermediates_stay_within_the_tensor(space, monkeypatch):
+    f = multimap_lincomb(space, 5, [(1, random_multimap(space, 5, np.random.default_rng(3)))])
+    t = f.tensor()
+    sizes = []
+    einsum = np.einsum
+
+    def recording(*a, **kw):
+        out = einsum(*a, **kw)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "einsum", recording)
+    f.eval_batch(probe_batch(space.d, 5))
+    assert sizes and max(sizes) <= t.size
 
 
 def test_arity_zero_sandwich_evaluates_to_a_batch_of_one(space):
@@ -225,6 +285,9 @@ def test_arity_zero_sandwich_evaluates_to_a_batch_of_one(space):
     values = f.eval_batch([])
     assert values.shape == (1, space.d, space.d)
     assert np.array_equal(values, f.tensor())
+    doubled = multimap_lincomb(space, 0, [(2, f)])
+    assert doubled.tensor() is not None
+    assert np.array_equal(doubled.eval_batch([]), 2 * values)
 
 
 def test_tensor_above_the_basis_limit_uses_probes(space, monkeypatch):
