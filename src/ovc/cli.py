@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -32,7 +33,7 @@ from .ovps import (
     probe_batch,
     random_hermitian,
 )
-from .suites import SUITES, VerifyContext, run_suites
+from .suites import SUITES, TWO_VARIABLE_SUITES, VerifyContext, run_suites
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -51,27 +52,52 @@ class ConfigError(ValueError):
     pass
 
 
+def _number(value, what, kind=int):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError("%s must be a number, got %r" % (what, value)) from None
+
+
+def _seed(value, what):
+    """A seed numpy accepts: a non-negative integer."""
+    seed = _number(value, what)
+    if seed < 0:
+        raise ConfigError("%s must be non-negative, got %r" % (what, value))
+    return seed
+
+
 class RunConfig:
     """Validated run configuration; see DEFAULT_CONFIG for the shape."""
 
     def __init__(self, data):
+        if data is None:
+            data = {}
+        if not isinstance(data, dict):
+            raise ConfigError("a configuration must be a JSON object")
         merged = dict(DEFAULT_CONFIG)
-        merged.update(data or {})
-        self.d = int(merged["d"])
-        self.k = int(merged["k"])
-        self.max_order = int(merged["max_order"])
-        self.tolerance = float(merged["tolerance"])
-        self.seed = int(merged["seed"])
-        self.suites = list(merged["suites"])
-        self.variable_specs = dict(merged["variables"])
+        merged.update(data)
+        self.d = _number(merged["d"], "d")
+        self.k = _number(merged["k"], "k")
+        self.max_order = _number(merged["max_order"], "max_order")
+        self.tolerance = _number(merged["tolerance"], "tolerance", float)
+        self.seed = _seed(merged["seed"], "seed")
+        self.suites = merged["suites"]
+        self.variable_specs = merged["variables"]
         if self.d < 1 or self.k < 1 or self.d * self.k > 16:
             raise ConfigError("require 1 <= d, k and d*k <= 16")
         if not 1 <= self.max_order <= 8:
             raise ConfigError("require 1 <= max_order <= 8")
-        if self.tolerance < 1e-12:
-            raise ConfigError("tolerance must be at least 1e-12")
+        if not 1e-12 <= self.tolerance < math.inf:
+            raise ConfigError("tolerance must be finite and at least 1e-12")
+        if not isinstance(self.variable_specs, dict):
+            raise ConfigError("variables must be a JSON object")
         if not self.variable_specs:
             raise ConfigError("at least one variable is required")
+        if not isinstance(self.suites, list) or not all(
+            isinstance(s, str) for s in self.suites
+        ):
+            raise ConfigError("suites must be a list of suite names")
         unknown = [s for s in self.suites if s not in SUITES]
         if unknown:
             raise ConfigError("unknown suites: %s" % ", ".join(unknown))
@@ -92,10 +118,10 @@ class RunConfig:
         variables = {}
         for i, (name, spec) in enumerate(self.variable_specs.items()):
             if isinstance(spec, dict):
-                rng = np.random.default_rng(int(spec.get("seed", self.seed + i)))
-                mat = random_hermitian(rng, d * k)
+                seed = _seed(spec.get("seed", self.seed + i), "the seed of variable %r" % name)
+                mat = random_hermitian(np.random.default_rng(seed), d * k)
                 if not spec.get("hermitian", True):
-                    rng2 = np.random.default_rng(int(spec.get("seed", self.seed + i)) + 1)
+                    rng2 = np.random.default_rng(seed + 1)
                     mat = (mat + random_hermitian(rng2, d * k) * 1j) / np.sqrt(2)
             else:
                 try:
@@ -117,8 +143,13 @@ class RunConfig:
 def _load_config(ns) -> RunConfig:
     data = {}
     if getattr(ns, "config", None):
-        with open(ns.config) as fh:
-            data = json.load(fh)
+        try:
+            with open(ns.config) as fh:
+                data = json.load(fh)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError("cannot read the configuration: %s" % exc) from None
+        if not isinstance(data, dict):
+            raise ConfigError("a configuration must be a JSON object")
     if getattr(ns, "order", None) is not None:
         data["max_order"] = ns.order
     if getattr(ns, "tol", None) is not None:
@@ -196,6 +227,9 @@ def cmd_cumulants(ns) -> int:
 
 def cmd_verify(ns) -> int:
     config = _load_config(ns)
+    two_variable = sorted(TWO_VARIABLE_SUITES.intersection(config.suites))
+    if two_variable and len(config.variable_specs) < 2:
+        raise ConfigError("suites %s need two variables" % ", ".join(two_variable))
     ctx = VerifyContext(
         space=config.build_space(),
         scalar_space=config.build_space(d=1, k=4),
@@ -281,7 +315,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.fn(ns)
-    except (ConfigError, BoundSettingError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, BoundSettingError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
 

@@ -317,7 +317,7 @@ def nabla(pairs) -> FormalSum:
 # Coproducts
 
 
-def _letter_cut_pairs(letter: NCPartition):
+def letter_cut_pairs(letter: NCPartition):
     """Per-letter cut data: (lower letter, upper letters, block-of-1 kept)."""
     out = []
     for cut in cuts(letter):
@@ -334,7 +334,7 @@ def word_cuts(w: PartitionWord):
     letter; it is None for unit words.
     """
     anchor = next((i for i, l in enumerate(w.letters) if l.size > 0), None)
-    per_letter = [_letter_cut_pairs(l) for l in w.letters]
+    per_letter = [letter_cut_pairs(l) for l in w.letters]
     for combo in itertools.product(*per_letter):
         lower = PartitionWord(tuple(c[0] for c in combo))
         upper = PartitionWord(tuple(u for c in combo for u in c[1]))

@@ -14,6 +14,12 @@ is rejected.
 Everything here is generic over the source coalgebra: an adapter object
 provides cuts of words and letters, so the words-insertion coalgebra reuses
 the same machinery.
+
+Two morphism values are compared as sums of words of maps.  When
+(d^2)^inputs <= WORD_BASIS_LIMIT, a sum's values on every tuple of
+elementary matrices are its structure tensor: per word, the coefficient
+times the Kronecker product of its maps' tensors, so no argument batch is
+built.  Beyond the limit both sums are evaluated on seeded probes.
 """
 
 from __future__ import annotations
@@ -26,16 +32,17 @@ from fractions import Fraction
 import numpy as np
 
 from . import formal, ncpart
-from .ncpart import GenLeaf, PartialNode, cuts, operadic_factorization
+from .ncpart import GenLeaf, PartialNode, operadic_factorization
 from .ovps import (
+    EXACT_BASIS_LIMIT,
     DimensionMismatch,
-    argument_batch,
     deviation,
     identity_map,
     multimap_compose,
     multimap_eq,
     multimap_lincomb,
     multimap_partial,
+    probe_batch,
     random_multimap,
 )
 
@@ -100,10 +107,7 @@ class PartitionCoalgebra:
 
     @staticmethod
     def letter_cuts(x):
-        return [
-            (c.lower, c.upper, x.size > 0 and bool(c.kept_mask & 1))
-            for c in cuts(x)
-        ]
+        return formal.letter_cut_pairs(x)
 
     @staticmethod
     def letter_text(x):
@@ -231,21 +235,45 @@ class WordSum:
             total += coeff * acc
         return total
 
+    def tensor(self):
+        """Values on every tuple of elementary matrices over the concatenated
+        slots, shape (D**inputs, d**letters, d**letters) with D = d*d, rows
+        in ``elementary_batch`` order: each term's coefficient times the
+        Kronecker product of its maps' structure tensors, letter by letter.
+        Built on each call and never kept.  None when D**inputs exceeds
+        EXACT_BASIS_LIMIT."""
+        d = self.space.d
+        n_mats = d * d
+        n_rows = n_mats ** sum(self.profile)
+        if n_rows > EXACT_BASIS_LIMIT:
+            return None
+        dim = d ** len(self.profile)
+        total = np.zeros((n_rows, dim, dim), dtype=complex)
+        for coeff, maps in self.terms:
+            acc = np.ones((1, 1, 1), dtype=complex)
+            for m in maps:
+                t = m.tensor()
+                rows, side = len(acc) * len(t), acc.shape[1] * d
+                acc = np.einsum("xij,ykl->xyikjl", acc, t).reshape(rows, side, side)
+            total += coeff * acc
+        return total
+
 
 WORD_BASIS_LIMIT = 256
 
 
 def word_sum_dev(a: WordSum, b: WordSum, seed: int = 0) -> float:
-    """Deviation of two morphism values; exhaustive elementary arguments for
-    small gradings, seeded probes beyond them."""
+    """Deviation of two morphism values.  When (d^2)^inputs <=
+    WORD_BASIS_LIMIT the sums' structure tensors are compared, which covers
+    every tuple of elementary arguments and builds no batch; beyond that
+    both sums are evaluated on the seeded probe batch."""
     if a.profile != b.profile:
         raise DimensionMismatch("profiles %r vs %r" % (a.profile, b.profile))
     n_inputs = sum(a.profile)
-    if n_inputs == 0:
-        ca = sum(c for c, _ in a.terms)
-        cb = sum(c for c, _ in b.terms)
-        return deviation(np.array([ca]), np.array([cb]))
-    args = argument_batch(a.space.d, n_inputs, seed=seed, limit=WORD_BASIS_LIMIT)
+    d = a.space.d
+    if (d * d) ** n_inputs <= WORD_BASIS_LIMIT:
+        return deviation(a.tensor(), b.tensor())
+    args = probe_batch(d, n_inputs, seed=seed)
     return deviation(a.eval_batch(args), b.eval_batch(args))
 
 
@@ -650,15 +678,20 @@ def seeded_infinitesimal(space, seed, max_size=5, coalg=PARTITION_COALGEBRA,
                          name=None, single_block=False) -> InfinitesimalMorphism:
     """Deterministic pseudorandom generator values on letters up to
     ``max_size``; values depend only on (seed, letter), not query order.
-    With ``single_block`` the support shrinks to one-block letters."""
+    Each letter's map is built once and kept, so its structure tensor is
+    too.  With ``single_block`` the support shrinks to one-block letters."""
+
+    leaves = {}
 
     def gen(x):
         if coalg.letter_arity(x) - 1 > max_size:
             return None
         if single_block and getattr(x, "n_blocks", 1) != 1:
             return None
-        rng = _stable_rng(seed, coalg.letter_text(x))
-        return random_multimap(space, coalg.letter_arity(x), rng, label="seeded")
+        if x not in leaves:
+            rng = _stable_rng(seed, coalg.letter_text(x))
+            leaves[x] = random_multimap(space, coalg.letter_arity(x), rng, label="seeded")
+        return leaves[x]
 
     return InfinitesimalMorphism(
         space, gen, coalg, name=name or ("seeded-%s" % seed)

@@ -403,13 +403,6 @@ def probe_batch(d: int, arity: int, n_probes: int = N_PROBES, seed: int = _PROBE
     ]
 
 
-def argument_batch(d: int, arity: int, seed: int = _PROBE_SEED, limit: int = EXACT_BASIS_LIMIT):
-    """Elementary-basis batch when feasible, seeded probes otherwise."""
-    if (d * d) ** arity <= limit:
-        return elementary_batch(d, arity)
-    return probe_batch(d, arity, seed=seed)
-
-
 def deviation(x, y) -> float:
     """Relative max deviation with an absolute floor of 1e-12."""
     diff = float(np.max(np.abs(x - y))) if np.size(x) else 0.0

@@ -751,6 +751,10 @@ SUITES = {
 }
 
 
+# Suites whose words color letters with the variables 0 and 1.
+TWO_VARIABLE_SUITES = frozenset(("monotone-scalar", "oracle"))
+
+
 def run_suites(ctx: VerifyContext, names=None) -> dict:
     names = sorted(SUITES) if names is None else sorted(names)
     unknown = [n for n in names if n not in SUITES]

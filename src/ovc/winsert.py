@@ -15,6 +15,7 @@ moment-cumulant fixed points from partitions to plain words.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from . import formal, ncpart
@@ -200,9 +201,11 @@ def w_vcompose(x: WWord, y: WWord) -> WWord:
 # Cuts and coproducts
 
 
-def letter_cuts(x: LetterWord):
-    """All ways to keep a subset of positions below: (lower letter, upper
-    letters, first-position-kept flag)."""
+@functools.lru_cache(maxsize=None)
+def letter_cuts(x: LetterWord) -> tuple:
+    """All ways to keep a subset of positions below: a tuple of (lower
+    letter, upper letters, first-position-kept flag).  Memoised per letter
+    word; the result is immutable and shared between calls."""
     p = x.size
     out = []
     for mask in range(1 << p):
@@ -214,7 +217,7 @@ def letter_cuts(x: LetterWord):
             for g in range(len(kept) + 1)
         )
         out.append((lower, upper, p > 0 and bool(mask & 1)))
-    return out
+    return tuple(out)
 
 
 def w_word_cuts(w: WWord):

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ovc
 from ovc import cli
@@ -66,6 +71,41 @@ def test_variable_spec_that_is_not_a_matrix_is_usage_error(capsys, tmp_path):
     )
     assert code == EXIT_USAGE and out == ""
     assert "'a'" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        ([1, 2], [], "JSON object"),
+        ({"tolerance": "x"}, [], "tolerance"),
+        ({"variables": {"a": {"seed": "x"}}}, [], "seed of variable 'a'"),
+        ({}, ["--seed", "-5"], "seed must be non-negative"),
+        ({"variables": {"a": {"seed": -1}}}, [], "seed of variable 'a'"),
+        ({"tolerance": float("nan")}, [], "tolerance"),
+        ({"variables": ["a"]}, [], "variables"),
+        ({"suites": "hopf"}, [], "list of suite names"),
+        ({"variables": {"a": {}}, "suites": ["oracle"]}, [], "two variables"),
+    ],
+)
+def test_malformed_configuration_is_usage_error(capsys, tmp_path, config, argv, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    suite = [] if "suites" in config else ["--suite", "operad"]
+    code, out, err = run(capsys, ["verify", "--config", str(cfg)] + argv + suite)
+    assert code == EXIT_USAGE and out == ""
+    assert message in json.loads(err)["error"]
+
+
+def test_negative_seed_is_usage_error_for_cumulants(capsys):
+    code, out, err = run(capsys, ["cumulants", "--kind", "free", "--word", "a", "--seed", "-5"])
+    assert code == EXIT_USAGE and out == ""
+    assert "seed" in json.loads(err)["error"]
+
+
+def test_unreadable_configuration_is_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, ["verify", "--config", str(tmp_path), "--suite", "operad"])
+    assert code == EXIT_USAGE and out == ""
+    assert "error" in json.loads(err)
 
 
 def _run_optimized(argv):
@@ -271,3 +311,105 @@ def test_suite_report_order_is_by_name(capsys):
     )
     payload = json.loads(out)
     assert [s["suite"] for s in payload["suites"]] == ["monotone-scalar", "operad"]
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract under fuzzed configurations and options
+
+_BAD = st.sampled_from(["x", None, [1], {"a": 1}, True, -1, 0, 1.5, float("inf"), float("nan")])
+_SUITE_NAMES = sorted(cli.SUITES)
+_FIELDS = ["d", "k", "tolerance", "seed", "variables", "max_order", "suites",
+           "body", "variable", "--order", "--seed", "--tol", "--suite"]
+
+
+@st.composite
+def cli_cases(draw):
+    """An argv and a config file body.  At most one field is malformed and
+    the rest take valid values, so that many cases run a command.  Verify
+    runs one suite at order <= 2: the order and the suite come from the
+    config or the command line, whichever the case sets."""
+    broken = draw(st.sampled_from(_FIELDS + [None] * 6))
+
+    def field(name, good):
+        return draw(_BAD) if broken == name else draw(good)
+
+    spec = field("variable", st.one_of(
+        st.fixed_dictionaries({}, optional={"seed": st.integers(0, 2**40),
+                                            "hermitian": st.booleans()}),
+        st.just([[[float(i == j) * (i + 1), 0.0] for j in range(4)] for i in range(4)]),
+    ))
+    config = {"variables": {"a": spec, "b": {}}}
+    for name, good in (("d", st.integers(1, 2)), ("k", st.integers(1, 2)),
+                       ("tolerance", st.floats(1e-12, 1.0)), ("seed", st.integers(0, 2**40))):
+        if broken == name or draw(st.booleans()):
+            config[name] = field(name, good)
+    if broken == "variables":
+        config["variables"] = draw(st.one_of(_BAD, st.just({})))
+    order = draw(st.one_of(st.none(), st.integers(1, 2)))
+    if order is None:
+        config["max_order"] = field("max_order", st.integers(1, 2))
+    elif broken == "--order":
+        order = draw(st.sampled_from([-1, 0, 9]))
+    suite = draw(st.one_of(st.none(), st.sampled_from(_SUITE_NAMES)))
+    if suite is None:
+        config["suites"] = draw(st.one_of(st.just(["bogus"]), st.just("hopf"), _BAD)
+                                if broken == "suites" else
+                                st.lists(st.sampled_from(_SUITE_NAMES), max_size=1))
+    elif broken == "--suite":
+        suite = draw(st.sampled_from(["bogus", "", "hopf,bogus"]))
+    body = config if broken != "body" else draw(st.one_of(_BAD, st.just([config])))
+    command = draw(st.sampled_from(["verify", "verify", "verify", "cumulants", "enumerate"]))
+    if command == "enumerate":
+        argv = ["enumerate", str(draw(st.integers(-2, 8)))]
+        if draw(st.booleans()):
+            argv.append("--interval")
+    elif command == "cumulants":
+        argv = ["cumulants",
+                "--kind", draw(st.sampled_from(["moment", "free", "boolean", "monotone"])),
+                "--word", draw(st.sampled_from(["a", "a.b", "b.a", "e", "z", "a..b", ""]))]
+    else:
+        argv = ["verify"]
+        if suite is not None:
+            argv.append("--suite=" + suite)
+        if draw(st.booleans()):
+            argv.append("--inject-fault")
+    if order is not None:
+        argv.append("--order=%d" % order)
+    for flag, good, bad in (("--seed", st.integers(0, 2**40), st.integers(-5, -1)),
+                            ("--tol", st.floats(1e-12, 1.0), st.sampled_from(
+                                [float("nan"), float("inf"), -1.0, 0.0]))):
+        if broken == flag or draw(st.booleans()):
+            argv.append("%s=%s" % (flag, draw(bad if broken == flag else good)))
+    return argv, body
+
+
+def _invoke(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_cases())
+def test_fuzzed_invocations_keep_the_exit_code_contract(case):
+    argv, body = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(body, fh)
+        code, out, err = _invoke(argv + ["--config", path])
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
+    assert "Traceback" not in err
+    if code == EXIT_USAGE:
+        assert out == "" or "error" in json.loads(out)
+        assert err.startswith("usage:") or "error" in json.loads(err)
+        return
+    failed = []
+    if argv[0] == "verify":
+        report = json.loads(out)
+        failed = [a["id"] for s in report["suites"] for a in s["assertions"] if not a["passed"]]
+    assert (code == EXIT_FAIL) == bool(failed)

@@ -1,13 +1,18 @@
+import functools
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ovc import formal
+from ovc import formal, morphisms, ovps
 from ovc.cumulants import build_free, e_pi_map, moment_family
 from ovc.formal import antipode, all_words, unit_word, word
 from ovc.morphisms import (
+    WORD_BASIS_LIMIT,
     CommutationError,
     OrderOverflow,
     UnitAmbiguity,
@@ -40,15 +45,21 @@ from ovc.ncpart import (
 )
 from ovc.ovps import (
     DimensionMismatch,
+    MultiMap,
     OVMatrixSpace,
+    deviation,
+    elementary_batch,
     identity_map,
     moment_map,
     multimap_compose,
     multimap_dev,
     multimap_partial,
     random_matrix,
+    random_multimap,
     sandwich_map,
 )
+from reference_walk import walk_eval
+from strategies import multimap_trees
 
 TOL = 1e-9
 
@@ -393,3 +404,113 @@ def test_word_sum_hconcat_profile_and_values(space):
     expected = np.kron(np.kron(bs[0], bs[1]), e2.eval(bs[2], bs[3]))
     got = x.eval_batch([b[None] for b in bs])[0]
     assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Whole-basis comparison through structure tensors
+
+
+def _kron_reference(ws):
+    """Per term, the Kronecker product of each map's reference-walk values
+    on its own elementary batch, over every combination of rows."""
+    d = ws.space.d
+    total = 0
+    for coeff, maps in ws.terms:
+        values = [walk_eval(m, elementary_batch(d, m.arity)) for m in maps]
+        rows = [
+            functools.reduce(np.kron, combo, np.ones((1, 1)))
+            for combo in itertools.product(*values)
+        ]
+        total = total + coeff * np.array(rows)
+    return total
+
+
+@st.composite
+def word_sums(draw):
+    """A sum of 1-3 words of 1-3 random map trees with at most 4 inputs."""
+    d = draw(st.sampled_from((1, 2)))
+    space = OVMatrixSpace(d=d, k=2, variables=2, seed=draw(st.integers(0, 99)))
+    n_maps = draw(st.integers(min_value=1, max_value=3))
+    profile = []
+    for i in range(n_maps):
+        spare = 4 - sum(profile) - (n_maps - 1 - i)
+        profile.append(draw(st.integers(min_value=1, max_value=spare)))
+    coeffs = draw(st.lists(st.complex_numbers(max_magnitude=3, allow_nan=False,
+                                              allow_infinity=False),
+                           min_size=1, max_size=3))
+    terms = [(c, [draw(multimap_trees(space, a, depth=2)) for a in profile]) for c in coeffs]
+    return WordSum(space, profile, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(word_sums())
+def test_word_sum_tensor_is_the_kronecker_product_of_map_values(ws):
+    d = ws.space.d
+    t = ws.tensor()
+    side = d ** len(ws.profile)
+    assert t.shape == ((d * d) ** sum(ws.profile), side, side)
+    if ws.terms:
+        assert deviation(t, _kron_reference(ws)) <= 1e-12
+    else:
+        assert not t.any()
+    assert ws.tensor() is not t
+
+
+def test_word_sum_tensor_above_the_basis_limit_is_none(space):
+    leaf = random_multimap(space, 7, np.random.default_rng(2))
+    assert WordSum.word(space, (leaf,)).tensor() is None
+
+
+def _refuse_batches(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a batch was evaluated")
+
+    for owner, name in ((MultiMap, "eval_batch"), (WordSum, "eval_batch"),
+                        (ovps, "elementary_batch"), (morphisms, "probe_batch")):
+        monkeypatch.setattr(owner, name, refuse)
+
+
+def test_word_sum_dev_compares_tensors_at_the_basis_limit(space, monkeypatch):
+    rng = np.random.default_rng(6)
+    k = seeded_infinitesimal(space, seed=31)
+    K = exp_prec(k)
+    w = word(gen1(2), gen1(2))
+    assert (space.d ** 2) ** sum(w.profile()) == WORD_BASIS_LIMIT
+    walked = K.value(w).eval_batch(elementary_batch(space.d, 4))
+    other = WordSum.word(space, (random_multimap(space, 2, rng),) * 2)
+    expected = deviation(walked, other.eval_batch(elementary_batch(space.d, 4)))
+    _refuse_batches(monkeypatch)
+    assert word_sum_dev(K.value(w), K.value(w)) == 0.0
+    assert abs(word_sum_dev(K.value(w), other) - expected) <= 1e-12 * expected
+
+
+def test_word_sum_dev_uses_probes_above_the_basis_limit(space, monkeypatch):
+    k = seeded_infinitesimal(space, seed=32)
+    w = word(gen1(5))
+    calls = []
+    original = morphisms.probe_batch
+    monkeypatch.setattr(
+        morphisms, "probe_batch", lambda *a, **kw: calls.append(a) or original(*a, **kw)
+    )
+    assert word_sum_dev(exp_prec(k).value(w), exp_prec(k).value(w)) == 0.0
+    assert calls == [(space.d, 5)]
+
+
+def test_word_sum_dev_on_empty_words_compares_coefficients(space):
+    a = WordSum(space, (), [(2, ())])
+    b = WordSum(space, (), [(1, ()), (1.5, ())])
+    assert word_sum_dev(a, a) == 0.0
+    assert word_sum_dev(a, b) == pytest.approx(0.5 / 2.5)
+
+
+def test_seeded_infinitesimal_keeps_one_leaf_per_letter(space):
+    letters = [gen1(2), gen1(3), NCPartition([(1,), (2,)])]
+    forward = seeded_infinitesimal(space, seed=33)
+    backward = seeded_infinitesimal(space, seed=33)
+    first = [forward.gen(x) for x in letters]
+    second = [backward.gen(x) for x in reversed(letters)][::-1]
+    for x, f, g in zip(letters, first, second):
+        assert forward.gen(x) is f
+        assert forward.gen(NCPartition(x.blocks)) is f
+        assert np.array_equal(f.tensor(), g.tensor())
+    assert first[0] is not second[0]

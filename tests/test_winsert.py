@@ -14,6 +14,7 @@ from ovc.winsert import (
     LetterWord,
     WWord,
     all_w_words,
+    letter_cuts,
     letter_word_from_text,
     letter_word_to_text,
     pullback,
@@ -91,6 +92,20 @@ def test_w_vcompose_units():
 
 # ---------------------------------------------------------------------------
 # Coproducts
+
+
+def test_letter_cuts_are_memoised_and_immutable():
+    x = LetterWord([0, 1, 0])
+    first = letter_cuts(x)
+    again = letter_cuts(LetterWord([0, 1, 0]))
+    assert first == again and len(first) == 2 ** x.size
+    assert again is first
+    assert isinstance(first, tuple)
+    assert all(isinstance(cut, tuple) and isinstance(cut[1], tuple) for cut in first)
+    with pytest.raises(TypeError):
+        first[0] = first[1]
+    assert (LetterWord([0, 0]), (EMPTY_WORD, B, EMPTY_WORD), True) in first
+    assert letter_cuts(EMPTY_WORD) == ((EMPTY_WORD, (EMPTY_WORD,), False),)
 
 
 def test_w_coproduct_single_letter():
