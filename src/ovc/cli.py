@@ -232,7 +232,7 @@ def cmd_verify(ns) -> int:
         raise ConfigError("suites %s need two variables" % ", ".join(two_variable))
     ctx = VerifyContext(
         space=config.build_space(),
-        scalar_space=config.build_space(d=1, k=4),
+        scalar_space=config.build_space(d=1, k=config.d * config.k),
         tol=config.tolerance,
         seed=config.seed,
         max_order=config.max_order,

@@ -11,7 +11,8 @@ Partitions may carry *colors*: one variable index per element.  Uncolored is
 represented by the absence of a color list, never by a default color.
 All values are immutable; every function here is pure.  ``enumerate_nc``
 and ``cuts`` of uncolored partitions are memoised per process; both return
-a fresh list on every call.
+a fresh list on every call.  The cuts of a colored partition come from the
+memoised cuts of its uncolored shape, recolored by position.
 """
 
 from __future__ import annotations
@@ -534,11 +535,31 @@ def cuts(pi: NCPartition) -> list:
 
     Includes the two trivial cuts (no blocks kept / all blocks kept).  The
     empty partition has the single cut (EMPTY, (EMPTY,)).  The cuts of an
-    uncolored partition are computed once per process.
+    uncolored partition are computed once per process; a colored partition
+    takes the cuts of its uncolored shape and carries its colors along by
+    position, and nothing colored is cached.
     """
     if pi.colors is None:
         return list(_uncolored_cuts(pi))
-    return _cuts(pi)
+    return [_recolored(c, pi) for c in _uncolored_cuts(NCPartition(pi.blocks))]
+
+
+def _recolored(cut: Cut, pi: NCPartition) -> Cut:
+    """The cut of the colored ``pi`` whose shape is ``cut``: the kept
+    elements, in order, color ``lower``, and the elements of each gap
+    between them color that gap's ``upper``."""
+    kept = sorted(x for i, b in enumerate(pi.blocks) if cut.kept_mask >> i & 1 for x in b)
+    bounds = [0] + kept + [pi.size + 1]
+    lower = _colored(cut.lower, [pi.colors[x - 1] for x in kept])
+    upper = tuple(
+        _colored(u, pi.colors[lo : hi - 1])
+        for u, lo, hi in zip(cut.upper, bounds, bounds[1:])
+    )
+    return Cut(lower, upper, cut.kept_mask)
+
+
+def _colored(shape: NCPartition, colors) -> NCPartition:
+    return NCPartition(shape.blocks, colors=colors) if shape.size else EMPTY
 
 
 @functools.lru_cache(maxsize=None)

@@ -211,19 +211,22 @@ def suite_operad(ctx: VerifyContext):
     duality_ok = True
     for p in range(6):
         by_size = [enumerate_nc(s) for s in range(p + 1)]
+        # Invert insertion once per size: every (lower, upper) pair of total
+        # size p is inserted once and filed under its result, so the table
+        # holds each partition's full preimage set.
+        preimages = {}
+        for q in range(p + 1):
+            for lower in by_size[q]:
+                rest = p - q
+                for sizes in itertools.product(range(rest + 1), repeat=lower.arity):
+                    if sum(sizes) != rest:
+                        continue
+                    for upper in itertools.product(*(by_size[s] for s in sizes)):
+                        pair = (lower, tuple(upper))
+                        preimages.setdefault(gap_insert(*pair), set()).add(pair)
         for pi in by_size[p]:
             found = {(c.lower, c.upper) for c in cuts(pi)}
-            brute = set()
-            for q in range(p + 1):
-                for lower in by_size[q]:
-                    rest = p - q
-                    for sizes in itertools.product(range(rest + 1), repeat=lower.arity):
-                        if sum(sizes) != rest:
-                            continue
-                        for upper in itertools.product(*(by_size[s] for s in sizes)):
-                            if gap_insert(lower, upper) == pi:
-                                brute.add((lower, tuple(upper)))
-            duality_ok &= found == brute
+            duality_ok &= found == preimages.get(pi, set())
     rows.append(
         _exact(
             "operad.cut-duality",

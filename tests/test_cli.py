@@ -305,6 +305,27 @@ def test_readme_library_example():
     assert all(v <= 1e-9 for v in report["max_dev"].values())
 
 
+def test_readme_configuration_example_runs(capsys, tmp_path):
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    start = text.index("```json\n") + len("```json\n")
+    cfg = tmp_path / "readme.json"
+    cfg.write_text(text[start : text.index("```", start)])
+    code, out, err = run(
+        capsys, ["verify", "--config", str(cfg), "--suite", "operad", "--order", "2"]
+    )
+    assert code == EXIT_OK, err
+    assert json.loads(out)["passed"] is True
+
+
+def test_verify_scalar_space_follows_the_config(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d": 1, "k": 1, "variables": {"a": [[[2, 0]]]}}))
+    code, _, err = run(capsys, ["verify", "--config", str(cfg), "--suite", "operad"])
+    assert code == EXIT_OK, err
+
+
 def test_suite_report_order_is_by_name(capsys):
     code, out, _ = run(
         capsys, ["verify", "--suite", "operad,monotone-scalar", "--order", "2"]

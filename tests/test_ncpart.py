@@ -265,6 +265,16 @@ def test_cuts_preserve_colors():
         assert gap_insert(c.lower, c.upper) == pi
 
 
+def test_colored_cuts_equal_the_direct_computation():
+    """Recoloring the cuts of the uncolored shape gives exactly what the
+    direct computation gives, on every 2-colored partition of size <= 5."""
+    for p in range(6):
+        for shape in enumerate_nc(p):
+            for colors in itertools.product((0, 1), repeat=p):
+                pi = NCPartition(shape.blocks, colors=colors)
+                assert cuts(pi) == ncpart._cuts(pi)
+
+
 # ---------------------------------------------------------------------------
 # Nesting forests, factorials, monotone labelings
 
@@ -449,6 +459,7 @@ def test_cuts_returns_a_fresh_list():
 
 def test_colored_cuts_are_not_cached():
     pi = NCPartition([(1, 4), (2,), (3,)], colors=(0, 1, 0, 2))
+    cuts(NCPartition(pi.blocks))  # the uncolored shape is cached by design
     before = ncpart._uncolored_cuts.cache_info().currsize
     for c in cuts(pi):
         assert gap_insert(c.lower, c.upper) == pi
