@@ -1,7 +1,11 @@
-"""Exact symbolic layer: words of partitions and their Hopf-type structure.
+"""Exact symbolic layer: words of operad letters and their Hopf-type structure.
 
-Basis elements are horizontal words (concatenations) of non-crossing
-partitions, plus vertically stacked tuples of such words.  Linear
+Basis elements are horizontal words (concatenations) of letters, plus
+vertically stacked tuples of such words.  The letters are non-crossing
+partitions (``PartitionWord``) or, in ``winsert``, words of variables
+(``WWord``).  Each word type supplies its letters' cuts and insertion; the
+coproducts, half-coproducts, ``nabla``, counit and ``eta_eps`` here are
+built from those alone and serve both word types.  Linear
 combinations carry exact coefficients: ``int`` while a coefficient is
 integral, ``Fraction`` otherwise.  Every identity checked at this level is
 exact, never tolerance-based.  Each builder adds its terms into one dict
@@ -29,24 +33,43 @@ class GradingError(ValueError):
 
 
 class UnitWordError(ValueError):
-    """Reduced half-coproducts are undefined on words of empty partitions."""
+    """Half-coproducts are undefined on words of empty letters."""
 
 
-class PartitionWord:
-    """Horizontal word of partitions; the empty word is the algebra unit 1."""
+class Word:
+    """Horizontal word of operad letters; the empty word is the algebra unit 1.
+
+    The word-level structure is shared by every letter type: cuts, unit
+    words and the vertical product.  A subclass names its letter type and
+    empty letter and supplies three letter operations: ``letter_cuts``
+    (triples of lower letter, upper letters and whether position 1 stays
+    below), ``insert_letter`` (fill a letter's gaps) and ``letter_text``.
+    """
 
     __slots__ = ("letters", "_hash")
+    LETTER = None
+    EMPTY = None
+    SORT_TAG = None
 
     def __init__(self, letters=()):
         letters = tuple(letters)
+        letter_type = self.LETTER
         for l in letters:
-            if not isinstance(l, NCPartition):
-                raise TypeError("a PartitionWord letter must be an NCPartition, got %r" % (l,))
+            if not isinstance(l, letter_type):
+                raise TypeError(
+                    "%s letters must be %s instances, got %r"
+                    % (type(self).__name__, letter_type.__name__, l)
+                )
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "_hash", hash(letters))
 
     def __setattr__(self, name, value):
-        raise AttributeError("PartitionWord is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    @classmethod
+    def unit(cls, n: int):
+        """The word of n empty letters (n inputs, n outputs)."""
+        return cls((cls.EMPTY,) * n)
 
     @property
     def outputs(self):
@@ -60,22 +83,47 @@ class PartitionWord:
     def total_size(self):
         return sum(l.size for l in self.letters)
 
-    @property
-    def total_blocks(self):
-        return sum(l.n_blocks for l in self.letters)
-
     def profile(self):
         return tuple(l.arity for l in self.letters)
 
     def is_unit(self):
-        """True for words of empty partitions only (including the empty word)."""
+        """True for words of empty letters only (including the empty word)."""
         return all(l.size == 0 for l in self.letters)
 
+    def cuts(self):
+        """Cuts of a word: one cut per letter, concatenated.
+
+        Yields (lower word, upper word, block-of-first-position kept).  The
+        flag refers to position 1 of the first non-empty letter; it is None
+        for unit words.
+        """
+        cls, letter_cuts = type(self), self.letter_cuts
+        anchor = next((i for i, l in enumerate(self.letters) if l.size > 0), None)
+        per_letter = [letter_cuts(l) for l in self.letters]
+        for combo in itertools.product(*per_letter):
+            lower = cls(tuple(c[0] for c in combo))
+            upper = cls(tuple(u for c in combo for u in c[1]))
+            flag = None if anchor is None else combo[anchor][2]
+            yield lower, upper, flag
+
+    def vcompose(self, top):
+        """Vertical product: split the letters of ``top`` along the arities
+        of this word's letters and insert group by group."""
+        if self.inputs != top.outputs:
+            raise GradingError(
+                "vertical mismatch: %d inputs vs %d outputs" % (self.inputs, top.outputs)
+            )
+        letters, pos = [], 0
+        for l in self.letters:
+            letters.append(self.insert_letter(l, top.letters[pos : pos + l.arity]))
+            pos += l.arity
+        return type(self)(letters)
+
     def __mul__(self, other):
-        return PartitionWord(self.letters + other.letters)
+        return type(self)(self.letters + other.letters)
 
     def __eq__(self, other):
-        return isinstance(other, PartitionWord) and self.letters == other.letters
+        return type(other) is type(self) and self.letters == other.letters
 
     def __hash__(self):
         return self._hash
@@ -87,13 +135,49 @@ class PartitionWord:
         return iter(self.letters)
 
     def sort_key(self):
-        return (0, self.total_size, len(self.letters), tuple(l.sort_key() for l in self.letters))
+        return (
+            self.SORT_TAG,
+            self.total_size,
+            len(self.letters),
+            tuple(l.sort_key() for l in self.letters),
+        )
 
     def text(self):
-        return word_to_text(self)
+        if not self.letters:
+            return "1"
+        return "".join("[%s]" % self.letter_text(l) for l in self.letters)
 
     def __repr__(self):
-        return "PartitionWord(%r)" % (word_to_text(self),)
+        return "%s(%r)" % (type(self).__name__, self.text())
+
+
+def letter_cut_pairs(letter: NCPartition):
+    """Per-letter cut data: (lower letter, upper letters, block-of-1 kept)."""
+    out = []
+    for cut in cuts(letter):
+        one_kept = letter.size > 0 and bool(cut.kept_mask & 1)
+        out.append((cut.lower, cut.upper, one_kept))
+    return out
+
+
+class PartitionWord(Word):
+    """Horizontal word of non-crossing partitions."""
+
+    __slots__ = ()
+    LETTER = NCPartition
+    EMPTY = EMPTY
+    SORT_TAG = 0
+    letter_cuts = staticmethod(letter_cut_pairs)
+    letter_text = staticmethod(ncpart.to_text)
+
+    @staticmethod
+    def insert_letter(letter, group):
+        # looks ``gap_insert`` up on each call, so a wrapped one is used
+        return gap_insert(letter, group)
+
+    @property
+    def total_blocks(self):
+        return sum(l.n_blocks for l in self.letters)
 
 
 def word(*letters) -> PartitionWord:
@@ -102,7 +186,7 @@ def word(*letters) -> PartitionWord:
 
 def unit_word(n: int) -> PartitionWord:
     """The word of n empty partitions (n inputs, n outputs)."""
-    return PartitionWord((EMPTY,) * n)
+    return PartitionWord.unit(n)
 
 
 ONE = PartitionWord(())
@@ -256,7 +340,7 @@ def single(basis, coeff=1) -> FormalSum:
 
 
 def _hconcat_basis(a, b):
-    if isinstance(a, PartitionWord) and isinstance(b, PartitionWord):
+    if isinstance(a, Word) and type(b) is type(a):
         return a * b
     if isinstance(a, BoxStack) and isinstance(b, BoxStack):
         if len(a.parts) != len(b.parts):
@@ -277,27 +361,13 @@ def hconcat(u, v) -> FormalSum:
     return FormalSum(out)
 
 
-def _vcompose_words(x: PartitionWord, y: PartitionWord) -> PartitionWord:
-    if x.inputs != y.outputs:
-        raise GradingError(
-            "vertical mismatch: %d inputs vs %d outputs" % (x.inputs, y.outputs)
-        )
-    letters, pos = [], 0
-    for l in x.letters:
-        group = y.letters[pos : pos + l.arity]
-        pos += l.arity
-        letters.append(gap_insert(l, group))
-    return PartitionWord(letters)
-
-
 def vcompose(x, y) -> FormalSum:
-    """Vertical product: split the letters of ``y`` along the arities of the
-    letters of ``x`` and insert group by group.  Bilinear."""
+    """Vertical product of words (``Word.vcompose``), extended bilinearly."""
     x, y = FormalSum.lift(x), FormalSum.lift(y)
     out = {}
     for a, ca in x.terms.items():
         for b, cb in y.terms.items():
-            basis = _vcompose_words(a, b)
+            basis = a.vcompose(b)
             out[basis] = out.get(basis, 0) + ca * cb
     return FormalSum(out)
 
@@ -308,7 +378,7 @@ def nabla(pairs) -> FormalSum:
     for b, c in FormalSum.lift(pairs).terms.items():
         if not (isinstance(b, BoxStack) and len(b.parts) == 2):
             raise GradingError("nabla expects two-level stacks")
-        basis = _vcompose_words(b.parts[0], b.parts[1])
+        basis = b.parts[0].vcompose(b.parts[1])
         out[basis] = out.get(basis, 0) + c
     return FormalSum(out)
 
@@ -317,29 +387,33 @@ def nabla(pairs) -> FormalSum:
 # Coproducts
 
 
-def letter_cut_pairs(letter: NCPartition):
-    """Per-letter cut data: (lower letter, upper letters, block-of-1 kept)."""
-    out = []
-    for cut in cuts(letter):
-        one_kept = letter.size > 0 and bool(cut.kept_mask & 1)
-        out.append((cut.lower, cut.upper, one_kept))
-    return out
+def cut_sum(w, keep=None, reduced=False) -> FormalSum:
+    """Sum of lower % upper over the cuts of the words of ``w``.
 
-
-def word_cuts(w: PartitionWord):
-    """Cuts of a word: one cut per letter, concatenated.
-
-    Yields (lower word, upper word, block-of-first-position kept).  The
-    flag refers to the block containing position 1 of the first non-empty
-    letter; it is None for unit words.
+    ``keep`` True or False keeps only the cuts whose first-position flag
+    equals it: a half-coproduct, undefined on unit words.  ``reduced``
+    subtracts the trivial terms among those kept: w % unit (the first block
+    stays below) and unit % w (it moves above); the reduced full coproduct
+    is zero on unit words.
     """
-    anchor = next((i for i, l in enumerate(w.letters) if l.size > 0), None)
-    per_letter = [letter_cut_pairs(l) for l in w.letters]
-    for combo in itertools.product(*per_letter):
-        lower = PartitionWord(tuple(c[0] for c in combo))
-        upper = PartitionWord(tuple(u for c in combo for u in c[1]))
-        flag = None if anchor is None else combo[anchor][2]
-        yield lower, upper, flag
+    out = {}
+    for basis, c in FormalSum.lift(w).terms.items():
+        if basis.is_unit():
+            if keep is not None:
+                raise UnitWordError("half-coproducts are undefined on unit words")
+            if reduced:
+                continue
+        for lower, upper, flag in basis.cuts():
+            if keep is None or flag == keep:
+                key = BoxStack((lower, upper))
+                out[key] = out.get(key, 0) + c
+        if reduced and keep is not False:
+            key = BoxStack((basis, basis.unit(basis.inputs)))
+            out[key] = out.get(key, 0) - c
+        if reduced and keep is not True:
+            key = BoxStack((basis.unit(basis.outputs), basis))
+            out[key] = out.get(key, 0) - c
+    return FormalSum(out)
 
 
 def coproduct(w) -> FormalSum:
@@ -347,70 +421,32 @@ def coproduct(w) -> FormalSum:
 
     ``coproduct(ONE)`` is 1 % 1.
     """
-    out = {}
-    for basis, c in FormalSum.lift(w).terms.items():
-        for lower, upper, _ in word_cuts(basis):
-            key = BoxStack((lower, upper))
-            out[key] = out.get(key, 0) + c
-    return FormalSum(out)
+    return cut_sum(w)
 
 
 def reduced_coproduct(w) -> FormalSum:
     """Coproduct minus the two trivial terms; zero on unit words."""
-    out = {}
-    for basis, c in FormalSum.lift(w).terms.items():
-        if basis.is_unit():
-            continue
-        for lower, upper, _ in word_cuts(basis):
-            key = BoxStack((lower, upper))
-            out[key] = out.get(key, 0) + c
-        for key in (
-            BoxStack((basis, unit_word(basis.inputs))),
-            BoxStack((unit_word(basis.outputs), basis)),
-        ):
-            out[key] = out.get(key, 0) - c
-    return FormalSum(out)
-
-
-def _half_coproduct(w, keep_flag: bool, reduced: bool = False) -> FormalSum:
-    """Cut terms whose first-position flag equals ``keep_flag``; ``reduced``
-    also subtracts the trivial term that the flag keeps (w % unit when the
-    first block stays below, unit % w when it moves above)."""
-    out = {}
-    for basis, c in FormalSum.lift(w).terms.items():
-        if basis.is_unit():
-            raise UnitWordError("half-coproducts are undefined on unit words")
-        for lower, upper, flag in word_cuts(basis):
-            if flag == keep_flag:
-                key = BoxStack((lower, upper))
-                out[key] = out.get(key, 0) + c
-        if reduced:
-            if keep_flag:
-                key = BoxStack((basis, unit_word(basis.inputs)))
-            else:
-                key = BoxStack((unit_word(basis.outputs), basis))
-            out[key] = out.get(key, 0) - c
-    return FormalSum(out)
+    return cut_sum(w, reduced=True)
 
 
 def delta_prec_plus(w) -> FormalSum:
     """Cut terms whose block containing the first position stays below."""
-    return _half_coproduct(w, True)
+    return cut_sum(w, True)
 
 
 def delta_succ_plus(w) -> FormalSum:
     """Cut terms whose block containing the first position moves above."""
-    return _half_coproduct(w, False)
+    return cut_sum(w, False)
 
 
 def delta_prec(w) -> FormalSum:
     """Reduced left half-coproduct: delta_prec_plus minus w % unit."""
-    return _half_coproduct(w, True, reduced=True)
+    return cut_sum(w, True, reduced=True)
 
 
 def delta_succ(w) -> FormalSum:
     """Reduced right half-coproduct: delta_succ_plus minus unit % w."""
-    return _half_coproduct(w, False, reduced=True)
+    return cut_sum(w, False, reduced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +468,7 @@ def antipode(w) -> FormalSum:
     return FormalSum.lift(w).map_basis(on_word)
 
 
-def counit(w: PartitionWord):
+def counit(w):
     """Degree n when w is the unit word of length n, else None (zero)."""
     return len(w.letters) if w.is_unit() else None
 
@@ -487,12 +523,6 @@ def all_words(max_size: int, max_letters: int, min_letters: int = 0):
 
 # ---------------------------------------------------------------------------
 # Text format
-
-
-def word_to_text(w: PartitionWord) -> str:
-    if not w.letters:
-        return "1"
-    return "".join("[%s]" % ncpart.to_text(l) for l in w.letters)
 
 
 def word_from_text(text: str) -> PartitionWord:

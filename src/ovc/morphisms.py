@@ -12,8 +12,8 @@ unit < f = 0, and symmetrically for >; both arguments carrying a unit part
 is rejected.
 
 Everything here is generic over the source coalgebra: an adapter object
-provides cuts of words and letters, so the words-insertion coalgebra reuses
-the same machinery.
+reads the cuts off the words (``formal.Word.cuts``), so the words-insertion
+coalgebra reuses the same machinery.
 
 Two morphism values are compared as sums of words of maps.  When
 (d^2)^inputs <= WORD_BASIS_LIMIT, a sum's values on every tuple of
@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import formal, ncpart
+from . import formal
 from .ncpart import GenLeaf, PartialNode, operadic_factorization
 from .ovps import (
     EXACT_BASIS_LIMIT,
@@ -61,17 +61,18 @@ class UnitAmbiguity(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Coalgebra adapter for partition words
+# Coalgebra adapters
 
 
-class PartitionCoalgebra:
-    """Cut structure of words of non-crossing partitions."""
+class WordCoalgebra:
+    """Cut structure of one word type, read off the words themselves
+    (``formal.Word``); subclasses name the word type and count blocks."""
 
-    name = "partition-words"
+    name = None
+    word_type = None
 
-    @staticmethod
-    def unit(n):
-        return formal.unit_word(n)
+    def word(self, letters):
+        return self.word_type(letters)
 
     @staticmethod
     def is_unit(w):
@@ -86,16 +87,8 @@ class PartitionCoalgebra:
         return w.profile()
 
     @staticmethod
-    def block_count(w):
-        return w.total_blocks
-
-    @staticmethod
-    def text(w):
-        return formal.word_to_text(w)
-
-    @staticmethod
     def cut_triples(w):
-        return formal.word_cuts(w)
+        return w.cuts()
 
     @staticmethod
     def is_unit_letter(x):
@@ -105,13 +98,19 @@ class PartitionCoalgebra:
     def letter_arity(x):
         return x.arity
 
-    @staticmethod
-    def letter_cuts(x):
-        return formal.letter_cut_pairs(x)
+    def letter_text(self, x):
+        return self.word_type.letter_text(x)
+
+
+class PartitionCoalgebra(WordCoalgebra):
+    """Cut structure of words of non-crossing partitions."""
+
+    name = "partition-words"
+    word_type = formal.PartitionWord
 
     @staticmethod
-    def letter_text(x):
-        return ncpart.to_text(x)
+    def block_count(w):
+        return w.total_blocks
 
 
 PARTITION_COALGEBRA = PartitionCoalgebra()
@@ -474,66 +473,31 @@ def shuffle(a: Morphism, b: Morphism) -> Morphism:
 # Exponentials
 
 
-def exp_prec(k: InfinitesimalMorphism) -> HorizontalMorphism:
-    """Unique solution of K = eta.eps + k < K.
-
-    Computed on letters by recursion over the block count: sum over all
-    letter cuts keeping the first block below of the generator on the lower
-    part composed with the solution on the upper word.
-    """
-    coalg, space = k.coalg, k.space
-    memo = {}
-
-    def letter_value(x):
-        if coalg.is_unit_letter(x):
-            return identity_map(space)
-        if x not in memo:
-            terms = []
-            for lower, upper, one_below in coalg.letter_cuts(x):
-                if not one_below:
-                    continue
-                g = k.gen(lower)
-                if g is None:
-                    continue
-                terms.append(
-                    (1, multimap_compose(g, [letter_value(u) for u in upper]))
-                )
-            memo[x] = multimap_lincomb(space, coalg.letter_arity(x), terms)
-        return memo[x]
-
-    return HorizontalMorphism(
-        space, letter_value, coalg, name="exp<(%s)" % k.name, max_order=k.max_order
+def _exponential(k: InfinitesimalMorphism, left: bool, name: str) -> HorizontalMorphism:
+    """The horizontal solution K of K = eta.eps + k < K (``left``) or of
+    K = eta.eps + K > k.  Its value on a letter x is the right-hand side on
+    the one-letter word (x), collapsed to one map; the cuts of (x) reach K
+    only on strictly smaller letters, so the recursion ends."""
+    coalg = k.coalg
+    K = HorizontalMorphism(
+        k.space,
+        lambda x: rhs.value(coalg.word((x,))).collapse(),
+        coalg,
+        name="%s(%s)" % (name, k.name),
+        max_order=k.max_order,
     )
+    rhs = half_prec(k, K) if left else half_succ(K, k)
+    return K
+
+
+def exp_prec(k: InfinitesimalMorphism) -> HorizontalMorphism:
+    """Unique solution of K = eta.eps + k < K."""
+    return _exponential(k, True, "exp<")
 
 
 def exp_succ(b: InfinitesimalMorphism) -> HorizontalMorphism:
-    """Unique solution of B = eta.eps + B > b, by the mirror recursion."""
-    coalg, space = b.coalg, b.space
-    memo = {}
-
-    def letter_value(x):
-        if coalg.is_unit_letter(x):
-            return identity_map(space)
-        if x not in memo:
-            terms = []
-            for lower, upper, one_below in coalg.letter_cuts(x):
-                if one_below:
-                    continue
-                live = [i for i, u in enumerate(upper) if not coalg.is_unit_letter(u)]
-                if len(live) != 1:
-                    continue
-                g = b.gen(upper[live[0]])
-                if g is None:
-                    continue
-                word = [identity_map(space)] * len(upper)
-                word[live[0]] = g
-                terms.append((1, multimap_compose(letter_value(lower), word)))
-            memo[x] = multimap_lincomb(space, coalg.letter_arity(x), terms)
-        return memo[x]
-
-    return HorizontalMorphism(
-        space, letter_value, coalg, name="exp>(%s)" % b.name, max_order=b.max_order
-    )
+    """Unique solution of B = eta.eps + B > b."""
+    return _exponential(b, False, "exp>")
 
 
 def exp_star(m: Morphism) -> Morphism:

@@ -254,16 +254,42 @@ def suite_operad(ctx: VerifyContext):
 # hopf
 
 
+def _lift(x):
+    return x
+
+
+def _unshuffle_axioms(words, coproduct, reduced, prec, succ):
+    """Coassociativity of ``coproduct`` on ``words``, then the left-left,
+    mixed and right-right unshuffle axioms of the half-coproducts ``prec``
+    and ``succ`` (with the reduced coproduct ``reduced``) on the non-unit
+    words: four booleans."""
+    live = [w for w in words if not w.is_unit()]
+    coassoc = all(
+        formal.map_stack(coproduct, _lift, coproduct(w))
+        == formal.map_stack(_lift, coproduct, coproduct(w))
+        for w in words
+    )
+    left = all(
+        formal.map_stack(prec, _lift, prec(w)) == formal.map_stack(_lift, reduced, prec(w))
+        for w in live
+    )
+    mixed = all(
+        formal.map_stack(succ, _lift, prec(w)) == formal.map_stack(_lift, prec, succ(w))
+        for w in live
+    )
+    right = all(
+        formal.map_stack(reduced, _lift, succ(w)) == formal.map_stack(_lift, succ, succ(w))
+        for w in live
+    )
+    return coassoc, left, mixed, right
+
+
 def suite_hopf(ctx: VerifyContext):
-    lift = lambda x: x
     words = all_words(ctx.hopf_size, ctx.hopf_letters)
     live = [w for w in words if not w.is_unit()]
     rows = []
-
-    coassoc = all(
-        formal.map_stack(coproduct, lift, coproduct(w))
-        == formal.map_stack(lift, coproduct, coproduct(w))
-        for w in words
+    coassoc, ax1, ax2, ax3 = _unshuffle_axioms(
+        words, coproduct, formal.reduced_coproduct, delta_prec, delta_succ
     )
     rows.append(
         _exact(
@@ -283,29 +309,13 @@ def suite_hopf(ctx: VerifyContext):
             split_ok,
         )
     )
-
-    ax1 = all(
-        formal.map_stack(delta_prec, lift, delta_prec(w))
-        == formal.map_stack(lift, formal.reduced_coproduct, delta_prec(w))
-        for w in live
-    )
-    ax2 = all(
-        formal.map_stack(delta_succ, lift, delta_prec(w))
-        == formal.map_stack(lift, delta_prec, delta_succ(w))
-        for w in live
-    )
-    ax3 = all(
-        formal.map_stack(formal.reduced_coproduct, lift, delta_succ(w))
-        == formal.map_stack(lift, delta_succ, delta_succ(w))
-        for w in live
-    )
     rows.append(_exact("hopf.unshuffle-left", "left-left unshuffle axiom", ax1))
     rows.append(_exact("hopf.unshuffle-mixed", "mixed unshuffle axiom", ax2))
     rows.append(_exact("hopf.unshuffle-right", "right-right unshuffle axiom", ax3))
 
     antipode_ok = all(
-        formal.nabla(formal.map_stack(antipode, lift, coproduct(w))) == eta_eps(formal.single(w))
-        and formal.nabla(formal.map_stack(lift, antipode, coproduct(w)))
+        formal.nabla(formal.map_stack(antipode, _lift, coproduct(w))) == eta_eps(formal.single(w))
+        and formal.nabla(formal.map_stack(_lift, antipode, coproduct(w)))
         == eta_eps(formal.single(w))
         for w in words
     )
@@ -357,7 +367,7 @@ def suite_hopf(ctx: VerifyContext):
     for w in words:
         state = formal.single(formal.stack(w, formal.unit_word(w.inputs)))
         for _ in range(max(1, w.total_blocks)):
-            state = formal.map_stack(formal.reduced_coproduct, lift, state)
+            state = formal.map_stack(formal.reduced_coproduct, _lift, state)
         conil_ok &= state.is_zero()
     rows.append(
         _exact(
@@ -560,7 +570,6 @@ def suite_moment_cumulant(ctx: VerifyContext):
 
 def suite_splitting(ctx: VerifyContext):
     space = ctx.space
-    lift = lambda x: x
     rows = []
     families = ctx.cumulant_families()
     fp = winsert.verify_fixed_points(
@@ -606,37 +615,24 @@ def suite_splitting(ctx: VerifyContext):
     )
 
     w_words = winsert.all_w_words(vs, ctx.numeric_size, 2)
-    w_live = [w for w in w_words if not w.is_unit()]
-    coassoc = all(
-        formal.map_stack(winsert.w_coproduct, lift, winsert.w_coproduct(w))
-        == formal.map_stack(lift, winsert.w_coproduct, winsert.w_coproduct(w))
-        for w in w_words
-    )
-    ax = all(
-        formal.map_stack(winsert.w_delta_prec, lift, winsert.w_delta_prec(w))
-        == formal.map_stack(lift, winsert.w_reduced_coproduct, winsert.w_delta_prec(w))
-        and formal.map_stack(winsert.w_delta_succ, lift, winsert.w_delta_prec(w))
-        == formal.map_stack(lift, winsert.w_delta_prec, winsert.w_delta_succ(w))
-        and formal.map_stack(winsert.w_reduced_coproduct, lift, winsert.w_delta_succ(w))
-        == formal.map_stack(lift, winsert.w_delta_succ, winsert.w_delta_succ(w))
-        for w in w_live
+    axioms = _unshuffle_axioms(
+        w_words,
+        winsert.w_coproduct,
+        winsert.w_reduced_coproduct,
+        winsert.w_delta_prec,
+        winsert.w_delta_succ,
     )
     rows.append(
         _exact(
             "splitting.insertion-hopf",
             "words-insertion coproduct is coassociative and satisfies the unshuffle axioms",
-            coassoc and ax,
+            all(axioms),
         )
     )
 
-    def eta_eps_w(s):
-        return formal.FormalSum(
-            [(b, c) for b, c in formal.FormalSum.lift(s).terms.items() if b.is_unit()]
-        )
-
     anti_ok = all(
-        winsert.w_nabla(formal.map_stack(winsert.w_antipode, lift, winsert.w_coproduct(w)))
-        == eta_eps_w(formal.single(w))
+        formal.nabla(formal.map_stack(winsert.w_antipode, _lift, winsert.w_coproduct(w)))
+        == eta_eps(formal.single(w))
         for w in w_words
     )
     rows.append(

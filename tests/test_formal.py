@@ -34,7 +34,6 @@ from ovc.formal import (
     vcompose,
     word,
     word_from_text,
-    word_to_text,
 )
 from ovc.ncpart import EMPTY, NCPartition, enumerate_nc, full_partition
 
@@ -146,7 +145,7 @@ def test_coassociativity():
     for w in WORDS_4:
         lhs = map_stack(coproduct, lift, coproduct(w))
         rhs = map_stack(lift, coproduct, coproduct(w))
-        assert lhs == rhs, word_to_text(w)
+        assert lhs == rhs, w.text()
 
 
 def test_coproduct_multiplicative_via_interchange():
@@ -228,13 +227,13 @@ def test_unshuffle_axioms_proof_version():
             continue
         a1l = map_stack(delta_prec, lift, delta_prec(w))
         a1r = map_stack(lift, reduced_coproduct, delta_prec(w))
-        assert a1l == a1r, word_to_text(w)
+        assert a1l == a1r, w.text()
         a2l = map_stack(delta_succ, lift, delta_prec(w))
         a2r = map_stack(lift, delta_prec, delta_succ(w))
-        assert a2l == a2r, word_to_text(w)
+        assert a2l == a2r, w.text()
         a3l = map_stack(reduced_coproduct, lift, delta_succ(w))
         a3r = map_stack(lift, delta_succ, delta_succ(w))
-        assert a3l == a3r, word_to_text(w)
+        assert a3l == a3r, w.text()
 
 
 def test_unshuffle_axiom_display_version_fails():
@@ -290,8 +289,8 @@ def test_antipode_identity():
         via_s_left = nabla(map_stack(antipode, lift, coproduct(w)))
         via_s_right = nabla(map_stack(lift, antipode, coproduct(w)))
         expected = eta_eps(single(w))
-        assert via_s_left == expected, word_to_text(w)
-        assert via_s_right == expected, word_to_text(w)
+        assert via_s_left == expected, w.text()
+        assert via_s_right == expected, w.text()
 
 
 def test_antipode_square_is_projector():
