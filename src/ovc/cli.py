@@ -101,6 +101,11 @@ class RunConfig:
         unknown = [s for s in self.suites if s not in SUITES]
         if unknown:
             raise ConfigError("unknown suites: %s" % ", ".join(unknown))
+        if not self.suites:
+            raise ConfigError("no suites selected")
+        repeated = sorted({s for s in self.suites if self.suites.count(s) > 1})
+        if repeated:
+            raise ConfigError("suites selected more than once: %s" % ", ".join(repeated))
 
     @property
     def variable_names(self):

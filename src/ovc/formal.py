@@ -20,6 +20,7 @@ inserting the letters of ``U`` into the gaps of the letters of ``L``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from fractions import Fraction
@@ -63,13 +64,22 @@ class Word:
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "_hash", hash(letters))
 
+    @classmethod
+    def _trusted(cls, letters: tuple):
+        """Internal: a word of letters already known to be of the letter
+        type, as derived from valid words; nothing is checked."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        object.__setattr__(w, "_hash", hash(letters))
+        return w
+
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
     @classmethod
     def unit(cls, n: int):
         """The word of n empty letters (n inputs, n outputs)."""
-        return cls((cls.EMPTY,) * n)
+        return cls._trusted((cls.EMPTY,) * n)
 
     @property
     def outputs(self):
@@ -93,18 +103,12 @@ class Word:
     def cuts(self):
         """Cuts of a word: one cut per letter, concatenated.
 
-        Yields (lower word, upper word, block-of-first-position kept).  The
-        flag refers to position 1 of the first non-empty letter; it is None
-        for unit words.
+        Returns a tuple of (lower word, upper word, block-of-first-position
+        kept) triples.  The flag refers to position 1 of the first non-empty
+        letter; it is None for unit words.  The tuple is cached per process
+        for the 256 most recently used words and shared between calls.
         """
-        cls, letter_cuts = type(self), self.letter_cuts
-        anchor = next((i for i, l in enumerate(self.letters) if l.size > 0), None)
-        per_letter = [letter_cuts(l) for l in self.letters]
-        for combo in itertools.product(*per_letter):
-            lower = cls(tuple(c[0] for c in combo))
-            upper = cls(tuple(u for c in combo for u in c[1]))
-            flag = None if anchor is None else combo[anchor][2]
-            yield lower, upper, flag
+        return _word_cuts(self)
 
     def vcompose(self, top):
         """Vertical product: split the letters of ``top`` along the arities
@@ -117,10 +121,12 @@ class Word:
         for l in self.letters:
             letters.append(self.insert_letter(l, top.letters[pos : pos + l.arity]))
             pos += l.arity
-        return type(self)(letters)
+        return type(self)._trusted(tuple(letters))
 
     def __mul__(self, other):
-        return type(self)(self.letters + other.letters)
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)._trusted(self.letters + other.letters)
 
     def __eq__(self, other):
         return type(other) is type(self) and self.letters == other.letters
@@ -149,6 +155,20 @@ class Word:
 
     def __repr__(self):
         return "%s(%r)" % (type(self).__name__, self.text())
+
+
+@functools.lru_cache(maxsize=256)
+def _word_cuts(w: Word) -> tuple:
+    """The product of the letters' cuts of ``w``; ``Word.cuts`` documents
+    the triples.  Bounded: each entry holds every cut of its word."""
+    trusted = type(w)._trusted
+    anchor = next((i for i, l in enumerate(w.letters) if l.size > 0), None)
+    out = []
+    for combo in itertools.product(*map(w.letter_cuts, w.letters)):
+        lower = trusted(tuple(c[0] for c in combo))
+        upper = trusted(tuple(u for c in combo for u in c[1]))
+        out.append((lower, upper, None if anchor is None else combo[anchor][2]))
+    return tuple(out)
 
 
 def letter_cut_pairs(letter: NCPartition):
@@ -202,13 +222,18 @@ class BoxStack:
         if len(parts) < 2:
             raise GradingError("a stack needs at least two levels")
         for low, high in zip(parts, parts[1:]):
-            if low.inputs != high.outputs:
-                raise GradingError(
-                    "stack mismatch: %d inputs below vs %d outputs above"
-                    % (low.inputs, high.outputs)
-                )
+            _check_seam(low, high)
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "_hash", hash(parts))
+
+    @classmethod
+    def _trusted(cls, parts: tuple):
+        """Internal: a stack whose adjacent gradings are known to match, as
+        for the two words of a cut; nothing is checked."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "parts", parts)
+        object.__setattr__(s, "_hash", hash(parts))
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("BoxStack is immutable")
@@ -232,6 +257,13 @@ class BoxStack:
 
     def __repr__(self):
         return "BoxStack(%r)" % (basis_to_text(self),)
+
+
+def _check_seam(low, high):
+    if low.inputs != high.outputs:
+        raise GradingError(
+            "stack mismatch: %d inputs below vs %d outputs above" % (low.inputs, high.outputs)
+        )
 
 
 def stack(*parts) -> BoxStack:
@@ -405,13 +437,13 @@ def cut_sum(w, keep=None, reduced=False) -> FormalSum:
                 continue
         for lower, upper, flag in basis.cuts():
             if keep is None or flag == keep:
-                key = BoxStack((lower, upper))
+                key = BoxStack._trusted((lower, upper))
                 out[key] = out.get(key, 0) + c
         if reduced and keep is not False:
-            key = BoxStack((basis, basis.unit(basis.inputs)))
+            key = BoxStack._trusted((basis, basis.unit(basis.inputs)))
             out[key] = out.get(key, 0) - c
         if reduced and keep is not True:
-            key = BoxStack((basis.unit(basis.outputs), basis))
+            key = BoxStack._trusted((basis.unit(basis.outputs), basis))
             out[key] = out.get(key, 0) - c
     return FormalSum(out)
 
@@ -494,10 +526,12 @@ def map_stack(f_bottom, f_top, pairs) -> FormalSum:
 
 
 def _restack(low, high):
-    """Stack two results, flattening when either is itself a stack."""
+    """Stack two results, flattening when either is itself a stack.  A
+    stack is valid when it is made, so only the new seam is checked."""
     low_parts = low.parts if isinstance(low, BoxStack) else (low,)
     high_parts = high.parts if isinstance(high, BoxStack) else (high,)
-    return BoxStack(low_parts + high_parts)
+    _check_seam(low_parts[-1], high_parts[0])
+    return BoxStack._trusted(low_parts + high_parts)
 
 
 # ---------------------------------------------------------------------------

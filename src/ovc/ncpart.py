@@ -157,6 +157,18 @@ class NCPartition:
         object.__setattr__(self, "colors", colors)
         object.__setattr__(self, "_hash", hash((canon, colors)))
 
+    @classmethod
+    def _trusted(cls, blocks: tuple, size: int, colors: Optional[tuple]):
+        """Internal: a partition with the canonical blocks of a valid one of
+        ``size`` elements and ``colors`` (None, or a tuple of ``size``
+        indices when ``size > 0``); nothing is checked."""
+        pi = object.__new__(cls)
+        object.__setattr__(pi, "size", size)
+        object.__setattr__(pi, "blocks", blocks)
+        object.__setattr__(pi, "colors", colors)
+        object.__setattr__(pi, "_hash", hash((blocks, colors)))
+        return pi
+
     def __setattr__(self, name, value):
         raise AttributeError("NCPartition is immutable")
 
@@ -541,7 +553,8 @@ def cuts(pi: NCPartition) -> list:
     """
     if pi.colors is None:
         return list(_uncolored_cuts(pi))
-    return [_recolored(c, pi) for c in _uncolored_cuts(NCPartition(pi.blocks))]
+    shape = NCPartition._trusted(pi.blocks, pi.size, None)
+    return [_recolored(c, pi) for c in _uncolored_cuts(shape)]
 
 
 def _recolored(cut: Cut, pi: NCPartition) -> Cut:
@@ -550,7 +563,7 @@ def _recolored(cut: Cut, pi: NCPartition) -> Cut:
     between them color that gap's ``upper``."""
     kept = sorted(x for i, b in enumerate(pi.blocks) if cut.kept_mask >> i & 1 for x in b)
     bounds = [0] + kept + [pi.size + 1]
-    lower = _colored(cut.lower, [pi.colors[x - 1] for x in kept])
+    lower = _colored(cut.lower, tuple(pi.colors[x - 1] for x in kept))
     upper = tuple(
         _colored(u, pi.colors[lo : hi - 1])
         for u, lo, hi in zip(cut.upper, bounds, bounds[1:])
@@ -558,8 +571,8 @@ def _recolored(cut: Cut, pi: NCPartition) -> Cut:
     return Cut(lower, upper, cut.kept_mask)
 
 
-def _colored(shape: NCPartition, colors) -> NCPartition:
-    return NCPartition(shape.blocks, colors=colors) if shape.size else EMPTY
+def _colored(shape: NCPartition, colors: tuple) -> NCPartition:
+    return NCPartition._trusted(shape.blocks, shape.size, colors) if shape.size else EMPTY
 
 
 @functools.lru_cache(maxsize=None)

@@ -258,17 +258,32 @@ def _lift(x):
     return x
 
 
+def _memoised(f):
+    """``f`` with each word's value kept for as long as the wrapper lives."""
+    memo = {}
+
+    def g(w):
+        value = memo.get(w)
+        if value is None:
+            value = memo[w] = f(w)
+        return value
+
+    return g
+
+
 def _unshuffle_axioms(words, coproduct, reduced, prec, succ):
     """Coassociativity of ``coproduct`` on ``words``, then the left-left,
     mixed and right-right unshuffle axioms of the half-coproducts ``prec``
     and ``succ`` (with the reduced coproduct ``reduced``) on the non-unit
-    words: four booleans."""
-    live = [w for w in words if not w.is_unit()]
+    words: four booleans.  Within one call each map runs once per word."""
+    full = _memoised(coproduct)
     coassoc = all(
-        formal.map_stack(coproduct, _lift, coproduct(w))
-        == formal.map_stack(_lift, coproduct, coproduct(w))
+        formal.map_stack(full, _lift, full(w)) == formal.map_stack(_lift, full, full(w))
         for w in words
     )
+    del full  # the axioms below do not use it; its values would raise peak memory
+    reduced, prec, succ = map(_memoised, (reduced, prec, succ))
+    live = [w for w in words if not w.is_unit()]
     left = all(
         formal.map_stack(prec, _lift, prec(w)) == formal.map_stack(_lift, reduced, prec(w))
         for w in live
@@ -364,10 +379,11 @@ def suite_hopf(ctx: VerifyContext):
     )
 
     conil_ok = True
+    reduced = _memoised(formal.reduced_coproduct)
     for w in words:
         state = formal.single(formal.stack(w, formal.unit_word(w.inputs)))
         for _ in range(max(1, w.total_blocks)):
-            state = formal.map_stack(formal.reduced_coproduct, _lift, state)
+            state = formal.map_stack(reduced, _lift, state)
         conil_ok &= state.is_zero()
     rows.append(
         _exact(

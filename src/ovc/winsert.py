@@ -182,13 +182,12 @@ def split(w) -> FormalSum:
     for basis, c in FormalSum.lift(w).terms.items():
         term = single(PartitionWord(()), c)
         for letter in basis.letters:
-            colors = letter.letters
-            letter_sum = FormalSum(
-                [
-                    (PartitionWord((NCPartition(pi.blocks, colors=colors or None),)), 1)
-                    for pi in enumerate_nc(letter.size)
-                ]
+            colors = letter.letters or None
+            colorings = (
+                NCPartition._trusted(pi.blocks, pi.size, colors)
+                for pi in enumerate_nc(letter.size)
             )
+            letter_sum = FormalSum({PartitionWord._trusted((pi,)): 1 for pi in colorings})
             term = formal.hconcat(term, letter_sum)
         out = term if out is None else out + term
     return out if out is not None else FormalSum()

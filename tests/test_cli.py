@@ -85,6 +85,8 @@ def test_variable_spec_that_is_not_a_matrix_is_usage_error(capsys, tmp_path):
         ({"variables": ["a"]}, [], "variables"),
         ({"suites": "hopf"}, [], "list of suite names"),
         ({"variables": {"a": {}}, "suites": ["oracle"]}, [], "two variables"),
+        ({"suites": ["hopf", "operad", "hopf"]}, [], "more than once: hopf"),
+        ({"suites": []}, [], "no suites"),
     ],
 )
 def test_malformed_configuration_is_usage_error(capsys, tmp_path, config, argv, message):
@@ -257,6 +259,10 @@ def test_config_validation(capsys, tmp_path):
     assert code == EXIT_USAGE
     code, _, err = run(capsys, ["verify", "--suite", "nonsense"])
     assert code == EXIT_USAGE
+    for suite, message in (("hopf,hopf", "more than once: hopf"), (",", "no suites")):
+        code, out, err = run(capsys, ["verify", "--suite", suite])
+        assert code == EXIT_USAGE and out == ""
+        assert message in json.loads(err)["error"]
 
 
 def test_verify_deterministic_output(capsys):
@@ -336,6 +342,28 @@ def test_suite_report_order_is_by_name(capsys):
 
 # ---------------------------------------------------------------------------
 # Exit-code contract under fuzzed configurations and options
+
+def test_public_constructors_validate_under_optimize():
+    proc = _run_optimized(["-c", """
+from ovc.formal import BoxStack, GradingError, PartitionWord, unit_word, word
+from ovc.ncpart import CrossingError, NCPartition, full_partition
+rejected = []
+try:
+    PartitionWord([1])
+except TypeError:
+    rejected.append("word")
+try:
+    BoxStack((word(full_partition(2)), unit_word(2)))
+except GradingError:
+    rejected.append("stack")
+try:
+    NCPartition([(1, 3), (2, 4)])
+except CrossingError:
+    rejected.append("partition")
+raise SystemExit(0 if rejected == ["word", "stack", "partition"] else 3)
+"""])
+    assert proc.returncode == 0, proc.stderr
+
 
 _BAD = st.sampled_from(["x", None, [1], {"a": 1}, True, -1, 0, 1.5, float("inf"), float("nan")])
 _SUITE_NAMES = sorted(cli.SUITES)

@@ -1,10 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ovc import formal
+from ovc import formal, winsert
 from ovc.formal import (
     ONE,
     ZERO,
@@ -62,12 +63,20 @@ def test_word_grading():
     assert (w.inputs, w.outputs) == (5, 2)
     assert unit_word(3).is_unit() and not w.is_unit()
     assert ONE.inputs == ONE.outputs == 0
+    with pytest.raises(TypeError):
+        PartitionWord([1])
 
 
 def test_stack_grading_enforced():
     stack(word(gen1(3)), unit_word(3))
     with pytest.raises(GradingError):
         stack(word(gen1(3)), unit_word(2))
+    # map_stack checks the seam between the two results it stacks
+    pair = single(stack(word(gen1(3)), unit_word(3)))
+    with pytest.raises(GradingError):
+        map_stack(lambda w: unit_word(2), lift, pair)
+    with pytest.raises(GradingError):
+        map_stack(coproduct, lambda w: unit_word(2), pair)
 
 
 def test_formal_sum_arithmetic():
@@ -109,6 +118,37 @@ def test_vcompose_unit_laws():
 def test_vcompose_grading_error():
     with pytest.raises(GradingError):
         vcompose(word(gen1(2)), word(gen1(2)))
+
+
+def _fresh_cuts(w):
+    """The product of the letters' cuts, built with the public constructor
+    and no cache: what ``Word.cuts`` must return."""
+    cls = type(w)
+    anchor = next((i for i, l in enumerate(w.letters) if l.size > 0), None)
+    return tuple(
+        (
+            cls(c[0] for c in combo),
+            cls(u for c in combo for u in c[1]),
+            None if anchor is None else combo[anchor][2],
+        )
+        for combo in itertools.product(*map(w.letter_cuts, w.letters))
+    )
+
+
+def test_cached_word_cuts_equal_a_fresh_product():
+    words = all_words(4, 3) + winsert.all_w_words([0, 1], 3, 2)
+    # more words than the cache holds: the forward pass evicts the first
+    # words, which the reverse pass then queries again last
+    assert len(set(words)) > formal._word_cuts.cache_info().maxsize
+    for order in (words, words[::-1]):
+        for w in order:
+            got, fresh = w.cuts(), _fresh_cuts(w)
+            assert got == fresh and hash(got) == hash(fresh), w.text()
+            assert w.cuts() is got
+    # the reverse pass evicted the word it started from
+    misses = formal._word_cuts.cache_info().misses
+    assert words[-1].cuts() == _fresh_cuts(words[-1])
+    assert formal._word_cuts.cache_info().misses == misses + 1
 
 
 # ---------------------------------------------------------------------------

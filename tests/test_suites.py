@@ -1,11 +1,23 @@
 """The operad suite's cut-duality oracle: it must catch a wrong cut set, and
-it inverts gap insertion once per size instead of once per partition."""
+it inverts gap insertion once per size instead of once per partition.  The
+unshuffle-axiom check builds each word's coproducts once and still catches
+a wrong coproduct or half-coproduct."""
 
 import sys
+from collections import Counter
 
 import pytest
 
 from ovc import ncpart, suites
+from ovc.formal import (
+    all_words,
+    coproduct,
+    delta_prec,
+    delta_succ,
+    reduced_coproduct,
+    single,
+    word,
+)
 from ovc.ncpart import EMPTY, Cut, NCPartition, full_partition
 from ovc.ovps import OVMatrixSpace
 from ovc.suites import VerifyContext, suite_operad
@@ -56,3 +68,59 @@ def test_operad_suite_inserts_each_pair_once(ctx, monkeypatch):
             monkeypatch.setattr(module, "gap_insert", counted)
     suite_operad(ctx)
     assert 0 < len(calls) < 5000
+
+
+WORDS = all_words(4, 1)
+NESTED_WORD = word(NCPartition([(1, 3), (2,)]))
+
+
+def _missing_one_term(f, target):
+    """``f`` with the first term (in sorted order) of its value on ``target``
+    dropped."""
+
+    def g(w):
+        value = f(w)
+        if w == target:
+            basis, coeff = value.items()[0]
+            value = value - single(basis, coeff)
+        return value
+
+    return g
+
+
+def test_unshuffle_axioms_hold_and_build_each_value_once():
+    counts = {name: Counter() for name in ("full", "reduced", "prec", "succ")}
+
+    def counted(name, f):
+        def g(w):
+            counts[name][w] += 1
+            return f(w)
+
+        return g
+
+    axioms = suites._unshuffle_axioms(
+        WORDS,
+        counted("full", coproduct),
+        counted("reduced", reduced_coproduct),
+        counted("prec", delta_prec),
+        counted("succ", delta_succ),
+    )
+    assert axioms == (True, True, True, True)
+    for name, per_word in counts.items():
+        assert per_word and max(per_word.values()) == 1, name
+
+
+def test_unshuffle_axioms_catch_a_coproduct_missing_one_cut():
+    coassoc, *_ = suites._unshuffle_axioms(
+        WORDS, _missing_one_term(coproduct, NESTED_WORD), reduced_coproduct,
+        delta_prec, delta_succ,
+    )
+    assert coassoc is False
+
+
+def test_unshuffle_axioms_catch_a_corrupted_left_half():
+    _, left, _, _ = suites._unshuffle_axioms(
+        WORDS, coproduct, reduced_coproduct,
+        _missing_one_term(delta_prec, NESTED_WORD), delta_succ,
+    )
+    assert left is False
