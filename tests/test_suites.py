@@ -110,6 +110,21 @@ def test_unshuffle_axioms_hold_and_build_each_value_once():
         assert per_word and max(per_word.values()) == 1, name
 
 
+def test_unshuffle_memo_keeps_only_recent_words():
+    calls = Counter()
+
+    def f(w):
+        calls[w] += 1
+        return w
+
+    memo = suites._memoised(f)
+    for w in range(257):
+        memo(w)
+    memo(256)
+    memo(0)  # evicted by the 257th word
+    assert calls[256] == 1 and calls[0] == 2
+
+
 def test_unshuffle_axioms_catch_a_coproduct_missing_one_cut():
     coassoc, *_ = suites._unshuffle_axioms(
         WORDS, _missing_one_term(coproduct, NESTED_WORD), reduced_coproduct,
