@@ -1,19 +1,35 @@
-"""Moment and cumulant families with the recursive partition evaluator.
+"""Moment and cumulant families, and the recursive partition evaluator.
+
+Each cumulant table is built from the first-block recursion, the paper's
+half-shuffle fixed points read on one word.  Split a partition at the
+block V that holds the word's first letter: the blocks between two letters
+of V sit in a gap, the blocks after V's last letter form the tail, and the
+evaluated partition is the generator of V composed with the gaps' and the
+tail's sums.  So every entry is its moment map minus the terms whose first
+block is not the whole word, and each term is one composition of a lower
+table entry with moment maps:
+
+* free (E = unit + k < E): every V that contains 1, 2^(n-1) - 1 terms;
+* boolean (E = unit + E > b): V = {1..s} with s < n, so the gaps are
+  empty and there are n - 1 terms;
+* monotone: the weight 1/tree-factorial splits over V as 1/(1 + M), where
+  M is the number of blocks nested in V's gaps, times the weights of the
+  gaps and of the tail.  The tail sums to its moment map; the gaps need
+  the block-count-graded sums F_m, which obey the same recursion with
+  F_1 = k and are memoised per word and block count.
 
 The evaluator collapses an innermost interval block of a partition: the
 family generator for that block's color word consumes the gap arguments
 around the block, and the resulting element of B occupies the merged gap of
 the restricted partition.  Iterating reduces any non-crossing partition to
-nested generator compositions.
-
-Free cumulants invert the moment sums over all non-crossing partitions,
-boolean cumulants over interval partitions, and monotone cumulants over
-non-crossing partitions weighted by inverse tree factorials.  Each family
-generator is built order by order as a linear combination of moment maps.
+nested generator compositions.  ``verify_mc`` sums it over the whole
+lattice of each kind, so it checks the tables by a route they were not
+built by.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .ncpart import (
@@ -21,7 +37,6 @@ from .ncpart import (
     NCPartition,
     enumerate_interval,
     enumerate_nc,
-    full_partition,
     nesting_forest,
     restrict,
     tree_factorial,
@@ -29,6 +44,7 @@ from .ncpart import (
 from .ovps import (
     identity_map,
     moment_map,
+    multimap_compose,
     multimap_dev,
     multimap_lincomb,
     multimap_partial,
@@ -43,11 +59,13 @@ class CumulantFamily:
     ``generator(word)`` returns the arity len(word)+1 multilinear map
     attached to the variable word; entries build lazily, are memoized and
     build their structure tensor once (none above the basis limit).  A
-    cumulant family takes the moment term of each entry from the table of
-    ``moments``, so every word has one moment leaf.  ``corrupt``
-    post-composes one entry with a scaling, used as a fault injection hook
-    by negative-control tests; it changes what ``generator`` returns, not
-    the table.
+    cumulant entry is the moment map of its word, taken from the table of
+    ``moments`` so that every word has one moment leaf, minus the
+    first-block terms of the module docstring; each term composes a lower
+    entry of this table with moment maps (monotone: with graded sums).
+    ``corrupt`` post-composes one entry with a scaling, used as a fault
+    injection hook by negative-control tests; it changes what ``generator``
+    returns, not the table, so no other entry sees it.
     """
 
     def __init__(self, space, kind, max_order=8, moments=None):
@@ -62,6 +80,7 @@ class CumulantFamily:
             raise ValueError("a %s family needs the moment family it inverts" % (kind,))
         self.moments = moments
         self._table = {}
+        self._graded_table = {}
         self._corruption = None
 
     def generator(self, word):
@@ -94,13 +113,82 @@ class CumulantFamily:
         if n == 0:
             return identity_map(self.space)
         terms = [(1, self.moments._entry(word))]
-        full = full_partition(n)
-        for weight, pi in lattice(self.kind, n):
-            if pi == full:
-                continue
-            colored = NCPartition(pi.blocks, colors=word)
-            terms.append((-weight, e_pi_map(colored, self)))
+        terms.extend((-weight, term) for weight, term in self._first_block_terms(word))
         return multimap_lincomb(self.space, n + 1, terms)
+
+    def _first_block_terms(self, word, m=None):
+        """The weighted terms of ``word``'s lattice sum whose first block V
+        is not the whole word, one composition of V's entry per choice of
+        gap maps.  With ``m`` (monotone only), the terms of the partitions
+        with m blocks: the tail then holds the graded sum of the m - 1 - M
+        blocks that V and its M gap blocks leave, instead of its moment
+        map."""
+        identity = identity_map(self.space)
+        for block, gaps, tail in _first_blocks(word, self.kind == "boolean"):
+            outer = self._entry(block)
+            for nested, inner in self._gap_sums(gaps):
+                if m is None:
+                    last = self._moment(tail)
+                elif m - 1 - nested in _block_counts(tail):
+                    last = self._graded(tail, m - 1 - nested)
+                else:
+                    continue
+                weight = Fraction(1, 1 + nested) if self.kind == "monotone" else 1
+                yield weight, multimap_compose(outer, (identity,) + inner + (last,))
+
+    def _moment(self, word):
+        return self.moments._entry(word) if word else identity_map(self.space)
+
+    def _gap_sums(self, gaps):
+        """The (nested block count, gap maps) choices for the gaps of a
+        first block.  Free and boolean gaps hold their moment maps.
+        Monotone gaps hold every combination of graded sums, since V's
+        share 1/(1 + M) of the weight depends on the M blocks they hold."""
+        if self.kind != "monotone":
+            yield 0, tuple(self._moment(g) for g in gaps)
+            return
+        for counts in itertools.product(*(_block_counts(g) for g in gaps)):
+            yield sum(counts), tuple(self._graded(g, m) for g, m in zip(gaps, counts))
+
+    def _graded(self, word, m):
+        """F_m(word), the monotone lattice sum over the partitions of
+        ``word`` with m blocks: F_0 of the empty word is the identity and
+        F_1 is the table entry; the others are memoised like entries."""
+        if not word:
+            return identity_map(self.space)
+        if m == 1:
+            return self._entry(word)
+        graded = self._graded_table.get((word, m))
+        if graded is None:
+            terms = self._first_block_terms(word, m)
+            graded = multimap_lincomb(self.space, len(word) + 1, terms)
+            self._graded_table[word, m] = graded
+            graded.tensor()
+        return graded
+
+
+def _block_counts(word):
+    """The possible block counts of a partition of ``word``."""
+    return range(1, len(word) + 1) if word else (0,)
+
+
+def _first_blocks(word, intervals=False):
+    """Split ``word`` at each block that holds its first letter, except
+    the whole word: yields (block word, gap words between the block's
+    letters, tail word after its last letter).  ``intervals`` keeps the
+    blocks {1..s} only."""
+    n = len(word)
+    if intervals:
+        blocks = [tuple(range(s)) for s in range(1, n)]
+    else:
+        blocks = [
+            (0,) + rest
+            for s in range(n - 1)
+            for rest in itertools.combinations(range(1, n), s)
+        ]
+    for block in blocks:
+        gaps = tuple(word[i + 1 : j] for i, j in zip(block, block[1:]))
+        yield tuple(word[i] for i in block), gaps, word[block[-1] + 1 :]
 
 
 def lattice(kind, n):

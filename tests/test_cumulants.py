@@ -1,9 +1,14 @@
-import itertools
+import importlib.util
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ovc import cumulants
 from ovc.cumulants import (
+    CumulantFamily,
     build_boolean,
     build_free,
     build_monotone,
@@ -11,11 +16,21 @@ from ovc.cumulants import (
     e_pi,
     e_pi_map,
     family_sum_map,
+    lattice,
     moment_family,
     verify_mc,
 )
-from ovc.ncpart import NCPartition, enumerate_nc, full_partition
-from ovc.ovps import OVMatrixSpace, multimap_dev, multimap_eq, random_matrix
+from ovc.ncpart import NCPartition, enumerate_nc
+from ovc.ovps import (
+    OVMatrixSpace,
+    multimap_dev,
+    multimap_eq,
+    multimap_lincomb,
+    probe_batch,
+    random_matrix,
+)
+
+ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
 
 
 @pytest.fixture(scope="module")
@@ -207,3 +222,120 @@ def test_generators_are_outer_bimodular(space):
             lhs = gen.eval(*framed)
             rhs = beta @ gen.eval(*args) @ gamma
             assert np.max(np.abs(lhs - rhs)) <= 1e-9 * max(1.0, np.max(np.abs(rhs)))
+
+
+# ---------------------------------------------------------------------------
+# The tables come from the first-block recursion; the lattice sums of
+# ``verify_mc`` check them by another route.
+
+
+class LatticeReference:
+    """The tables the lattice sums define: each entry is the moment map
+    minus the weighted evaluations of every other partition of its word."""
+
+    def __init__(self, moments, kind):
+        self.space, self.kind, self.moments = moments.space, kind, moments
+        self._table = {}
+
+    def generator(self, word):
+        word = tuple(word)
+        if word not in self._table:
+            n = len(word)
+            terms = [(1, self.moments.generator(word))]
+            for weight, pi in lattice(self.kind, n):
+                if pi.n_blocks > 1:
+                    colored_pi = NCPartition(pi.blocks, colors=word)
+                    terms.append((-weight, e_pi_map(colored_pi, self)))
+            entry = multimap_lincomb(self.space, n + 1, terms)
+            entry.tensor()
+            self._table[word] = entry
+        return self._table[word]
+
+
+def values(gen):
+    t = gen.tensor()
+    if t is not None:
+        return t
+    return gen.eval_batch(probe_batch(gen.space.d, gen.arity))
+
+
+def relative_gap(x, y):
+    return float(np.max(np.abs(x - y)) / np.max(np.abs(y)))
+
+
+AGREEMENT_WORDS = [(0,) * n for n in range(1, 7)] + [(0, 1, 0, 1, 0), (0, 0, 1, 1, 0, 1)]
+
+
+@pytest.mark.parametrize("kind", ["free", "boolean", "monotone"])
+def test_recursion_tables_match_the_lattice_subtraction(space, kind):
+    moments = moment_family(space)
+    family = CumulantFamily(space, kind, moments=moments)
+    reference = LatticeReference(moments, kind)
+    for word in AGREEMENT_WORDS:
+        got, want = values(family.generator(word)), values(reference.generator(word))
+        assert relative_gap(got, want) <= 1e-10, word
+
+
+def test_free_probe_entry_matches_the_dense_oracle(space):
+    spec = importlib.util.spec_from_file_location("oracle", ORACLE)
+    oracle_module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(oracle_module)
+    finally:
+        sys.dont_write_bytecode = saved
+    oracle = oracle_module.FreeCumulantOracle(space.variable(0), space.d, space.k)
+    gen = build_free(moment_family(space)).generator((0,) * 7)
+    assert gen.tensor() is None  # the probe path
+    batch = probe_batch(space.d, gen.arity, seed=5)
+    np.testing.assert_allclose(
+        gen.eval_batch(batch), oracle.free_cumulant(batch), rtol=1e-8, atol=1e-12
+    )
+
+
+def _monotone_weight_by_block_count(original):
+    def mutated(kind, n):
+        if kind != "monotone":
+            return original(kind, n)
+        return [(Fraction(1, max(pi.n_blocks, 1)), pi) for _, pi in original(kind, n)]
+
+    return mutated
+
+
+def _free_without_crossing_nests(original):
+    # drops the non-interval partitions of three or more blocks
+    def mutated(kind, n):
+        if kind != "free":
+            return original(kind, n)
+        return [
+            (w, pi)
+            for w, pi in original(kind, n)
+            if pi.n_blocks < 3 or len(contiguous_blocks(pi)) == pi.n_blocks
+        ]
+
+    return mutated
+
+
+@pytest.mark.parametrize(
+    "kind, mutation",
+    [
+        ("monotone", _monotone_weight_by_block_count),
+        ("free", _free_without_crossing_nests),
+    ],
+)
+def test_lattice_mutations_fail_the_check(space, monkeypatch, kind, mutation):
+    monkeypatch.setattr(cumulants, "lattice", mutation(cumulants.lattice))
+    report = verify_mc(space, order=4)
+    assert report["max_dev"][kind] > 1e-9, report["max_dev"]
+
+
+def test_corruption_stays_in_its_entry(space):
+    clean = build_free(moment_family(space))
+    corrupted = build_free(moment_family(space))
+    corrupted.corrupt((0, 0))
+    assert not np.array_equal(
+        corrupted.generator((0, 0)).tensor(), clean.generator((0, 0)).tensor()
+    )
+    assert np.array_equal(
+        corrupted.generator((0, 0, 0)).tensor(), clean.generator((0, 0, 0)).tensor()
+    )
