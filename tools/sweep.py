@@ -6,19 +6,18 @@ Runs, one process at a time,
     ovc verify --suite S --order N    for S in shuffle, splitting, N = 4..8
 
 and prints one JSON line per run with its exit code and wall time.  Each
-run is killed after ``--timeout`` seconds; a killed run is a result
+run is killed after ``TIMEOUT_S`` (120) seconds; a killed run is a result
 (``"timed_out": true``, exit code null), not a skipped one.
 
 The program comes from the ``src`` directory next to this script's parent
 and runs in an empty temporary directory, so nothing else in the checkout
 is read:
 
-    python tools/sweep.py [--timeout SECONDS]
+    python tools/sweep.py
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import subprocess
@@ -32,6 +31,7 @@ KINDS = ("moment", "free", "boolean", "monotone")
 SUITES = ("shuffle", "splitting")
 ORDERS = range(4, 9)
 CUMULANT_WORD = ".".join("a" * 8)
+TIMEOUT_S = 120.0
 
 
 def runs():
@@ -63,14 +63,14 @@ def run_one(argv, timeout, cwd):
     return {"exit": proc.returncode, "timed_out": False, "wall_s": round(time.perf_counter() - start, 3)}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--timeout", type=float, default=120.0, help="seconds per run")
-    ns = parser.parse_args(argv)
+def main() -> int:
+    if sys.argv[1:]:
+        print("usage: python tools/sweep.py  (takes no arguments)", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as cwd:
         for facts, cli_args in runs():
-            facts.update(run_one(cli_args, ns.timeout, cwd))
-            facts["timeout_s"] = ns.timeout
+            facts.update(run_one(cli_args, TIMEOUT_S, cwd))
+            facts["timeout_s"] = TIMEOUT_S
             print(json.dumps(facts), flush=True)
     return 0
 
