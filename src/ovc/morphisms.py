@@ -11,9 +11,9 @@ words of empty letters, zero elsewhere).  Unit conventions: f < unit = f,
 unit < f = 0, and symmetrically for >; both arguments carrying a unit part
 is rejected.
 
-Everything here is generic over the source coalgebra: an adapter object
-reads the cuts off the words (``formal.Word.cuts``), so the words-insertion
-coalgebra reuses the same machinery.
+Everything here is generic over the source words: a morphism carries its
+``formal.Word`` subclass and reads cuts, profiles and unit words off the
+words themselves, so the words-insertion operad reuses the same machinery.
 
 Two morphism values are compared as sums of words of maps.  When
 (d^2)^inputs <= WORD_BASIS_LIMIT, a sum's values on every tuple of
@@ -47,10 +47,6 @@ from .ovps import (
 )
 
 
-class OrderOverflow(RuntimeError):
-    """A morphism was queried beyond its supported grading."""
-
-
 class CommutationError(ValueError):
     """Generator values do not satisfy the slot-exchange relation needed for
     a well-defined operadic extension."""
@@ -58,62 +54,6 @@ class CommutationError(ValueError):
 
 class UnitAmbiguity(ValueError):
     """Half-shuffle of two morphisms that both carry a unit component."""
-
-
-# ---------------------------------------------------------------------------
-# Coalgebra adapters
-
-
-class WordCoalgebra:
-    """Cut structure of one word type, read off the words themselves
-    (``formal.Word``); subclasses name the word type and count blocks."""
-
-    name = None
-    word_type = None
-
-    def word(self, letters):
-        return self.word_type(letters)
-
-    @staticmethod
-    def is_unit(w):
-        return w.is_unit()
-
-    @staticmethod
-    def letters(w):
-        return w.letters
-
-    @staticmethod
-    def profile(w):
-        return w.profile()
-
-    @staticmethod
-    def cut_triples(w):
-        return w.cuts()
-
-    @staticmethod
-    def is_unit_letter(x):
-        return x.size == 0
-
-    @staticmethod
-    def letter_arity(x):
-        return x.arity
-
-    def letter_text(self, x):
-        return self.word_type.letter_text(x)
-
-
-class PartitionCoalgebra(WordCoalgebra):
-    """Cut structure of words of non-crossing partitions."""
-
-    name = "partition-words"
-    word_type = formal.PartitionWord
-
-    @staticmethod
-    def block_count(w):
-        return w.total_blocks
-
-
-PARTITION_COALGEBRA = PartitionCoalgebra()
 
 
 # ---------------------------------------------------------------------------
@@ -283,31 +223,23 @@ def word_sum_dev(a: WordSum, b: WordSum, seed: int = 0) -> float:
 class Morphism:
     """unit_coeff * (eta . eps) plus a reduced part defined on non-unit words.
 
+    ``word_type`` is the ``formal.Word`` subclass of the source words.
     ``fn`` maps a non-unit basis word to a WordSum; values are memoized.
     """
 
-    def __init__(self, space, coalg, unit_coeff=0, fn=None, name="morphism", max_order=None):
+    def __init__(self, space, word_type, unit_coeff, fn, name="morphism"):
         self.space = space
-        self.coalg = coalg
+        self.word_type = word_type
         self.unit_coeff = complex(unit_coeff)
         self._fn = fn
         self.name = name
-        self.max_order = max_order
         self._memo = {}
 
     def value(self, w) -> WordSum:
-        if self.max_order is not None and sum(self.coalg.profile(w)) - len(
-            self.coalg.profile(w)
-        ) > self.max_order:
-            raise OrderOverflow(
-                "%s queried beyond max_order=%d" % (self.name, self.max_order)
-            )
-        if self.coalg.is_unit(w):
-            maps = (identity_map(self.space),) * len(self.coalg.profile(w))
+        if w.is_unit():
+            maps = (identity_map(self.space),) * len(w.letters)
             return WordSum.word(self.space, maps, self.unit_coeff)
         if w not in self._memo:
-            if self._fn is None:
-                raise OrderOverflow("%s has no reduced part" % self.name)
             self._memo[w] = self._fn(w)
         return self._memo[w]
 
@@ -315,7 +247,7 @@ class Morphism:
         self._check_compatible(other)
         return Morphism(
             self.space,
-            self.coalg,
+            self.word_type,
             self.unit_coeff + other.unit_coeff,
             lambda w: self.value(w) + other.value(w),
             name="(%s + %s)" % (self.name, other.name),
@@ -327,7 +259,7 @@ class Morphism:
     def __rmul__(self, coeff):
         return Morphism(
             self.space,
-            self.coalg,
+            self.word_type,
             complex(coeff) * self.unit_coeff,
             lambda w: self.value(w).scale(coeff),
             name="(%s * %s)" % (coeff, self.name),
@@ -337,17 +269,17 @@ class Morphism:
         return (-1) * self
 
     def _check_compatible(self, other):
-        if self.space is not other.space or type(self.coalg) is not type(other.coalg):
+        if self.space is not other.space or self.word_type is not other.word_type:
             raise DimensionMismatch("morphisms over different structures")
 
     def __repr__(self):
         return "Morphism(%s)" % self.name
 
 
-def eta_eps_morphism(space, coalg=PARTITION_COALGEBRA) -> Morphism:
-    return Morphism(space, coalg, unit_coeff=1, fn=lambda w: WordSum.zero(
-        space, coalg.profile(w)
-    ), name="eta.eps")
+def eta_eps_morphism(space, word_type=formal.PartitionWord) -> Morphism:
+    return Morphism(
+        space, word_type, 1, lambda w: WordSum.zero(space, w.profile()), name="eta.eps"
+    )
 
 
 class InfinitesimalMorphism(Morphism):
@@ -357,16 +289,14 @@ class InfinitesimalMorphism(Morphism):
     arity, or None for letters outside the support.
     """
 
-    def __init__(self, space, gen, coalg=PARTITION_COALGEBRA, name="infinitesimal", max_order=None):
-        super().__init__(space, coalg, unit_coeff=0, fn=self._value, name=name,
-                         max_order=max_order)
+    def __init__(self, space, gen, word_type=formal.PartitionWord, name="infinitesimal"):
+        super().__init__(space, word_type, 0, self._value, name=name)
         self.gen = gen
 
     def _value(self, w) -> WordSum:
-        coalg = self.coalg
-        letters = coalg.letters(w)
-        profile = coalg.profile(w)
-        live = [i for i, x in enumerate(letters) if not coalg.is_unit_letter(x)]
+        letters = w.letters
+        profile = w.profile()
+        live = [i for i, x in enumerate(letters) if x.size != 0]
         if len(live) != 1:
             return WordSum.zero(self.space, profile)
         g = self.gen(letters[live[0]])
@@ -388,8 +318,8 @@ class InfinitesimalMorphism(Morphism):
             )
 
         return InfinitesimalMorphism(
-            self.space, scaled_gen, self.coalg,
-            name="(%s * %s)" % (coeff, self.name), max_order=self.max_order,
+            self.space, scaled_gen, self.word_type,
+            name="(%s * %s)" % (coeff, self.name),
         )
 
 
@@ -397,72 +327,61 @@ class HorizontalMorphism(Morphism):
     """Multiplicative over concatenation: the value on a word is the word of
     letter values; empty letters map to the identity."""
 
-    def __init__(self, space, letter_fn, coalg=PARTITION_COALGEBRA, name="horizontal", max_order=None):
-        super().__init__(space, coalg, unit_coeff=1, fn=self._value, name=name,
-                         max_order=max_order)
+    def __init__(self, space, letter_fn, word_type=formal.PartitionWord, name="horizontal"):
+        super().__init__(space, word_type, 1, self._value, name=name)
         self._letter_fn = letter_fn
         self._letter_memo = {}
 
     def letter_value(self, x):
-        if self.coalg.is_unit_letter(x):
+        if x.size == 0:
             return identity_map(self.space)
         if x not in self._letter_memo:
             self._letter_memo[x] = self._letter_fn(x)
         return self._letter_memo[x]
 
     def _value(self, w) -> WordSum:
-        return WordSum.word(
-            self.space, [self.letter_value(x) for x in self.coalg.letters(w)]
-        )
+        return WordSum.word(self.space, [self.letter_value(x) for x in w.letters])
 
 
 # ---------------------------------------------------------------------------
 # Convolution and half-shuffles
 
 
-def convolve(a: Morphism, b: Morphism) -> Morphism:
-    """a * b = vertical composition of a and b across the full coproduct."""
+def _cut_product(a: Morphism, b: Morphism, keep, unit_coeff, name) -> Morphism:
+    """a below and b above, composed vertically across the cuts of each
+    word.  ``keep`` None takes every cut; True or False takes only the cuts
+    whose first-position flag equals it, as in ``formal.cut_sum``, and such
+    a half product of two factors that both carry a unit part is undefined
+    (UnitAmbiguity)."""
     a._check_compatible(b)
-    coalg = a.coalg
+    if keep is not None and a.unit_coeff != 0 and b.unit_coeff != 0:
+        raise UnitAmbiguity("both factors of %s carry a unit" % name)
 
     def fn(w):
-        total = WordSum.zero(a.space, coalg.profile(w))
-        for lower, upper, _ in coalg.cut_triples(w):
-            total = total + a.value(lower).vcompose(b.value(upper))
-        return total
-
-    return Morphism(
-        a.space, coalg, a.unit_coeff * b.unit_coeff, fn,
-        name="(%s * %s)" % (a.name, b.name),
-    )
-
-
-def _half(a: Morphism, b: Morphism, keep_flag: bool, symbol: str) -> Morphism:
-    a._check_compatible(b)
-    if a.unit_coeff != 0 and b.unit_coeff != 0:
-        raise UnitAmbiguity("unit %s unit is not defined" % symbol)
-    coalg = a.coalg
-
-    def fn(w):
-        total = WordSum.zero(a.space, coalg.profile(w))
-        for lower, upper, flag in coalg.cut_triples(w):
-            if flag == keep_flag:
+        total = WordSum.zero(a.space, w.profile())
+        for lower, upper, flag in w.cuts():
+            if keep is None or flag == keep:
                 total = total + a.value(lower).vcompose(b.value(upper))
         return total
 
-    return Morphism(
-        a.space, coalg, 0, fn, name="(%s %s %s)" % (a.name, symbol, b.name)
+    return Morphism(a.space, a.word_type, unit_coeff, fn, name=name)
+
+
+def convolve(a: Morphism, b: Morphism) -> Morphism:
+    """a * b = vertical composition of a and b across the full coproduct."""
+    return _cut_product(
+        a, b, None, a.unit_coeff * b.unit_coeff, "(%s * %s)" % (a.name, b.name)
     )
 
 
 def half_prec(a: Morphism, b: Morphism) -> Morphism:
     """Convolution restricted to cuts keeping the first block below."""
-    return _half(a, b, True, "<")
+    return _cut_product(a, b, True, 0, "(%s < %s)" % (a.name, b.name))
 
 
 def half_succ(a: Morphism, b: Morphism) -> Morphism:
     """Convolution restricted to cuts moving the first block above."""
-    return _half(a, b, False, ">")
+    return _cut_product(a, b, False, 0, "(%s > %s)" % (a.name, b.name))
 
 
 def shuffle(a: Morphism, b: Morphism) -> Morphism:
@@ -478,13 +397,11 @@ def _exponential(k: InfinitesimalMorphism, left: bool, name: str) -> HorizontalM
     K = eta.eps + K > k.  Its value on a letter x is the right-hand side on
     the one-letter word (x), collapsed to one map; the cuts of (x) reach K
     only on strictly smaller letters, so the recursion ends."""
-    coalg = k.coalg
     K = HorizontalMorphism(
         k.space,
-        lambda x: rhs.value(coalg.word((x,))).collapse(),
-        coalg,
+        lambda x: rhs.value(k.word_type((x,))).collapse(),
+        k.word_type,
         name="%s(%s)" % (name, k.name),
-        max_order=k.max_order,
     )
     rhs = half_prec(k, K) if left else half_succ(K, k)
     return K
@@ -500,27 +417,34 @@ def exp_succ(b: InfinitesimalMorphism) -> HorizontalMorphism:
     return _exponential(b, False, "exp>")
 
 
-def exp_star(m: Morphism) -> Morphism:
-    """eta.eps plus the sum of convolution powers of m over p!.
+def _power_series(m: Morphism, unit_coeff, coeff, name) -> Morphism:
+    """unit_coeff * eta.eps plus the sum over p >= 1 of coeff(p) times the
+    p-th convolution power of m.
 
     The sum on any word is finite: the p-th power vanishes once p exceeds
-    the word's block count, which needs m to vanish on unit words.
+    the word's block count ``total_blocks``, which needs m to vanish on unit
+    words.
     """
-    if m.unit_coeff != 0:
-        raise ValueError("exp expects a morphism with no unit component")
     powers = [m]
 
     def fn(w):
-        bound = m.coalg.block_count(w)
-        total = WordSum.zero(m.space, m.coalg.profile(w))
-        for p in range(1, bound + 1):
+        total = WordSum.zero(m.space, w.profile())
+        for p in range(1, w.total_blocks + 1):
             while len(powers) < p:
                 powers.append(convolve(powers[-1], m))
-            total = total + powers[p - 1].value(w).scale(Fraction(1, math.factorial(p)))
+            total = total + powers[p - 1].value(w).scale(coeff(p))
         return total
 
-    return Morphism(m.space, m.coalg, 1, fn, name="exp*(%s)" % m.name,
-                    max_order=m.max_order)
+    return Morphism(m.space, m.word_type, unit_coeff, fn, name=name)
+
+
+def exp_star(m: Morphism) -> Morphism:
+    """eta.eps plus the sum of convolution powers of m over p!."""
+    if m.unit_coeff != 0:
+        raise ValueError("exp expects a morphism with no unit component")
+    return _power_series(
+        m, 1, lambda p: Fraction(1, math.factorial(p)), "exp*(%s)" % m.name
+    )
 
 
 def log_star(phi: Morphism) -> Morphism:
@@ -528,21 +452,10 @@ def log_star(phi: Morphism) -> Morphism:
     (phi - eta.eps) with coefficients (-1)^(n+1)/n."""
     if phi.unit_coeff != 1:
         raise ValueError("log expects a morphism with unit coefficient 1")
-    reduced = Morphism(phi.space, phi.coalg, 0, phi.value, name="(%s)+" % phi.name)
-    powers = [reduced]
-
-    def fn(w):
-        bound = phi.coalg.block_count(w)
-        total = WordSum.zero(phi.space, phi.coalg.profile(w))
-        for n in range(1, bound + 1):
-            while len(powers) < n:
-                powers.append(convolve(powers[-1], reduced))
-            coeff = Fraction((-1) ** (n + 1), n)
-            total = total + powers[n - 1].value(w).scale(coeff)
-        return total
-
-    return Morphism(phi.space, phi.coalg, 0, fn, name="log*(%s)" % phi.name,
-                    max_order=phi.max_order)
+    reduced = Morphism(phi.space, phi.word_type, 0, phi.value, name="(%s)+" % phi.name)
+    return _power_series(
+        reduced, 0, lambda n: Fraction((-1) ** (n + 1), n), "log*(%s)" % phi.name
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +521,7 @@ def _partition_colors(pi):
     return pi.colors if pi.colors is not None else (0,) * pi.size
 
 
-def family_infinitesimal(family, coalg=PARTITION_COALGEBRA, name=None) -> InfinitesimalMorphism:
+def family_infinitesimal(family, name=None) -> InfinitesimalMorphism:
     """Generator values from a cumulant family on one-block letters only."""
 
     def gen(pi):
@@ -617,7 +530,7 @@ def family_infinitesimal(family, coalg=PARTITION_COALGEBRA, name=None) -> Infini
         return family.generator(_partition_colors(pi))
 
     return InfinitesimalMorphism(
-        family.space, gen, coalg, name=name or ("inf-%s" % family.kind)
+        family.space, gen, name=name or ("inf-%s" % family.kind)
     )
 
 
@@ -638,7 +551,7 @@ def _stable_rng(seed, key_text):
     return np.random.default_rng(int.from_bytes(digest[:8], "big"))
 
 
-def seeded_infinitesimal(space, seed, max_size=5, coalg=PARTITION_COALGEBRA,
+def seeded_infinitesimal(space, seed, max_size=5, word_type=formal.PartitionWord,
                          name=None, single_block=False) -> InfinitesimalMorphism:
     """Deterministic pseudorandom generator values on letters up to
     ``max_size``; values depend only on (seed, letter), not query order.
@@ -648,17 +561,17 @@ def seeded_infinitesimal(space, seed, max_size=5, coalg=PARTITION_COALGEBRA,
     leaves = {}
 
     def gen(x):
-        if coalg.letter_arity(x) - 1 > max_size:
+        if x.arity - 1 > max_size:
             return None
         if single_block and getattr(x, "n_blocks", 1) != 1:
             return None
         if x not in leaves:
-            rng = _stable_rng(seed, coalg.letter_text(x))
-            leaves[x] = random_multimap(space, coalg.letter_arity(x), rng, label="seeded")
+            rng = _stable_rng(seed, word_type.letter_text(x))
+            leaves[x] = random_multimap(space, x.arity, rng, label="seeded")
         return leaves[x]
 
     return InfinitesimalMorphism(
-        space, gen, coalg, name=name or ("seeded-%s" % seed)
+        space, gen, word_type, name=name or ("seeded-%s" % seed)
     )
 
 
@@ -670,18 +583,20 @@ def morphism_dev(a: Morphism, b: Morphism, words, seed: int = 0) -> float:
     return worst
 
 
-def precompose(alpha: Morphism, linear_fn, name="precomposed") -> Morphism:
-    """alpha pulled back along a linear endomorphism of the source, given as
-    a map from basis words to formal sums of words (e.g. the antipode)."""
+def precompose(alpha: Morphism, linear_fn, name="precomposed", word_type=None) -> Morphism:
+    """alpha pulled back along a linear map from basis words of ``word_type``
+    to formal sums of alpha's words.  The antipode keeps alpha's word type,
+    the default; the splitting map takes letter words (``winsert.WWord``)
+    to partition words."""
 
     def fn(w):
-        total = WordSum.zero(alpha.space, alpha.coalg.profile(w))
+        total = WordSum.zero(alpha.space, w.profile())
         image = linear_fn(w)
         for basis, coeff in image.terms.items():
             total = total + alpha.value(basis).scale(complex(coeff))
         return total
 
     return Morphism(
-        alpha.space, alpha.coalg, alpha.unit_coeff, fn,
+        alpha.space, word_type or alpha.word_type, alpha.unit_coeff, fn,
         name="%s(%s)" % (name, alpha.name),
     )

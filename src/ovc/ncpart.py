@@ -185,13 +185,6 @@ class NCPartition:
         """True iff every block is a contiguous run."""
         return all(b[-1] - b[0] + 1 == len(b) for b in self.blocks)
 
-    def block_of(self, element: int) -> int:
-        """Index (in canonical order) of the block containing ``element``."""
-        for i, b in enumerate(self.blocks):
-            if element in b:
-                return i
-        raise KeyError(element)
-
     def block_colors(self, block_index: int):
         if self.colors is None:
             return None

@@ -141,15 +141,17 @@ class MultiMap:
 
     ``kind`` is one of 'id' (the identity on B), 'gen' (leaf evaluator),
     'compose' (operadic composition) or 'lincomb' (pointwise linear
-    combination).  A leaf may carry ``build``, which returns its structure
-    tensor directly; otherwise its tensor is ``fn`` on the elementary batch.
-    Instances are immutable; evaluation accepts stacked argument batches of
-    shape (N, d, d) per slot.
+    combination).  A leaf carries ``fn``, its values on a batch, and
+    ``build``, which returns its structure tensor directly.  Instances are
+    immutable; evaluation accepts stacked argument batches of shape
+    (N, d, d) per slot.
     """
 
     __slots__ = ("space", "arity", "kind", "fn", "label", "parts", "build", "_tensor")
 
     def __init__(self, space, arity, kind, fn=None, label="", parts=(), build=None):
+        if kind == "gen" and build is None:
+            raise ValueError("a leaf needs build, which returns its structure tensor")
         self.space = space
         self.arity = arity
         self.kind = kind
@@ -213,7 +215,7 @@ class MultiMap:
         if self.kind == "id":
             t = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
         elif self.kind == "gen":
-            t = self.build() if self.build is not None else self.fn(elementary_batch(d, self.arity))
+            t = self.build()
         else:
             t = np.zeros((n_tuples, d, d), dtype=complex)
             for coeff, m in self.parts:

@@ -24,12 +24,11 @@ from .morphisms import (
     HorizontalMorphism,
     InfinitesimalMorphism,
     Morphism,
-    WordCoalgebra,
-    WordSum,
     eta_eps_morphism,
     half_prec,
     half_succ,
     morphism_dev,
+    precompose,
 )
 from .ncpart import NCPartition, enumerate_nc
 from .ovps import moment_map
@@ -128,6 +127,12 @@ class WWord(formal.Word):
     insert_letter = staticmethod(word_insert)
     letter_text = staticmethod(letter_word_to_text)
 
+    @property
+    def total_blocks(self):
+        """The most blocks of a word in ``split(self)``: its finest
+        coloring has one block per position."""
+        return self.total_size
+
 
 W_ONE = WWord(())
 
@@ -208,39 +213,12 @@ def split_insert_defect(alpha: LetterWord, betas) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Coalgebra adapter
-
-
-class WCoalgebra(WordCoalgebra):
-    """Cut structure of words of letter words."""
-
-    name = "letter-words"
-    word_type = WWord
-
-    @staticmethod
-    def block_count(w):
-        return w.total_size
-
-
-W_COALGEBRA = WCoalgebra()
-
-
-# ---------------------------------------------------------------------------
 # Morphisms on the insertion operad
 
 
 def pullback(phi: Morphism) -> Morphism:
     """Precompose a partition-word morphism with the splitting map."""
-
-    def fn(w):
-        total = WordSum.zero(phi.space, w.profile())
-        for basis, coeff in split(w).terms.items():
-            total = total + phi.value(basis).scale(complex(coeff))
-        return total
-
-    return Morphism(
-        phi.space, W_COALGEBRA, phi.unit_coeff, fn, name="Sp*(%s)" % phi.name
-    )
+    return precompose(phi, split, name="Sp*", word_type=WWord)
 
 
 def w_moment_morphism(space) -> HorizontalMorphism:
@@ -248,7 +226,7 @@ def w_moment_morphism(space) -> HorizontalMorphism:
     return HorizontalMorphism(
         space,
         lambda x: moment_map(space, x.letters),
-        coalg=W_COALGEBRA,
+        WWord,
         name="moments-W",
     )
 
@@ -258,7 +236,7 @@ def w_family_infinitesimal(family, name=None) -> InfinitesimalMorphism:
     return InfinitesimalMorphism(
         family.space,
         lambda x: family.generator(x.letters),
-        coalg=W_COALGEBRA,
+        WWord,
         name=name or ("inf-%s-W" % family.kind),
     )
 
@@ -296,7 +274,7 @@ def verify_fixed_points(space, max_order, families=None, max_letters=1, tol=1e-9
     k = w_family_infinitesimal(families["free"])
     b = w_family_infinitesimal(families["boolean"])
     e_mor = w_moment_morphism(space)
-    unit = eta_eps_morphism(space, W_COALGEBRA)
+    unit = eta_eps_morphism(space, WWord)
     words = all_w_words(sorted(space.variables), max_order, max_letters, min_letters=0)
     free_dev = morphism_dev(unit + half_prec(k, e_mor), e_mor, words)
     boolean_dev = morphism_dev(unit + half_succ(e_mor, b), e_mor, words)

@@ -14,7 +14,6 @@ from ovc.formal import antipode, all_words, unit_word, word
 from ovc.morphisms import (
     WORD_BASIS_LIMIT,
     CommutationError,
-    OrderOverflow,
     UnitAmbiguity,
     WordSum,
     convolve,
@@ -363,11 +362,24 @@ def test_infinitesimal_locality(space):
     assert v.profile == (1, 3, 1) and len(v.terms) == 1
 
 
-def test_order_overflow(space):
-    k = seeded_infinitesimal(space, seed=23)
-    k.max_order = 2
-    with pytest.raises(OrderOverflow):
-        k.value(word(gen1(4)))
+def test_morphisms_of_other_words_or_spaces_do_not_combine(space):
+    from ovc.winsert import WWord
+
+    other_space = OVMatrixSpace(d=2, k=2, variables=2, seed=41)
+    unit = eta_eps_morphism(space)
+    f = seeded_infinitesimal(space, seed=23)
+    for other in (
+        eta_eps_morphism(space, WWord),
+        seeded_infinitesimal(space, seed=23, word_type=WWord),
+        eta_eps_morphism(other_space),
+        seeded_infinitesimal(other_space, seed=23),
+    ):
+        for left in (unit, f):
+            for combine in (convolve, half_prec, lambda a, b: a + b):
+                with pytest.raises(DimensionMismatch):
+                    combine(left, other)
+                with pytest.raises(DimensionMismatch):
+                    combine(other, left)
 
 
 def test_concurrent_evaluation_matches_sequential(space):

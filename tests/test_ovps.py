@@ -171,6 +171,11 @@ def test_identity_tensor_is_the_elementary_basis(space):
     assert np.array_equal(t, elementary_batch(space.d, 1)[0])
 
 
+def test_leaf_needs_its_tensor_builder(space):
+    with pytest.raises(ValueError):
+        ovps.MultiMap(space, 2, "gen", fn=lambda args: args[0])
+
+
 @st.composite
 def spaces_and_trees(draw):
     d = draw(st.sampled_from((1, 2)))

@@ -18,7 +18,6 @@ from ovc.ncpart import ArityMismatch, NCPartition
 from ovc.ovps import OVMatrixSpace
 from ovc.winsert import (
     EMPTY_WORD,
-    W_COALGEBRA,
     W_ONE,
     LetterWord,
     WWord,
@@ -243,7 +242,7 @@ def space():
 
 def test_pullback_of_unit_is_unit(space):
     unit_nc = eta_eps_morphism(space)
-    unit_w = eta_eps_morphism(space, W_COALGEBRA)
+    unit_w = eta_eps_morphism(space, WWord)
     assert morphism_dev(pullback(unit_nc), unit_w, WORDS) <= 1e-12
 
 
@@ -285,6 +284,19 @@ def test_word_exponentials_factor_through_splitting(space):
     right_w = exp_succ(w_family_infinitesimal(boolean))
     right_nc = pullback(exp_succ(family_infinitesimal(boolean)))
     assert morphism_dev(right_w, right_nc, words) <= 1e-9
+
+
+def test_letter_word_block_bound_is_the_finest_split():
+    for w in all_w_words((0, 1), 4, 2):
+        assert w.total_blocks == max(b.total_blocks for b in split(w).terms)
+
+
+def test_power_series_round_trip_on_letter_words(space):
+    from ovc.morphisms import exp_star, log_star, seeded_infinitesimal
+
+    k = seeded_infinitesimal(space, seed=48, word_type=WWord)
+    words = all_w_words((0, 1), 4, 2)
+    assert morphism_dev(log_star(exp_star(k)), k, words) <= 1e-9
 
 
 def test_verify_fixed_points_small(space):
