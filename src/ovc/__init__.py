@@ -14,7 +14,7 @@ from .ncpart import (
 )
 from .formal import FormalSum, PartitionWord, coproduct, delta_prec, delta_succ
 from .ovps import OVMatrixSpace, MultiMap, moment_map, multimap_eq
-from .cumulants import build_boolean, build_free, build_monotone, e_pi, moment_family, verify_mc
+from .cumulants import cumulant_families, e_pi, verify_mc
 from .morphisms import convolve, exp_prec, exp_star, exp_succ, half_prec, half_succ, log_star
 from .winsert import LetterWord, WWord, split, word_insert
 
@@ -29,11 +29,9 @@ __all__ = [
     "OVMatrixSpace",
     "PartitionWord",
     "WWord",
-    "build_boolean",
-    "build_free",
-    "build_monotone",
     "convolve",
     "coproduct",
+    "cumulant_families",
     "cuts",
     "delta_prec",
     "delta_succ",
@@ -48,7 +46,6 @@ __all__ = [
     "half_prec",
     "half_succ",
     "log_star",
-    "moment_family",
     "moment_map",
     "multimap_eq",
     "partial_insert",

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import ncpart
-from .cumulants import build_boolean, build_free, build_monotone, moment_family
+from .cumulants import cumulant_families
 from .ncpart import (
     BoundSettingError,
     EnumerationBound,
@@ -53,6 +53,12 @@ class ConfigError(ValueError):
 
 
 def _number(value, what, kind=int):
+    """``value`` as a ``kind``; a boolean, or a fraction where ``kind`` is
+    int, is an error rather than a number to truncate."""
+    if isinstance(value, bool):
+        raise ConfigError("%s must be a number, got %r" % (what, value))
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError("%s must be an integer, got %r" % (what, value))
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -203,14 +209,7 @@ def cmd_cumulants(ns) -> int:
             "word length %d exceeds max_order %d" % (len(word), config.max_order)
         )
     space = config.build_space()
-    moments = moment_family(space, config.max_order)
-    family = {
-        "moment": lambda: moments,
-        "free": lambda: build_free(moments),
-        "boolean": lambda: build_boolean(moments),
-        "monotone": lambda: build_monotone(moments),
-    }[ns.kind]()
-    gen = family.generator(word)
+    gen = cumulant_families(space)[ns.kind].generator(word)
     values, basis = gen.tensor(), "elementary"
     if values is None:
         batch = probe_batch(space.d, gen.arity, seed=config.seed)
@@ -237,14 +236,10 @@ def cmd_verify(ns) -> int:
         raise ConfigError("suites %s need two variables" % ", ".join(two_variable))
     ctx = VerifyContext(
         space=config.build_space(),
-        scalar_space=config.build_space(d=1, k=config.d * config.k),
         tol=config.tolerance,
         seed=config.seed,
         max_order=config.max_order,
-        hopf_size=min(config.max_order + 1, 5),
-        hopf_letters=3,
-        numeric_size=config.max_order,
-        fault_word=(0, 0) if ns.inject_fault else None,
+        inject_fault=ns.inject_fault,
     )
     report = run_suites(ctx, config.suites)
     payload = {
@@ -320,7 +315,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.fn(ns)
-    except (ConfigError, BoundSettingError, json.JSONDecodeError) as exc:
+    except (ConfigError, BoundSettingError, EnumerationBound, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
 

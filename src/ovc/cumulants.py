@@ -51,6 +51,8 @@ from .ovps import (
 )
 
 KINDS = ("moment", "free", "boolean", "monotone")
+CUMULANT_KINDS = KINDS[1:]
+CORRUPTION_FACTOR = 1.5
 
 
 class CumulantFamily:
@@ -63,17 +65,16 @@ class CumulantFamily:
     ``moments`` so that every word has one moment leaf, minus the
     first-block terms of the module docstring; each term composes a lower
     entry of this table with moment maps (monotone: with graded sums).
-    ``corrupt`` post-composes one entry with a scaling, used as a fault
+    ``corrupt`` scales one entry by ``CORRUPTION_FACTOR``, used as a fault
     injection hook by negative-control tests; it changes what ``generator``
     returns, not the table, so no other entry sees it.
     """
 
-    def __init__(self, space, kind, max_order=8, moments=None):
+    def __init__(self, space, kind, moments=None):
         if kind not in KINDS:
             raise ValueError("unknown family kind %r" % (kind,))
         self.space = space
         self.kind = kind
-        self.max_order = max_order
         if kind == "moment":
             moments = self
         elif moments is None:
@@ -81,25 +82,19 @@ class CumulantFamily:
         self.moments = moments
         self._table = {}
         self._graded_table = {}
-        self._corruption = None
+        self._corrupted = None
 
     def generator(self, word):
         word = tuple(int(v) for v in word)
         entry = self._entry(word)
-        if self._corruption is not None and self._corruption[0] == word:
-            entry = multimap_lincomb(
-                self.space, entry.arity, [(self._corruption[1], entry)]
-            )
+        if word == self._corrupted:
+            entry = multimap_lincomb(self.space, entry.arity, [(CORRUPTION_FACTOR, entry)])
         return entry
 
-    def corrupt(self, word, factor=1.5):
-        self._corruption = (tuple(word), factor)
+    def corrupt(self, word):
+        self._corrupted = tuple(word)
 
     def _entry(self, word):
-        if len(word) > self.max_order:
-            raise ValueError(
-                "order %d exceeds the populated bound %d" % (len(word), self.max_order)
-            )
         entry = self._table.get(word)
         if entry is None:
             entry = self._table[word] = self._build(word)
@@ -206,26 +201,15 @@ def lattice(kind, n):
     return [(Fraction(1), pi) for pi in enumerate_nc(n)]
 
 
-def moment_family(space, max_order=8) -> CumulantFamily:
-    return CumulantFamily(space, "moment", max_order)
-
-
-def build_free(family_moment: CumulantFamily) -> CumulantFamily:
-    return CumulantFamily(
-        family_moment.space, "free", family_moment.max_order, moments=family_moment
-    )
-
-
-def build_boolean(family_moment: CumulantFamily) -> CumulantFamily:
-    return CumulantFamily(
-        family_moment.space, "boolean", family_moment.max_order, moments=family_moment
-    )
-
-
-def build_monotone(family_moment: CumulantFamily) -> CumulantFamily:
-    return CumulantFamily(
-        family_moment.space, "monotone", family_moment.max_order, moments=family_moment
-    )
+def cumulant_families(space) -> dict:
+    """One table per kind over ``space``: the moment table and the free,
+    boolean and monotone tables built on it, so every word has one moment
+    leaf however many tables read it."""
+    moments = CumulantFamily(space, "moment")
+    families = {"moment": moments}
+    for kind in CUMULANT_KINDS:
+        families[kind] = CumulantFamily(space, kind, moments=moments)
+    return families
 
 
 def contiguous_blocks(pi: NCPartition) -> list:
@@ -275,23 +259,18 @@ def family_sum_map(word, family: CumulantFamily):
     return multimap_lincomb(family.space, n + 1, terms)
 
 
-def verify_mc(space, order, words=None, max_order=None, families=None) -> dict:
+def verify_mc(space, order, words=None, families=None) -> dict:
     """Check the moment-cumulant relations up to ``order``.
 
     For every test word w, the moment map must equal the free sum over
     non-crossing partitions, the boolean sum over interval partitions and
     the tree-factorial-weighted monotone sum.  Returns a report with the
-    per-order maximum deviation for each kind.  Pass prebuilt ``families``
-    to check tables that have been tampered with.
+    per-order maximum deviation for each kind.  The targets are the leaves
+    of ``families["moment"]``; pass prebuilt ``families`` (from
+    ``cumulant_families``) to check tables that have been tampered with.
     """
-    max_order = order if max_order is None else max_order
-    moments = moment_family(space, max_order)
     if families is None:
-        families = {
-            "free": build_free(moments),
-            "boolean": build_boolean(moments),
-            "monotone": build_monotone(moments),
-        }
+        families = cumulant_families(space)
     if words is None:
         vs = sorted(space.variables)
         words = []
@@ -301,13 +280,13 @@ def verify_mc(space, order, words=None, max_order=None, families=None) -> dict:
                 words.append(tuple(vs[i % 2] for i in range(n)))
     rows = []
     for w in words:
-        target = moments.generator(w)
+        target = families["moment"].generator(w)
         row = {"word": list(w), "order": len(w)}
-        for kind, fam in families.items():
-            row[kind + "_dev"] = multimap_dev(family_sum_map(w, fam), target)
+        for kind in CUMULANT_KINDS:
+            row[kind + "_dev"] = multimap_dev(family_sum_map(w, families[kind]), target)
         rows.append(row)
     worst = {
         kind: max((r[kind + "_dev"] for r in rows), default=0.0)
-        for kind in families
+        for kind in CUMULANT_KINDS
     }
     return {"rows": rows, "max_dev": worst}

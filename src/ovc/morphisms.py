@@ -32,6 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import formal
+from .cumulants import e_pi_map
 from .ncpart import GenLeaf, PartialNode, operadic_factorization
 from .ovps import (
     EXACT_BASIS_LIMIT,
@@ -201,18 +202,18 @@ class WordSum:
 WORD_BASIS_LIMIT = 256
 
 
-def word_sum_dev(a: WordSum, b: WordSum, seed: int = 0) -> float:
+def word_sum_dev(a: WordSum, b: WordSum) -> float:
     """Deviation of two morphism values.  When (d^2)^inputs <=
     WORD_BASIS_LIMIT the sums' structure tensors are compared, which covers
     every tuple of elementary arguments and builds no batch; beyond that
-    both sums are evaluated on the seeded probe batch."""
+    both sums are evaluated on the probe batch of seed 0."""
     if a.profile != b.profile:
         raise DimensionMismatch("profiles %r vs %r" % (a.profile, b.profile))
     n_inputs = sum(a.profile)
     d = a.space.d
     if (d * d) ** n_inputs <= WORD_BASIS_LIMIT:
         return deviation(a.tensor(), b.tensor())
-    args = probe_batch(d, n_inputs, seed=seed)
+    args = probe_batch(d, n_inputs, seed=0)
     return deviation(a.eval_batch(args), b.eval_batch(args))
 
 
@@ -537,8 +538,6 @@ def family_infinitesimal(family, name=None) -> InfinitesimalMorphism:
 def moment_morphism(family) -> HorizontalMorphism:
     """The distribution morphism: letter values through the recursive
     partition evaluator of the moment family."""
-    from .cumulants import e_pi_map
-
     return HorizontalMorphism(
         family.space,
         lambda pi: e_pi_map(pi, family),
@@ -575,11 +574,11 @@ def seeded_infinitesimal(space, seed, max_size=5, word_type=formal.PartitionWord
     )
 
 
-def morphism_dev(a: Morphism, b: Morphism, words, seed: int = 0) -> float:
+def morphism_dev(a: Morphism, b: Morphism, words) -> float:
     """Largest word-sum deviation of two morphisms across test words."""
     worst = 0.0
     for w in words:
-        worst = max(worst, word_sum_dev(a.value(w), b.value(w), seed=seed))
+        worst = max(worst, word_sum_dev(a.value(w), b.value(w)))
     return worst
 
 

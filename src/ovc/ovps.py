@@ -66,7 +66,7 @@ class OVMatrixSpace:
     that many seeded pseudorandom Hermitian variables instead.
     """
 
-    def __init__(self, d: int, k: int, variables=2, seed: int = 7, check: bool = True):
+    def __init__(self, d: int, k: int, variables=2, seed: int = 7):
         if d < 1 or k < 1:
             raise DimensionMismatch("dimensions must be positive")
         self.d = d
@@ -89,8 +89,7 @@ class OVMatrixSpace:
             self.variables[int(idx)] = mat
         self._eye_b = np.eye(d, dtype=complex)
         self._eye_a = np.eye(self.dk, dtype=complex)
-        if check:
-            self._self_check()
+        self._self_check()
 
     def _self_check(self):
         if np.max(np.abs(self.cond_expect(self._eye_a) - self._eye_b)) > ABS_FLOOR:
@@ -416,7 +415,7 @@ def deviation(x, y) -> float:
     return diff / scale
 
 
-def multimap_dev(f: MultiMap, g: MultiMap, seed: int = _PROBE_SEED) -> float:
+def multimap_dev(f: MultiMap, g: MultiMap) -> float:
     """Max relative deviation of f and g: over every elementary tuple, by
     comparing structure tensors, when (d^2)^arity <= EXACT_BASIS_LIMIT;
     otherwise over the seeded probe batch, by walking both DAGs."""
@@ -425,11 +424,11 @@ def multimap_dev(f: MultiMap, g: MultiMap, seed: int = _PROBE_SEED) -> float:
     tf = f.tensor()
     if tf is not None:
         return deviation(tf, g.tensor())
-    args = probe_batch(f.space.d, f.arity, seed=seed)
+    args = probe_batch(f.space.d, f.arity)
     return deviation(f.eval_batch(args), g.eval_batch(args))
 
 
-def multimap_eq(f: MultiMap, g: MultiMap, tol: float = DEFAULT_TOL, seed: int = _PROBE_SEED) -> bool:
+def multimap_eq(f: MultiMap, g: MultiMap, tol: float = DEFAULT_TOL) -> bool:
     """Decide f == g from their values on all tuples of elementary matrices
     when (d^2)^arity <= 4096, otherwise on 20 seeded pseudorandom tuples."""
-    return multimap_dev(f, g, seed=seed) <= tol
+    return multimap_dev(f, g) <= tol

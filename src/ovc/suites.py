@@ -13,18 +13,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+
+import numpy as np
 
 from . import formal, ncpart, winsert
-from .cumulants import (
-    build_boolean,
-    build_free,
-    build_monotone,
-    e_pi_map,
-    moment_family,
-    verify_mc,
-)
+from .cumulants import cumulant_families, e_pi_map, lattice, verify_mc
 from .formal import all_words, antipode, coproduct, delta_prec, delta_succ, eta_eps
 from .morphisms import (
     WordSum,
@@ -64,34 +58,44 @@ from .ovps import OVMatrixSpace, identity_map, moment_map, multimap_dev, multima
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 
+# The word whose free cumulant ``--inject-fault`` corrupts.
+FAULT_WORD = (0, 0)
+
 
 @dataclass
 class VerifyContext:
-    """Everything a suite needs; built by the CLI from its configuration."""
+    """Everything a suite needs; the CLI builds it from its configuration.
+
+    The numeric suites check words up to ``max_order``; the hopf suite
+    checks words of up to 3 letters and total size min(max_order + 1, 5).
+    ``scalar_space`` holds the same variables read with d = 1, so its
+    expectation is the normalized trace over all d*k rows.  ``families``
+    and ``scalar_families`` are the one set of cumulant tables of each
+    space, which every suite shares; ``inject_fault`` corrupts the free
+    entry of ``FAULT_WORD`` in ``families`` only.
+    """
 
     space: OVMatrixSpace
-    scalar_space: OVMatrixSpace
     tol: float = 1e-9
     seed: int = 7
     max_order: int = 4
-    hopf_size: int = 5
-    hopf_letters: int = 3
-    numeric_size: int = 4
-    fault_word: tuple = None
-    families: dict = field(default_factory=dict)
+    inject_fault: bool = False
 
-    def cumulant_families(self):
-        if not self.families:
-            moments = moment_family(self.space)
-            self.families = {
-                "moment": moments,
-                "free": build_free(moments),
-                "boolean": build_boolean(moments),
-                "monotone": build_monotone(moments),
-            }
-            if self.fault_word is not None:
-                self.families["free"].corrupt(tuple(self.fault_word))
-        return self.families
+    @functools.cached_property
+    def scalar_space(self) -> OVMatrixSpace:
+        space = self.space
+        return OVMatrixSpace(d=1, k=space.dk, variables=space.variables, seed=space.seed)
+
+    @functools.cached_property
+    def families(self) -> dict:
+        families = cumulant_families(self.space)
+        if self.inject_fault:
+            families["free"].corrupt(FAULT_WORD)
+        return families
+
+    @functools.cached_property
+    def scalar_families(self) -> dict:
+        return cumulant_families(self.scalar_space)
 
 
 def _row(ident, description, passed, dev=None, tol=None, exact=False):
@@ -183,8 +187,6 @@ def suite_operad(ctx: VerifyContext):
             gen_ok,
         )
     )
-
-    import numpy as np
 
     rng = np.random.default_rng(ctx.seed)
     small = enumerate_nc(0) + enumerate_nc(1) + enumerate_nc(2)
@@ -298,7 +300,8 @@ def _unshuffle_axioms(words, coproduct, reduced, prec, succ):
 
 
 def suite_hopf(ctx: VerifyContext):
-    words = all_words(ctx.hopf_size, ctx.hopf_letters)
+    size = min(ctx.max_order + 1, 5)
+    words = all_words(size, 3)
     live = [w for w in words if not w.is_unit()]
     rows = []
     coassoc, ax1, ax2, ax3 = _unshuffle_axioms(
@@ -307,7 +310,7 @@ def suite_hopf(ctx: VerifyContext):
     rows.append(
         _exact(
             "hopf.coassociativity",
-            "coproduct is coassociative on all words of total size <= %d" % ctx.hopf_size,
+            "coproduct is coassociative on all words of total size <= %d" % size,
             coassoc,
         )
     )
@@ -360,13 +363,13 @@ def suite_hopf(ctx: VerifyContext):
         )
     )
 
-    halves = all_words(max(ctx.hopf_size - 2, 2), 1)
+    halves = all_words(max(size - 2, 2), 1)
     mult_ok = all(
         coproduct(formal.hconcat(formal.single(u), formal.single(v)))
         == formal.hconcat(coproduct(u), coproduct(v))
         for u in halves
         for v in halves
-        if u.total_size + v.total_size <= ctx.hopf_size
+        if u.total_size + v.total_size <= size
     )
     rows.append(
         _exact(
@@ -399,7 +402,7 @@ def suite_hopf(ctx: VerifyContext):
 
 def suite_shuffle(ctx: VerifyContext):
     space = ctx.space
-    words = all_words(ctx.numeric_size, 2)
+    words = all_words(ctx.max_order, 2)
     f = seeded_infinitesimal(space, seed=ctx.seed + 1)
     g = seeded_infinitesimal(space, seed=ctx.seed + 2)
     h = seeded_infinitesimal(space, seed=ctx.seed + 3)
@@ -407,7 +410,7 @@ def suite_shuffle(ctx: VerifyContext):
     rows.append(
         _numeric(
             "shuffle.axiom-left",
-            "(f < g) < h equals f < (g * h) on words of size <= %d" % ctx.numeric_size,
+            "(f < g) < h equals f < (g * h) on words of size <= %d" % ctx.max_order,
             morphism_dev(half_prec(half_prec(f, g), h), half_prec(f, shuffle(g, h)), words),
             ctx.tol,
         )
@@ -466,8 +469,7 @@ def suite_shuffle(ctx: VerifyContext):
 
 def suite_oracle(ctx: VerifyContext):
     space = ctx.space
-    families = ctx.cumulant_families()
-    moments = families["moment"]
+    moments = ctx.families["moment"]
     ext = operadic_extension(space, moments.generator)
     left = exp_prec(family_infinitesimal(moments))
     rows = []
@@ -555,16 +557,12 @@ def suite_oracle(ctx: VerifyContext):
 
 def suite_moment_cumulant(ctx: VerifyContext):
     rows = []
-    matrix_families = ctx.cumulant_families()
+    order = min(ctx.max_order + 1, 5)
     for label, space, families in (
-        ("scalar", ctx.scalar_space, None),
-        ("matrix", ctx.space, matrix_families),
+        ("scalar", ctx.scalar_space, ctx.scalar_families),
+        ("matrix", ctx.space, ctx.families),
     ):
-        order = min(ctx.max_order + 1, 5)
-        fams = None
-        if families is not None:
-            fams = {k: families[k] for k in ("free", "boolean", "monotone")}
-        report = verify_mc(space, order=order, families=fams)
+        report = verify_mc(space, order=order, families=families)
         for kind in ("free", "boolean", "monotone"):
             rows.append(
                 _numeric(
@@ -585,17 +583,11 @@ def suite_moment_cumulant(ctx: VerifyContext):
 def suite_splitting(ctx: VerifyContext):
     space = ctx.space
     rows = []
-    families = ctx.cumulant_families()
-    fp = winsert.verify_fixed_points(
-        space,
-        ctx.numeric_size,
-        families={"free": families["free"], "boolean": families["boolean"]},
-        tol=ctx.tol,
-    )
+    fp = winsert.verify_fixed_points(space, ctx.max_order, families=ctx.families, tol=ctx.tol)
     rows.append(
         _numeric(
             "splitting.free-fixed-point",
-            "moments solve E = unit + k < E on words of length <= %d" % ctx.numeric_size,
+            "moments solve E = unit + k < E on words of length <= %d" % ctx.max_order,
             fp["free_dev"],
             ctx.tol,
         )
@@ -611,7 +603,7 @@ def suite_splitting(ctx: VerifyContext):
 
     vs = sorted(space.variables)
     inter_ok = True
-    for w in winsert.all_w_words(vs, ctx.numeric_size + 1, 1):
+    for w in winsert.all_w_words(vs, ctx.max_order + 1, 1):
         if w.is_unit():
             continue
         inter_ok &= formal.map_stack(winsert.split, winsert.split, winsert.w_delta_prec(w)) == delta_prec(
@@ -623,12 +615,12 @@ def suite_splitting(ctx: VerifyContext):
     rows.append(
         _exact(
             "splitting.intertwining",
-            "splitting intertwines both half-coproducts, lengths <= %d" % (ctx.numeric_size + 1),
+            "splitting intertwines both half-coproducts, lengths <= %d" % (ctx.max_order + 1),
             inter_ok,
         )
     )
 
-    w_words = winsert.all_w_words(vs, ctx.numeric_size, 2)
+    w_words = winsert.all_w_words(vs, ctx.max_order, 2)
     axioms = _unshuffle_axioms(
         w_words,
         winsert.w_coproduct,
@@ -696,9 +688,8 @@ def suite_monotone_scalar(ctx: VerifyContext):
     star, left = exp_star(m), exp_prec(m)
     dev = 0.0
     for p in range(1, 6):
-        for pi in enumerate_nc(p):
+        for weight, pi in lattice("monotone", p):
             w = formal.word(pi)
-            weight = Fraction(1, tree_factorial(nesting_forest(pi)))
             dev = max(dev, word_sum_dev(star.value(w), left.value(w).scale(weight)))
     rows.append(
         _numeric(
@@ -709,8 +700,7 @@ def suite_monotone_scalar(ctx: VerifyContext):
         )
     )
 
-    scalar_moments = moment_family(space)
-    monotone = build_monotone(scalar_moments)
+    monotone = ctx.scalar_families["monotone"]
     # named diagnostic: the exchange hypothesis behind the tree-factorial
     # formula, in its first-slot/after-last-slot form; on the scalar
     # backend every slot variant coincides, which is why the formula is

@@ -19,6 +19,7 @@ import functools
 import itertools
 
 from . import formal, ncpart
+from .cumulants import cumulant_families
 from .formal import FormalSum, PartitionWord, single
 from .morphisms import (
     HorizontalMorphism,
@@ -259,23 +260,21 @@ def all_w_words(var_indices, max_size, max_letters, min_letters=0):
     return out
 
 
-def verify_fixed_points(space, max_order, families=None, max_letters=1, tol=1e-9) -> dict:
+def verify_fixed_points(space, max_order, families=None, tol=1e-9) -> dict:
     """Check the moment-cumulant fixed points on the insertion operad.
 
     The moment morphism must solve E = unit + k < E with k the free
     cumulant infinitesimal and E = unit + E > b with b the boolean one, on
-    every word over the space's variables up to the size bound.
+    every one-letter word over the space's variables up to the size bound.
+    ``families`` defaults to ``cumulant_families(space)``.
     """
-    from .cumulants import build_boolean, build_free, moment_family
-
     if families is None:
-        moments = moment_family(space)
-        families = {"free": build_free(moments), "boolean": build_boolean(moments)}
+        families = cumulant_families(space)
     k = w_family_infinitesimal(families["free"])
     b = w_family_infinitesimal(families["boolean"])
     e_mor = w_moment_morphism(space)
     unit = eta_eps_morphism(space, WWord)
-    words = all_w_words(sorted(space.variables), max_order, max_letters, min_letters=0)
+    words = all_w_words(sorted(space.variables), max_order, 1)
     free_dev = morphism_dev(unit + half_prec(k, e_mor), e_mor, words)
     boolean_dev = morphism_dev(unit + half_succ(e_mor, b), e_mor, words)
     return {

@@ -40,13 +40,9 @@ CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 def ctx():
     return VerifyContext(
         space=OVMatrixSpace(d=2, k=2, variables=2, seed=7),
-        scalar_space=OVMatrixSpace(d=1, k=4, variables=2, seed=7),
         tol=1e-9,
         seed=7,
         max_order=4,
-        hopf_size=5,
-        hopf_letters=3,
-        numeric_size=4,
     )
 
 

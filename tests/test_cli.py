@@ -14,8 +14,12 @@ from hypothesis import strategies as st
 import ovc
 from ovc import cli
 from ovc.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, RunConfig, main
+from ovc.cumulants import cumulant_families
 from ovc.ovps import deviation, elementary_batch, matrix_from_json, probe_batch
+from ovc.suites import VerifyContext
 from reference_walk import walk_eval
+
+README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
 
 
 def run(capsys, argv):
@@ -56,6 +60,14 @@ def test_enumerate_negative_size_is_usage_error(capsys):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("bound, suite", [("3", "operad"), ("-1", "hopf")])
+def test_enumeration_bound_inside_verify_is_usage_error(capsys, monkeypatch, bound, suite):
+    monkeypatch.setenv("OVC_MAX_ELEMENTS", bound)
+    code, out, err = run(capsys, ["verify", "--suite", suite])
+    assert code == EXIT_USAGE and out == ""
+    assert "enumeration bound" in json.loads(err)["error"]
+
+
 def test_enumerate_non_integer_bound_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("OVC_MAX_ELEMENTS", "abc")
     code, out, err = run(capsys, ["enumerate", "3"])
@@ -87,6 +99,12 @@ def test_variable_spec_that_is_not_a_matrix_is_usage_error(capsys, tmp_path):
         ({"variables": {"a": {}}, "suites": ["oracle"]}, [], "two variables"),
         ({"suites": ["hopf", "operad", "hopf"]}, [], "more than once: hopf"),
         ({"suites": []}, [], "no suites"),
+        ({"d": 2.7, "k": True, "max_order": 2.9}, [], "d must be an integer"),
+        ({"k": True}, [], "k must be a number"),
+        ({"max_order": 2.9}, [], "max_order must be an integer"),
+        ({"tolerance": True}, [], "tolerance must be a number"),
+        ({"seed": True}, [], "seed must be a number"),
+        ({"variables": {"a": {"seed": 3.9}}}, [], "seed of variable 'a' must be an integer"),
     ],
 )
 def test_malformed_configuration_is_usage_error(capsys, tmp_path, config, argv, message):
@@ -211,9 +229,7 @@ def test_cumulants_elementary_values_match_tree_evaluation(capsys):
     assert code == EXIT_OK and payload["basis"] == "elementary"
     assert payload["arity"] == 3
     space = RunConfig({}).build_space()
-    from ovc.cumulants import build_free, moment_family
-
-    gen = build_free(moment_family(space)).generator((0, 0))
+    gen = cumulant_families(space)["free"].generator((0, 0))
     expected = walk_eval(gen, elementary_batch(space.d, 3))
     got = np.array([matrix_from_json(v) for v in payload["values"]])
     assert got.shape == expected.shape
@@ -228,9 +244,7 @@ def test_cumulants_probe_values_match_tree_evaluation(capsys):
     assert payload["arity"] == 7
     config = RunConfig({"max_order": 6})
     space = config.build_space()
-    from ovc.cumulants import build_free, moment_family
-
-    gen = build_free(moment_family(space, 6)).generator((0,) * 6)
+    gen = cumulant_families(space)["free"].generator((0,) * 6)
     expected = walk_eval(gen, probe_batch(space.d, 7, seed=config.seed))
     got = np.array([matrix_from_json(v) for v in payload["values"]])
     assert got.shape == expected.shape
@@ -301,28 +315,49 @@ def test_cumulants_monotone_kind(capsys):
 
 
 def test_readme_library_example():
-    from ovc import OVMatrixSpace, build_free, moment_family, verify_mc
+    from ovc import OVMatrixSpace, cumulant_families, verify_mc
 
     space = OVMatrixSpace(d=2, k=2, variables=2, seed=7)
-    free = build_free(moment_family(space))
+    free = cumulant_families(space)["free"]
     k2 = free.generator((0, 0))
     assert k2.arity == 3
     report = verify_mc(space, order=2)
     assert all(v <= 1e-9 for v in report["max_dev"].values())
 
 
-def test_readme_configuration_example_runs(capsys, tmp_path):
-    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
-    with open(readme) as fh:
+def _readme_config():
+    with open(README) as fh:
         text = fh.read()
     start = text.index("```json\n") + len("```json\n")
+    return text[start : text.index("```", start)]
+
+
+def test_readme_configuration_example_runs(capsys, tmp_path):
     cfg = tmp_path / "readme.json"
-    cfg.write_text(text[start : text.index("```", start)])
+    cfg.write_text(_readme_config())
     code, out, err = run(
         capsys, ["verify", "--config", str(cfg), "--suite", "operad", "--order", "2"]
     )
     assert code == EXIT_OK, err
     assert json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        json.loads(_readme_config()),
+        {"d": 2, "k": 3, "variables": {"a": {"seed": 5, "hermitian": False}, "b": {}}},
+    ],
+    ids=["readme", "non-hermitian"],
+)
+def test_verify_scalar_space_is_the_config_read_with_d_1(config):
+    config = RunConfig(config)
+    ctx = VerifyContext(space=config.build_space())
+    expected = config.build_space(d=1, k=config.d * config.k)
+    assert (ctx.scalar_space.d, ctx.scalar_space.k) == (1, config.d * config.k)
+    assert ctx.scalar_space.variables.keys() == expected.variables.keys()
+    for i, mat in expected.variables.items():
+        assert ctx.scalar_space.variables[i].tobytes() == mat.tobytes()
 
 
 def test_verify_scalar_space_follows_the_config(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import importlib.util
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,15 +10,12 @@ import pytest
 from ovc import cumulants
 from ovc.cumulants import (
     CumulantFamily,
-    build_boolean,
-    build_free,
-    build_monotone,
     contiguous_blocks,
+    cumulant_families,
     e_pi,
     e_pi_map,
     family_sum_map,
     lattice,
-    moment_family,
     verify_mc,
 )
 from ovc.ncpart import NCPartition, enumerate_nc
@@ -53,13 +51,13 @@ def random_args(space, n, seed=0):
 
 
 def test_single_block_is_the_generator(space):
-    fam = moment_family(space)
+    fam = cumulant_families(space)["moment"]
     pi = colored([(1, 2, 3)], (0, 0, 0))
     assert multimap_eq(e_pi_map(pi, fam), fam.generator((0, 0, 0)), tol=1e-12)
 
 
 def test_two_singletons_collapse_orders_agree(space):
-    fam = moment_family(space)
+    fam = cumulant_families(space)["moment"]
     pi = colored([(1,), (2,)], (0, 0))
     args = random_args(space, 3, seed=1)
     a = space.variable(0)
@@ -79,7 +77,7 @@ def test_two_singletons_collapse_orders_agree(space):
 
 
 def test_nested_block_evaluation(space):
-    fam = moment_family(space)
+    fam = cumulant_families(space)["moment"]
     pi = colored([(1, 3), (2,)], (0, 0, 0))
     args = random_args(space, 4, seed=2)
     a = space.variable(0)
@@ -91,7 +89,7 @@ def test_nested_block_evaluation(space):
 
 
 def test_collapse_order_independence(space):
-    fam = moment_family(space)
+    fam = cumulant_families(space)["moment"]
     for p in range(1, 6):
         for pi in enumerate_nc(p):
             word = tuple(i % 2 for i in range(p))
@@ -104,15 +102,16 @@ def test_collapse_order_independence(space):
 
 
 def test_order_one_cumulants_all_agree(space):
-    moments = moment_family(space)
-    for fam in (build_free(moments), build_boolean(moments), build_monotone(moments)):
+    families = cumulant_families(space)
+    moments = families["moment"]
+    for fam in (families["free"], families["boolean"], families["monotone"]):
         assert multimap_eq(fam.generator((0,)), moments.generator((0,)), tol=1e-12)
         assert multimap_eq(fam.generator((1,)), moments.generator((1,)), tol=1e-12)
 
 
 def test_order_two_free_equals_boolean(space):
-    moments = moment_family(space)
-    free, boolean = build_free(moments), build_boolean(moments)
+    families = cumulant_families(space)
+    moments, free, boolean = families["moment"], families["free"], families["boolean"]
     # only two partitions at order 2 and both are interval partitions
     assert multimap_eq(free.generator((0, 0)), boolean.generator((0, 0)), tol=1e-11)
     k2 = free.generator((0, 0))
@@ -124,20 +123,41 @@ def test_order_two_free_equals_boolean(space):
 
 
 def test_order_two_monotone_equals_free(space):
-    moments = moment_family(space)
-    free, monotone = build_free(moments), build_monotone(moments)
+    families = cumulant_families(space)
+    free, monotone = families["free"], families["monotone"]
     assert multimap_eq(free.generator((0, 0)), monotone.generator((0, 0)), tol=1e-11)
 
 
 def test_order_three_boolean_differs_from_free(space):
-    moments = moment_family(space)
-    free, boolean = build_free(moments), build_boolean(moments)
+    families = cumulant_families(space)
+    free, boolean = families["free"], families["boolean"]
     assert not multimap_eq(free.generator((0, 0, 0)), boolean.generator((0, 0, 0)))
 
 
 def test_verify_mc_small(space):
     report = verify_mc(space, order=3)
     assert all(v <= 1e-10 for v in report["max_dev"].values()), report["max_dev"]
+
+
+def test_verify_mc_targets_are_the_moment_leaves_of_its_families(space, monkeypatch):
+    built, compared = Counter(), []
+    real_moment_map, real_dev = cumulants.moment_map, cumulants.multimap_dev
+
+    def counted_moment_map(space, word):
+        built[tuple(word)] += 1
+        return real_moment_map(space, word)
+
+    def recorded_dev(f, g):
+        compared.append(g)
+        return real_dev(f, g)
+
+    monkeypatch.setattr(cumulants, "moment_map", counted_moment_map)
+    monkeypatch.setattr(cumulants, "multimap_dev", recorded_dev)
+    families = cumulant_families(space)
+    report = verify_mc(space, 3, families=families)
+    assert built and max(built.values()) == 1  # one moment table, one leaf per word
+    targets = [families["moment"].generator(row["word"]) for row in report["rows"]]
+    assert compared == [t for t in targets for _ in range(3)]
 
 
 def test_verify_mc_scalar_space(scalar_space):
@@ -152,12 +172,8 @@ def test_verify_mc_two_variables(space):
 
 
 def test_corrupted_table_fails(space):
-    moments = moment_family(space)
-    families = {
-        "free": build_free(moments),
-        "boolean": build_boolean(moments),
-        "monotone": build_monotone(moments),
-    }
+    families = cumulant_families(space)
+    moments = families["moment"]
     leaf = moments.generator((0, 0))
     before = leaf.tensor().copy()
     families["free"].corrupt((0, 0))
@@ -171,32 +187,26 @@ def test_corrupted_table_fails(space):
 
 
 def test_families_share_the_moment_leaf_of_each_word(space):
-    moments = moment_family(space)
-    families = [build_free(moments), build_boolean(moments), build_monotone(moments)]
+    families = cumulant_families(space)
+    moments = families["moment"]
     for word in [(0,), (0, 1), (1, 0, 0)]:
         leaf = moments.generator(word)
         # entries hold their tensors from the moment they are built
         assert leaf.kind == "gen" and leaf._tensor is not None
-        for fam in families:
-            gen = fam.generator(word)
+        for kind in ("free", "boolean", "monotone"):
+            gen = families[kind].generator(word)
             assert gen.kind == "lincomb" and gen._tensor is not None
             assert gen.parts[0] == (1, leaf)
-
-
-def test_family_order_bound(space):
-    fam = moment_family(space, max_order=2)
-    with pytest.raises(ValueError):
-        fam.generator((0, 0, 0))
 
 
 def test_family_builds_are_bitwise_deterministic(space):
     # query order must not influence the built tables
     from ovc.ovps import elementary_batch
 
-    first = build_free(moment_family(space))
+    first = cumulant_families(space)["free"]
     first.generator((0, 0, 0))
     first.generator((0, 0))
-    second = build_free(moment_family(space))
+    second = cumulant_families(space)["free"]
     second.generator((0,))
     second.generator((0, 0))
     second.generator((0, 0, 0))
@@ -211,10 +221,9 @@ def test_generators_are_outer_bimodular(space):
     # automatic; the substantive remnant of balanced bilinearity is that
     # every generator intertwines left/right multiplication in the outer
     # slots, inherited from the bimodule property of the expectation
-    moments = moment_family(space)
     rng = np.random.default_rng(31)
     beta, gamma = random_matrix(rng, space.d), random_matrix(rng, space.d)
-    for fam in (moments, build_free(moments), build_boolean(moments), build_monotone(moments)):
+    for fam in cumulant_families(space).values():
         for word in [(0,), (0, 1), (0, 0, 1)]:
             gen = fam.generator(word)
             args = random_args(space, gen.arity, seed=37)
@@ -268,7 +277,7 @@ AGREEMENT_WORDS = [(0,) * n for n in range(1, 7)] + [(0, 1, 0, 1, 0), (0, 0, 1, 
 
 @pytest.mark.parametrize("kind", ["free", "boolean", "monotone"])
 def test_recursion_tables_match_the_lattice_subtraction(space, kind):
-    moments = moment_family(space)
+    moments = CumulantFamily(space, "moment")
     family = CumulantFamily(space, kind, moments=moments)
     reference = LatticeReference(moments, kind)
     for word in AGREEMENT_WORDS:
@@ -285,7 +294,7 @@ def test_free_probe_entry_matches_the_dense_oracle(space):
     finally:
         sys.dont_write_bytecode = saved
     oracle = oracle_module.FreeCumulantOracle(space.variable(0), space.d, space.k)
-    gen = build_free(moment_family(space)).generator((0,) * 7)
+    gen = cumulant_families(space)["free"].generator((0,) * 7)
     assert gen.tensor() is None  # the probe path
     batch = probe_batch(space.d, gen.arity, seed=5)
     np.testing.assert_allclose(
@@ -330,8 +339,8 @@ def test_lattice_mutations_fail_the_check(space, monkeypatch, kind, mutation):
 
 
 def test_corruption_stays_in_its_entry(space):
-    clean = build_free(moment_family(space))
-    corrupted = build_free(moment_family(space))
+    clean = cumulant_families(space)["free"]
+    corrupted = cumulant_families(space)["free"]
     corrupted.corrupt((0, 0))
     assert not np.array_equal(
         corrupted.generator((0, 0)).tensor(), clean.generator((0, 0)).tensor()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovc import formal, morphisms, ovps
-from ovc.cumulants import build_free, e_pi_map, moment_family
+from ovc.cumulants import cumulant_families, e_pi_map
 from ovc.formal import antipode, all_words, unit_word, word
 from ovc.morphisms import (
     WORD_BASIS_LIMIT,
@@ -105,7 +105,7 @@ def test_convolution_associativity(space):
 def test_pros_morphism_inverse_is_antipode_pullback(space):
     # a morphism compatible with insertion is convolution-inverted by
     # precomposition with the antipode
-    moments = moment_morphism(moment_family(space))
+    moments = moment_morphism(cumulant_families(space)["moment"])
     inv = precompose(moments, antipode, name="S-pullback")
     unit = eta_eps_morphism(space)
     words = all_words(4, 1) + [unit_word(2), word(gen1(2), gen1(2))]
@@ -209,7 +209,7 @@ def test_exp_succ_solves_fixed_point(space, words3):
 def test_exp_succ_boolean_structure(space):
     # with single-block support and exchangeable generators the solution
     # kills nested blocks and reverses chains on interval partitions
-    moments = moment_family(space)
+    moments = cumulant_families(space)["moment"]
     b = family_infinitesimal(moments)
     B = exp_succ(b)
     nested = NCPartition([(1, 3), (2,)])
@@ -226,7 +226,7 @@ def test_exp_succ_boolean_structure(space):
 
 
 def test_exp_succ_chain_with_mixed_block_sizes(space):
-    moments = moment_family(space)
+    moments = cumulant_families(space)["moment"]
     b = family_infinitesimal(moments)
     B = exp_succ(b)
     # interval partition with blocks {1,2} and {3}: the chain composes the
@@ -300,7 +300,7 @@ def test_log_star_requires_normalized_unit(space):
 
 
 def test_operadic_extension_two_singletons(space):
-    family = moment_family(space)
+    family = cumulant_families(space)["moment"]
     ext = operadic_extension(space, lambda w: family.generator(w))
     e2 = family.generator((0,))
     expected = multimap_partial(e2, 2, e2)
@@ -309,7 +309,7 @@ def test_operadic_extension_two_singletons(space):
 
 
 def test_operadic_extension_matches_recursive_evaluator(space):
-    family = moment_family(space)
+    family = cumulant_families(space)["moment"]
     ext = operadic_extension(
         space, lambda w: family.generator(w), validate_vars=(0, 1), max_order=4
     )
@@ -322,8 +322,7 @@ def test_operadic_extension_matches_recursive_evaluator(space):
 
 
 def test_operadic_extension_equals_left_exponential_of_cumulants(space):
-    moments = moment_family(space)
-    free = build_free(moments)
+    free = cumulant_families(space)["free"]
     K = exp_prec(family_infinitesimal(free))
     ext = operadic_extension(space, lambda w: free.generator(w))
     for p in range(1, 5):

@@ -1,11 +1,14 @@
 """The operad suite's cut-duality oracle: it must catch a wrong cut set, and
 it inverts gap insertion once per size instead of once per partition.  The
 unshuffle-axiom check builds each word's coproducts once and still catches
-a wrong coproduct or half-coproduct."""
+a wrong coproduct or half-coproduct.  The suites share one set of cumulant
+tables per space, and an injected fault changes one entry of one table."""
 
+import itertools
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from ovc import ncpart, suites
@@ -20,17 +23,20 @@ from ovc.formal import (
 )
 from ovc.ncpart import EMPTY, Cut, NCPartition, full_partition
 from ovc.ovps import OVMatrixSpace
-from ovc.suites import VerifyContext, suite_operad
+from ovc.suites import (
+    FAULT_WORD,
+    VerifyContext,
+    suite_moment_cumulant,
+    suite_monotone_scalar,
+    suite_operad,
+)
 
 TARGET = NCPartition([(1, 4), (2, 3)])
 
 
 @pytest.fixture(scope="module")
 def ctx():
-    return VerifyContext(
-        space=OVMatrixSpace(d=2, k=2, variables=2, seed=7),
-        scalar_space=OVMatrixSpace(d=1, k=4, variables=2, seed=7),
-    )
+    return VerifyContext(space=OVMatrixSpace(d=2, k=2, variables=2, seed=7))
 
 
 def _passed(rows):
@@ -139,3 +145,32 @@ def test_unshuffle_axioms_catch_a_corrupted_left_half():
         _missing_one_term(delta_prec, NESTED_WORD), delta_succ,
     )
     assert left is False
+
+
+def test_suites_build_one_table_set_per_space(monkeypatch):
+    ctx = VerifyContext(space=OVMatrixSpace(d=2, k=2, variables=2, seed=7), max_order=2)
+    spaces = []
+    real = suites.cumulant_families
+
+    def counted(space):
+        spaces.append(space)
+        return real(space)
+
+    monkeypatch.setattr(suites, "cumulant_families", counted)
+    suite_moment_cumulant(ctx)
+    suite_monotone_scalar(ctx)
+    assert spaces == [ctx.scalar_space, ctx.space]
+
+
+def test_injected_fault_changes_only_the_matrix_free_entry_of_its_word():
+    space = OVMatrixSpace(d=2, k=2, variables=2, seed=7)
+    clean, faulty = VerifyContext(space=space), VerifyContext(space=space, inject_fault=True)
+    words = [w for n in range(1, 4) for w in itertools.product((0, 1), repeat=n)]
+    for attr in ("families", "scalar_families"):
+        for kind, family in getattr(faulty, attr).items():
+            for w in words:
+                same = np.array_equal(
+                    family.generator(w).tensor(),
+                    getattr(clean, attr)[kind].generator(w).tensor(),
+                )
+                assert same != (attr == "families" and kind == "free" and w == FAULT_WORD)

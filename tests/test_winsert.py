@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from ovc import formal
+from ovc.cumulants import cumulant_families
 from ovc.formal import (
     UnitWordError,
     counit,
@@ -247,9 +248,7 @@ def test_pullback_of_unit_is_unit(space):
 
 
 def test_pullback_of_free_exponential_gives_moments(space):
-    from ovc.cumulants import build_free, moment_family
-
-    free = build_free(moment_family(space))
+    free = cumulant_families(space)["free"]
     K = exp_prec(family_infinitesimal(free))
     e_w = w_moment_morphism(space)
     words = all_w_words((0, 1), 3, 1)
@@ -257,10 +256,9 @@ def test_pullback_of_free_exponential_gives_moments(space):
 
 
 def test_pullback_of_boolean_exponential_gives_moments(space):
-    from ovc.cumulants import build_boolean, moment_family
     from ovc.morphisms import exp_succ
 
-    boolean = build_boolean(moment_family(space))
+    boolean = cumulant_families(space)["boolean"]
     B = exp_succ(family_infinitesimal(boolean))
     e_w = w_moment_morphism(space)
     words = all_w_words((0, 1), 3, 1)
@@ -271,12 +269,11 @@ def test_word_exponentials_factor_through_splitting(space):
     # solving the fixed point on the words side agrees with solving it on
     # the partition side and pulling back: the infinitesimal data only
     # survives on one-block colorings, so both routes see the same input
-    from ovc.cumulants import build_boolean, build_free, moment_family
     from ovc.morphisms import exp_succ
     from ovc.winsert import w_family_infinitesimal
 
-    moments = moment_family(space)
-    free, boolean = build_free(moments), build_boolean(moments)
+    families = cumulant_families(space)
+    free, boolean = families["free"], families["boolean"]
     words = all_w_words((0, 1), 3, 2)
     left_w = exp_prec(w_family_infinitesimal(free))
     left_nc = pullback(exp_prec(family_infinitesimal(free)))
