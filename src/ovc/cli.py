@@ -46,6 +46,7 @@ DEFAULT_CONFIG = {
     "seed": 7,
     "suites": sorted(SUITES),
 }
+SEED_SPEC_KEYS = ("seed", "hermitian")
 
 
 class ConfigError(ValueError):
@@ -73,6 +74,12 @@ def _seed(value, what):
     return seed
 
 
+def _no_unknown_keys(data, known, what):
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        raise ConfigError("unknown keys in the %s: %s" % (what, ", ".join(map(str, unknown))))
+
+
 class RunConfig:
     """Validated run configuration; see DEFAULT_CONFIG for the shape."""
 
@@ -81,6 +88,7 @@ class RunConfig:
             data = {}
         if not isinstance(data, dict):
             raise ConfigError("a configuration must be a JSON object")
+        _no_unknown_keys(data, DEFAULT_CONFIG, "configuration")
         merged = dict(DEFAULT_CONFIG)
         merged.update(data)
         self.d = _number(merged["d"], "d")
@@ -100,6 +108,14 @@ class RunConfig:
             raise ConfigError("variables must be a JSON object")
         if not self.variable_specs:
             raise ConfigError("at least one variable is required")
+        for name, spec in self.variable_specs.items():
+            if isinstance(spec, dict):
+                _no_unknown_keys(spec, SEED_SPEC_KEYS, "seed spec of variable %r" % (name,))
+                if not isinstance(spec.get("hermitian", True), bool):
+                    raise ConfigError(
+                        "hermitian of variable %r must be true or false, got %r"
+                        % (name, spec["hermitian"])
+                    )
         if not isinstance(self.suites, list) or not all(
             isinstance(s, str) for s in self.suites
         ):

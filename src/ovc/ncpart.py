@@ -9,10 +9,12 @@ another; restricted to non-crossing partitions this is again non-crossing.
 
 Partitions may carry *colors*: one variable index per element.  Uncolored is
 represented by the absence of a color list, never by a default color.
-All values are immutable; every function here is pure.  ``enumerate_nc``
-and ``cuts`` of uncolored partitions are memoised per process; both return
-a fresh list on every call.  The cuts of a colored partition come from the
-memoised cuts of its uncolored shape, recolored by position.
+All values are immutable and interned: every route to a partition returns
+the one live object with its blocks and colors, so equality and hashing are
+identity.  Every function here is pure.  ``enumerate_nc`` and ``cuts`` of
+uncolored partitions are memoised per process; both return a fresh list on
+every call.  The cuts of a colored partition come from the memoised cuts of
+its uncolored shape, recolored by position.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import functools
 import itertools
 import math
 import os
+import threading
+import weakref
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 DEFAULT_MAX_ELEMENTS = 10
@@ -126,17 +130,40 @@ def is_noncrossing(blocks) -> bool:
     )
 
 
+_INTERN_LOCK = threading.Lock()
+
+
+def intern_object(table, key, cls, **fields):
+    """The live object of ``cls`` stored under ``key`` in the weak-valued
+    ``table``, made with ``fields`` when there is none.  Callers look the
+    key up first, so only creation takes the lock; the lock is shared by
+    every intern table, and no two threads make two objects for one key."""
+    with _INTERN_LOCK:
+        obj = table.get(key)
+        if obj is None:
+            obj = object.__new__(cls)
+            for name, value in fields.items():
+                object.__setattr__(obj, name, value)
+            table[key] = obj
+        return obj
+
+
+_PARTITIONS = weakref.WeakValueDictionary()
+
+
 class NCPartition:
     """A (possibly colored) non-crossing partition in canonical form.
 
     ``size`` is the number of partitioned elements p, ``blocks`` a tuple of
     integer tuples and ``colors`` either None or a tuple of p variable
     indices.  ``NCPartition([])`` is the empty partition, the operad unit.
+    There is one live object per (blocks, colors) value: the constructor
+    returns it, so partitions compare and hash by identity.
     """
 
-    __slots__ = ("size", "blocks", "colors", "_hash")
+    __slots__ = ("size", "blocks", "colors", "__weakref__")
 
-    def __init__(self, blocks: Iterable[Iterable[int]], colors: Optional[Sequence[int]] = None):
+    def __new__(cls, blocks: Iterable[Iterable[int]], colors: Optional[Sequence[int]] = None):
         canon = tuple(sorted(tuple(sorted(b)) for b in blocks))
         size = _checked_ground(canon)
         if not _crossing_free(canon, size):
@@ -152,21 +179,18 @@ class NCPartition:
                 )
             if size == 0:
                 colors = None  # the empty partition has no coloring to record
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "blocks", canon)
-        object.__setattr__(self, "colors", colors)
-        object.__setattr__(self, "_hash", hash((canon, colors)))
+        return cls._trusted(canon, size, colors)
 
     @classmethod
     def _trusted(cls, blocks: tuple, size: int, colors: Optional[tuple]):
-        """Internal: a partition with the canonical blocks of a valid one of
-        ``size`` elements and ``colors`` (None, or a tuple of ``size``
+        """Internal: the partition with the canonical blocks of a valid one
+        of ``size`` elements and ``colors`` (None, or a tuple of ``size``
         indices when ``size > 0``); nothing is checked."""
-        pi = object.__new__(cls)
-        object.__setattr__(pi, "size", size)
-        object.__setattr__(pi, "blocks", blocks)
-        object.__setattr__(pi, "colors", colors)
-        object.__setattr__(pi, "_hash", hash((blocks, colors)))
+        pi = _PARTITIONS.get((blocks, colors))
+        if pi is None:
+            pi = intern_object(
+                _PARTITIONS, (blocks, colors), cls, size=size, blocks=blocks, colors=colors
+            )
         return pi
 
     def __setattr__(self, name, value):
@@ -192,16 +216,6 @@ class NCPartition:
 
     def sort_key(self):
         return (self.size, self.blocks, self.colors or ())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NCPartition)
-            and self.blocks == other.blocks
-            and self.colors == other.colors
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return "NCPartition(%r)" % (to_text(self),)
@@ -366,7 +380,10 @@ def gap_insert(pi: NCPartition, alphas: Sequence[NCPartition]) -> NCPartition:
 
     The result is the non-crossing partition of
     ``size(pi) + sum(size(alpha_i))`` obtained by relabelling every inserted
-    partition into its gap.  Colors concatenate in reading order.
+    partition into its gap.  Colors concatenate in reading order.  Inserting
+    non-crossing partitions gives a non-crossing one, and relabelling keeps
+    each block sorted, so the result is only put in block order, not
+    checked again.
     """
     alphas = tuple(alphas)
     if len(alphas) != pi.arity:
@@ -382,7 +399,8 @@ def gap_insert(pi: NCPartition, alphas: Sequence[NCPartition]) -> NCPartition:
     for i, a in enumerate(alphas):
         offset = i + prefix[i]
         blocks.extend(tuple(x + offset for x in b) for b in a.blocks)
-    return NCPartition(blocks, colors=colors)
+    blocks.sort()
+    return NCPartition._trusted(tuple(blocks), prefix[-1] + pi.size, colors)
 
 
 def partial_insert(pi: NCPartition, slot: int, alpha: NCPartition) -> NCPartition:
@@ -570,17 +588,7 @@ def _colored(shape: NCPartition, colors: tuple) -> NCPartition:
 
 @functools.lru_cache(maxsize=None)
 def _uncolored_cuts(pi: NCPartition) -> tuple:
-    return tuple(
-        Cut(_interned(c.lower), tuple(map(_interned, c.upper)), c.kept_mask)
-        for c in _cuts(pi)
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def _interned(pi: NCPartition) -> NCPartition:
-    """One shared instance per distinct partition: the cached cuts repeat
-    the same small partitions many times over, and hold one copy of each."""
-    return pi
+    return tuple(_cuts(pi))
 
 
 def _cuts(pi: NCPartition) -> list:

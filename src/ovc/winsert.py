@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 
 from . import formal, ncpart
 from .cumulants import cumulant_families
@@ -31,19 +32,30 @@ from .morphisms import (
     morphism_dev,
     precompose,
 )
-from .ncpart import NCPartition, enumerate_nc
-from .ovps import moment_map
+from .ncpart import NCPartition, enumerate_nc, intern_object
+
+_LETTER_WORDS = weakref.WeakValueDictionary()
 
 
 class LetterWord:
-    """A word of variable indices: one letter of the insertion operad."""
+    """A word of variable indices: one letter of the insertion operad.
 
-    __slots__ = ("letters", "_hash")
+    There is one live letter word per tuple of indices: the constructor
+    returns it, so letter words compare and hash by identity."""
 
-    def __init__(self, letters=()):
-        letters = tuple(int(v) for v in letters)
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "_hash", hash(("lw", letters)))
+    __slots__ = ("letters", "__weakref__")
+
+    def __new__(cls, letters=()):
+        return cls._trusted(tuple(int(v) for v in letters))
+
+    @classmethod
+    def _trusted(cls, letters: tuple):
+        """Internal: the letter word of a tuple of ``int`` indices; nothing
+        is checked."""
+        x = _LETTER_WORDS.get(letters)
+        if x is None:
+            x = intern_object(_LETTER_WORDS, letters, cls, letters=letters)
+        return x
 
     def __setattr__(self, name, value):
         raise AttributeError("LetterWord is immutable")
@@ -55,12 +67,6 @@ class LetterWord:
     @property
     def arity(self):
         return len(self.letters) + 1
-
-    def __eq__(self, other):
-        return isinstance(other, LetterWord) and self.letters == other.letters
-
-    def __hash__(self):
-        return self._hash
 
     def __len__(self):
         return len(self.letters)
@@ -94,7 +100,7 @@ def word_insert(x: LetterWord, ys) -> LetterWord:
         out.extend(ys[i].letters)
         out.append(v)
     out.extend(ys[-1].letters)
-    return LetterWord(out)
+    return LetterWord._trusted(tuple(out))
 
 
 @functools.lru_cache(maxsize=None)
@@ -106,10 +112,10 @@ def letter_cuts(x: LetterWord) -> tuple:
     out = []
     for mask in range(1 << p):
         kept = [i for i in range(p) if mask >> i & 1]
-        lower = LetterWord(x.letters[i] for i in kept)
+        lower = LetterWord._trusted(tuple(x.letters[i] for i in kept))
         bounds = [-1] + kept + [p]
         upper = tuple(
-            LetterWord(x.letters[bounds[g] + 1 : bounds[g + 1]])
+            LetterWord._trusted(x.letters[bounds[g] + 1 : bounds[g + 1]])
             for g in range(len(kept) + 1)
         )
         out.append((lower, upper, p > 0 and bool(mask & 1)))
@@ -222,11 +228,13 @@ def pullback(phi: Morphism) -> Morphism:
     return precompose(phi, split, name="Sp*", word_type=WWord)
 
 
-def w_moment_morphism(space) -> HorizontalMorphism:
-    """Letter values are the moment maps of the letter's variable word."""
+def w_moment_morphism(moments) -> HorizontalMorphism:
+    """Letter values are the moment maps of the letter's variable word,
+    read from the moment table ``moments`` (``families["moment"]``), so a
+    word has one moment leaf however many morphisms read it."""
     return HorizontalMorphism(
-        space,
-        lambda x: moment_map(space, x.letters),
+        moments.space,
+        lambda x: moments.generator(x.letters),
         WWord,
         name="moments-W",
     )
@@ -272,7 +280,7 @@ def verify_fixed_points(space, max_order, families=None, tol=1e-9) -> dict:
         families = cumulant_families(space)
     k = w_family_infinitesimal(families["free"])
     b = w_family_infinitesimal(families["boolean"])
-    e_mor = w_moment_morphism(space)
+    e_mor = w_moment_morphism(families["moment"])
     unit = eta_eps_morphism(space, WWord)
     words = all_w_words(sorted(space.variables), max_order, 1)
     free_dev = morphism_dev(unit + half_prec(k, e_mor), e_mor, words)

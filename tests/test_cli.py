@@ -105,6 +105,9 @@ def test_variable_spec_that_is_not_a_matrix_is_usage_error(capsys, tmp_path):
         ({"tolerance": True}, [], "tolerance must be a number"),
         ({"seed": True}, [], "seed must be a number"),
         ({"variables": {"a": {"seed": 3.9}}}, [], "seed of variable 'a' must be an integer"),
+        ({"max_ordr": 2, "suites": ["operad"]}, [], "unknown keys in the configuration: max_ordr"),
+        ({"variables": {"a": {"seed": 5, "hermitan": False}}}, [],
+         "unknown keys in the seed spec of variable 'a': hermitan"),
     ],
 )
 def test_malformed_configuration_is_usage_error(capsys, tmp_path, config, argv, message):
@@ -114,6 +117,31 @@ def test_malformed_configuration_is_usage_error(capsys, tmp_path, config, argv, 
     code, out, err = run(capsys, ["verify", "--config", str(cfg)] + argv + suite)
     assert code == EXIT_USAGE and out == ""
     assert message in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--suite", "operad", "--order", "2"],
+    ["cumulants", "--kind", "moment", "--word", "a"],
+])
+@pytest.mark.parametrize("flag", ["false", 0, None])
+def test_hermitian_must_be_a_boolean(capsys, tmp_path, command, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"variables": {"a": {"seed": 5, "hermitian": flag}, "b": {}}}))
+    code, out, err = run(capsys, command + ["--config", str(cfg)])
+    assert code == EXIT_USAGE and out == ""
+    assert "hermitian of variable 'a' must be true or false" in json.loads(err)["error"]
+
+
+def test_benchmark_configuration_keys_are_accepted(capsys, tmp_path):
+    # the shape of the configurations that perfbench/run.py writes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "d": 2, "k": 2, "tolerance": 1e-9, "seed": 11,
+        "variables": {"a": {"seed": 3, "hermitian": True}, "b": {"seed": 4, "hermitian": False}},
+    }))
+    code, out, err = run(capsys, ["verify", "--config", str(cfg), "--suite", "operad", "--order", "2"])
+    assert code == EXIT_OK, err
+    assert json.loads(out)["passed"] is True
 
 
 def test_negative_seed_is_usage_error_for_cumulants(capsys):

@@ -1,0 +1,185 @@
+"""The exact layer is interned: every route to a partition, a letter word or
+a word returns the one live object with that value, so equality and
+hashing are identity."""
+
+import gc
+import sys
+import threading
+import weakref
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ovc import formal, winsert
+from ovc.formal import PartitionWord
+from ovc.ncpart import (
+    EMPTY,
+    NCPartition,
+    cuts,
+    enumerate_nc,
+    from_text,
+    gap_insert,
+    is_noncrossing,
+    standardize,
+    to_text,
+)
+from ovc.winsert import LetterWord, WWord, letter_cuts, word_insert
+
+
+@st.composite
+def nc_partitions(draw, max_size=5, colored=None):
+    p = draw(st.integers(min_value=0, max_value=max_size))
+    pi = draw(st.sampled_from(enumerate_nc(p)))
+    if colored is None:
+        colored = draw(st.booleans())
+    if colored and p:
+        colors = tuple(draw(st.integers(min_value=0, max_value=2)) for _ in range(p))
+        pi = NCPartition(pi.blocks, colors=colors)
+    return pi
+
+
+letter_words = st.lists(st.integers(min_value=0, max_value=2), max_size=4).map(LetterWord)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nc_partitions(), st.integers(min_value=1, max_value=50))
+def test_every_route_to_a_partition_returns_one_object(pi, shift):
+    shuffled = [tuple(reversed(b)) for b in reversed(pi.blocks)]
+    assert NCPartition(shuffled, colors=pi.colors) is pi
+    assert NCPartition._trusted(pi.blocks, pi.size, pi.colors) is pi
+    assert from_text(to_text(pi)) is pi
+    shifted = [tuple(x + shift for x in b) for b in pi.blocks]
+    colors = None
+    if pi.colors is not None:
+        colors = {x + shift: c for x, c in enumerate(pi.colors, start=1)}
+    assert standardize(shifted, colors=colors) is pi
+    assert gap_insert(pi, [EMPTY] * pi.arity) is pi
+    for cut in cuts(pi):
+        assert gap_insert(cut.lower, cut.upper) is pi
+        for letter in (cut.lower, *cut.upper):
+            assert NCPartition(letter.blocks, colors=letter.colors) is letter
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(nc_partitions(max_size=3), max_size=3))
+def test_every_route_to_a_partition_word_returns_one_object(letters):
+    w = PartitionWord(letters)
+    assert PartitionWord(tuple(letters)) is w
+    assert PartitionWord._trusted(tuple(letters)) is w
+    assert formal.word(*letters) is w
+    assert formal.word_from_text(w.text()) is w
+    assert w.inputs == sum(l.arity for l in letters)
+    for lower, upper, _ in w.cuts():
+        assert PartitionWord(lower.letters) is lower
+        assert PartitionWord(upper.letters) is upper
+        assert lower.vcompose(upper) is w
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(letter_words, max_size=3))
+def test_every_route_to_a_letter_word_returns_one_object(letters):
+    for x in letters:
+        assert LetterWord(list(x.letters)) is x
+        assert LetterWord._trusted(x.letters) is x
+        assert word_insert(x, [winsert.EMPTY_WORD] * x.arity) is x
+        for lower, upper, _ in letter_cuts(x):
+            assert LetterWord(lower.letters) is lower
+            assert all(LetterWord(u.letters) is u for u in upper)
+            assert word_insert(lower, upper) is x
+    w = WWord(letters)
+    assert WWord._trusted(tuple(letters)) is w
+    assert winsert.w_word(*letters) is w
+    assert w.inputs == sum(x.arity for x in letters)
+    for lower, upper, _ in w.cuts():
+        assert WWord(lower.letters) is lower and WWord(upper.letters) is upper
+
+
+def test_partition_words_and_letter_words_are_never_one_object():
+    assert formal.ONE is not winsert.W_ONE and formal.ONE != winsert.W_ONE
+    for n in range(4):
+        assert PartitionWord.unit(n) is not WWord.unit(n)
+        assert PartitionWord.unit(n) != WWord.unit(n)
+    assert EMPTY != winsert.EMPTY_WORD
+    assert len({formal.ONE, winsert.W_ONE, PartitionWord.unit(1), WWord.unit(1)}) == 4
+
+
+def _relabelled(pi, alphas):
+    """gap_insert by reading order: the elements of gap i's argument, then
+    element i + 1 of ``pi``; every block keeps its members."""
+    owner, colors = [], []
+    for i, alpha in enumerate(alphas):
+        for x in range(1, alpha.size + 1):
+            owner.append((i + 1, next(j for j, b in enumerate(alpha.blocks) if x in b)))
+            colors.extend(alpha.colors[x - 1:x] if alpha.colors else ())
+        if i < pi.size:
+            owner.append((0, next(j for j, b in enumerate(pi.blocks) if i + 1 in b)))
+            colors.extend(pi.colors[i:i + 1] if pi.colors else ())
+    blocks = {}
+    for position, key in enumerate(owner, start=1):
+        blocks.setdefault(key, []).append(position)
+    return list(blocks.values()), (tuple(colors) if colors else None)
+
+
+@st.composite
+def insertions(draw):
+    colored = draw(st.booleans())
+    pi = draw(nc_partitions(max_size=3, colored=colored))
+    alphas = [draw(nc_partitions(max_size=3, colored=colored)) for _ in range(pi.arity)]
+    return pi, alphas
+
+
+@settings(max_examples=200, deadline=None)
+@given(insertions())
+def test_gap_insert_equals_the_validating_constructor(case):
+    pi, alphas = case
+    result = gap_insert(pi, alphas)
+    blocks, colors = _relabelled(pi, alphas)
+    assert NCPartition(blocks, colors=colors) is result
+    assert is_noncrossing(result.blocks)
+    assert result.blocks == tuple(sorted(tuple(sorted(b)) for b in result.blocks))
+    assert result.size == pi.size + sum(a.size for a in alphas)
+
+
+def test_threads_building_the_same_words_get_one_object():
+    # values no other test builds, so the threads race to create them
+    values = [tuple(range(40 + i, 44 + i)) for i in range(30)]
+    barrier = threading.Barrier(8, timeout=60)
+    results = [None] * 8
+
+    def build(slot):
+        barrier.wait()
+        out = []
+        for v in values:
+            letter = LetterWord(v)
+            colored = NCPartition([range(1, len(v) + 1)], colors=v)
+            out.append((letter, WWord((letter, letter)), colored, PartitionWord((colored,))))
+        results[slot] = out
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r is not None for r in results)
+    for other in results[1:]:
+        for mine, theirs in zip(results[0], other):
+            assert all(a is b for a, b in zip(mine, theirs))
+
+
+def test_a_dropped_word_is_freed_and_rebuilt_equal():
+    letters = (9, 8, 9, 7)
+    w = WWord((LetterWord(letters),))
+    text, alive = w.text(), weakref.ref(w)
+    del w
+    gc.collect()
+    assert alive() is None  # the intern tables hold their objects weakly
+    again = WWord((LetterWord(letters),))
+    trusted = WWord._trusted((LetterWord._trusted(letters),))
+    assert again is trusted and again == trusted and hash(again) == hash(trusted)
+    assert again.text() == text and {again: 1}[trusted] == 1

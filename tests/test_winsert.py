@@ -248,9 +248,9 @@ def test_pullback_of_unit_is_unit(space):
 
 
 def test_pullback_of_free_exponential_gives_moments(space):
-    free = cumulant_families(space)["free"]
-    K = exp_prec(family_infinitesimal(free))
-    e_w = w_moment_morphism(space)
+    families = cumulant_families(space)
+    K = exp_prec(family_infinitesimal(families["free"]))
+    e_w = w_moment_morphism(families["moment"])
     words = all_w_words((0, 1), 3, 1)
     assert morphism_dev(pullback(K), e_w, words) <= 1e-9
 
@@ -258,9 +258,9 @@ def test_pullback_of_free_exponential_gives_moments(space):
 def test_pullback_of_boolean_exponential_gives_moments(space):
     from ovc.morphisms import exp_succ
 
-    boolean = cumulant_families(space)["boolean"]
-    B = exp_succ(family_infinitesimal(boolean))
-    e_w = w_moment_morphism(space)
+    families = cumulant_families(space)
+    B = exp_succ(family_infinitesimal(families["boolean"]))
+    e_w = w_moment_morphism(families["moment"])
     words = all_w_words((0, 1), 3, 1)
     assert morphism_dev(pullback(B), e_w, words) <= 1e-9
 
