@@ -279,12 +279,16 @@ def cmd_verify(ns) -> int:
 # Entry point
 
 
+def _add_json_indent(sub):
+    sub.add_argument("--json-indent", type=int, default=None, help="pretty-print JSON")
+
+
 def _add_common(sub):
     sub.add_argument("--config", help="path to a JSON configuration file")
     sub.add_argument("--order", type=int, help="override max_order")
     sub.add_argument("--tol", type=float, help="override the tolerance")
     sub.add_argument("--seed", type=int, help="override the seed")
-    sub.add_argument("--json-indent", type=int, default=None, help="pretty-print JSON")
+    _add_json_indent(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = subs.add_parser("enumerate", help="list non-crossing or interval partitions")
     p_enum.add_argument("p", type=int, help="number of partitioned elements")
     p_enum.add_argument("--interval", action="store_true", help="interval partitions only")
-    _add_common(p_enum)
+    _add_json_indent(p_enum)
     p_enum.set_defaults(fn=cmd_enumerate)
 
     p_cum = subs.add_parser("cumulants", help="evaluate a moment or cumulant map")

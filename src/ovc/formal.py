@@ -1,9 +1,10 @@
 """Exact symbolic layer: words of operad letters and their Hopf-type structure.
 
 Basis elements are horizontal words (concatenations) of letters, plus
-vertically stacked tuples of such words.  The letters are non-crossing
-partitions (``PartitionWord``) or, in ``winsert``, words of variables
-(``WWord``).  Each word type supplies its letters' cuts and insertion; the
+vertical stacks of such words (``BoxStack``, a tuple of interned words).
+The letters are non-crossing partitions (``PartitionWord``) or, in
+``winsert``, words of variables (``WWord``).  Each word type supplies its
+letters' cuts, as ``ncpart.Cut`` records, and their insertion; the
 coproducts, half-coproducts, ``nabla``, counit and ``eta_eps`` here are
 built from those alone and serve both word types.  Linear
 combinations carry exact coefficients: ``int`` while a coefficient is
@@ -44,8 +45,9 @@ class Word:
     The word-level structure is shared by every letter type: cuts, unit
     words and the vertical product.  A subclass names its letter type and
     empty letter and supplies three letter operations: ``letter_cuts``
-    (triples of lower letter, upper letters and whether position 1 stays
-    below), ``insert_letter`` (fill a letter's gaps) and ``letter_text``.
+    (the letter's ``ncpart.Cut`` records, whose ``kept_mask`` has bit 0 set
+    when position 1 stays below), ``insert_letter`` (fill a letter's gaps)
+    and ``letter_text``.
 
     Words are interned like their letters: there is one live word per word
     type and letter tuple, so words compare and hash by identity, and a
@@ -172,19 +174,11 @@ def _word_cuts(w: Word) -> tuple:
     anchor = next((i for i, l in enumerate(w.letters) if l.size > 0), None)
     out = []
     for combo in itertools.product(*map(w.letter_cuts, w.letters)):
-        lower = trusted(tuple(c[0] for c in combo))
-        upper = trusted(tuple(u for c in combo for u in c[1]))
-        out.append((lower, upper, None if anchor is None else combo[anchor][2]))
+        lower = trusted(tuple(c.lower for c in combo))
+        upper = trusted(tuple(u for c in combo for u in c.upper))
+        flag = None if anchor is None else bool(combo[anchor].kept_mask & 1)
+        out.append((lower, upper, flag))
     return tuple(out)
-
-
-def letter_cut_pairs(letter: NCPartition):
-    """Per-letter cut data: (lower letter, upper letters, block-of-1 kept)."""
-    out = []
-    for cut in cuts(letter):
-        one_kept = letter.size > 0 and bool(cut.kept_mask & 1)
-        out.append((cut.lower, cut.upper, one_kept))
-    return out
 
 
 class PartitionWord(Word):
@@ -194,12 +188,15 @@ class PartitionWord(Word):
     LETTER = NCPartition
     EMPTY = EMPTY
     SORT_TAG = 0
-    letter_cuts = staticmethod(letter_cut_pairs)
     letter_text = staticmethod(ncpart.to_text)
+
+    # both look their function up on each call, so a wrapped one is used
+    @staticmethod
+    def letter_cuts(letter):
+        return cuts(letter)
 
     @staticmethod
     def insert_letter(letter, group):
-        # looks ``gap_insert`` up on each call, so a wrapped one is used
         return gap_insert(letter, group)
 
     @property
@@ -219,48 +216,40 @@ def unit_word(n: int) -> PartitionWord:
 ONE = PartitionWord(())
 
 
-class BoxStack:
-    """Vertically stacked words, bottom first; adjacent gradings must match."""
+class BoxStack(tuple):
+    """Vertically stacked words, bottom first; adjacent gradings must match.
 
-    __slots__ = ("parts", "_hash")
+    A stack is the tuple of its words, so it hashes and compares like that
+    tuple; since words are interned, this is tuple-of-identity work.  A
+    stack never equals a word.
+    """
 
-    def __init__(self, parts):
+    __slots__ = ()
+
+    def __new__(cls, parts):
         parts = tuple(parts)
         if len(parts) < 2:
             raise GradingError("a stack needs at least two levels")
         for low, high in zip(parts, parts[1:]):
             _check_seam(low, high)
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "_hash", hash(parts))
+        return tuple.__new__(cls, parts)
 
     @classmethod
     def _trusted(cls, parts: tuple):
         """Internal: a stack whose adjacent gradings are known to match, as
         for the two words of a cut; nothing is checked."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "parts", parts)
-        object.__setattr__(s, "_hash", hash(parts))
-        return s
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BoxStack is immutable")
+        return tuple.__new__(cls, parts)
 
     @property
     def outputs(self):
-        return self.parts[0].outputs
+        return self[0].outputs
 
     @property
     def inputs(self):
-        return self.parts[-1].inputs
-
-    def __eq__(self, other):
-        return isinstance(other, BoxStack) and self.parts == other.parts
-
-    def __hash__(self):
-        return self._hash
+        return self[-1].inputs
 
     def sort_key(self):
-        return (1, len(self.parts), tuple(p.sort_key() for p in self.parts))
+        return (1, len(self), tuple(p.sort_key() for p in self))
 
     def __repr__(self):
         return "BoxStack(%r)" % (basis_to_text(self),)
@@ -383,9 +372,9 @@ def _hconcat_basis(a, b):
     if isinstance(a, Word) and type(b) is type(a):
         return a * b
     if isinstance(a, BoxStack) and isinstance(b, BoxStack):
-        if len(a.parts) != len(b.parts):
+        if len(a) != len(b):
             raise GradingError("stacks of different heights")
-        return BoxStack(tuple(x * y for x, y in zip(a.parts, b.parts)))
+        return BoxStack(tuple(x * y for x, y in zip(a, b)))
     raise GradingError("cannot concatenate %r with %r" % (a, b))
 
 
@@ -416,9 +405,9 @@ def nabla(pairs) -> FormalSum:
     """Collapse a sum of two-level stacks with the vertical product."""
     out = {}
     for b, c in FormalSum.lift(pairs).terms.items():
-        if not (isinstance(b, BoxStack) and len(b.parts) == 2):
+        if not (isinstance(b, BoxStack) and len(b) == 2):
             raise GradingError("nabla expects two-level stacks")
-        basis = b.parts[0].vcompose(b.parts[1])
+        basis = b[0].vcompose(b[1])
         out[basis] = out.get(basis, 0) + c
     return FormalSum(out)
 
@@ -524,8 +513,8 @@ def map_stack(f_bottom, f_top, pairs) -> FormalSum:
     """Apply linear maps to the two levels of a sum of stacked pairs."""
     out = {}
     for b, c in FormalSum.lift(pairs).terms.items():
-        low = FormalSum.lift(f_bottom(b.parts[0]))
-        high = FormalSum.lift(f_top(b.parts[1]))
+        low = FormalSum.lift(f_bottom(b[0]))
+        high = FormalSum.lift(f_top(b[1]))
         for lb, lc in low.terms.items():
             for hb, hc in high.terms.items():
                 key = _restack(lb, hb)
@@ -536,8 +525,8 @@ def map_stack(f_bottom, f_top, pairs) -> FormalSum:
 def _restack(low, high):
     """Stack two results, flattening when either is itself a stack.  A
     stack is valid when it is made, so only the new seam is checked."""
-    low_parts = low.parts if isinstance(low, BoxStack) else (low,)
-    high_parts = high.parts if isinstance(high, BoxStack) else (high,)
+    low_parts = low if isinstance(low, BoxStack) else (low,)
+    high_parts = high if isinstance(high, BoxStack) else (high,)
     _check_seam(low_parts[-1], high_parts[0])
     return BoxStack._trusted(low_parts + high_parts)
 
@@ -580,7 +569,7 @@ def word_from_text(text: str) -> PartitionWord:
 
 def basis_to_text(b) -> str:
     if isinstance(b, BoxStack):
-        return " @ ".join(p.text() for p in b.parts)
+        return " @ ".join(p.text() for p in b)
     return b.text()
 
 

@@ -309,20 +309,6 @@ class InfinitesimalMorphism(Morphism):
         maps[live[0]] = g
         return WordSum.word(self.space, maps)
 
-    def scaled(self, coeff) -> "InfinitesimalMorphism":
-        gen = self.gen
-
-        def scaled_gen(x):
-            g = gen(x)
-            return None if g is None else multimap_lincomb(
-                self.space, g.arity, [(coeff, g)]
-            )
-
-        return InfinitesimalMorphism(
-            self.space, scaled_gen, self.word_type,
-            name="(%s * %s)" % (coeff, self.name),
-        )
-
 
 class HorizontalMorphism(Morphism):
     """Multiplicative over concatenation: the value on a word is the word of
@@ -484,17 +470,13 @@ def validate_generator_exchange(gen, var_indices, max_order, tol=1e-9):
                 )
 
 
-def operadic_extension(space, gen, validate_vars=None, max_order=6, tol=1e-9) -> HorizontalMorphism:
+def operadic_extension(space, gen) -> HorizontalMorphism:
     """Extend generator values on one-block partitions to all partitions by
     evaluating the peel-first factorization.
 
     ``gen`` maps a color word to a multilinear map of arity len(word)+1.
-    When ``validate_vars`` is given, the slot-exchange precondition is
-    checked for all color words up to ``max_order`` first.
+    ``validate_generator_exchange`` checks the slot-exchange precondition.
     """
-    if validate_vars is not None:
-        validate_generator_exchange(gen, validate_vars, max_order, tol=tol)
-
     def walk(expr):
         if isinstance(expr, GenLeaf):
             colors = expr.colors if expr.colors is not None else (0,) * expr.block_size

@@ -437,7 +437,7 @@ def suite_shuffle(ctx: VerifyContext):
             "shuffle.left-right-inverse",
             "the right exponential of -x convolved with the left exponential of x is the unit",
             morphism_dev(
-                convolve(exp_succ(x.scaled(-1)), exp_prec(x)), eta_eps_morphism(space), words
+                convolve(exp_succ((-1) * x), exp_prec(x)), eta_eps_morphism(space), words
             ),
             ctx.tol,
         )

@@ -5,7 +5,7 @@ A letter word is a finite string of variable indices with one input per gap
 Insertion interleaves: the arguments fill the gaps of the host word.  Words
 of letter words carry the same cut machinery as words of partitions: a cut
 of a letter word keeps a subset of its positions below and pushes the
-complementary segments above.
+complementary segments above, recorded as an ``ncpart.Cut``.
 
 The splitting map sends a letter word to the sum of all non-crossing
 partitions of its positions, colored by the letters; it intertwines the two
@@ -105,9 +105,10 @@ def word_insert(x: LetterWord, ys) -> LetterWord:
 
 @functools.lru_cache(maxsize=None)
 def letter_cuts(x: LetterWord) -> tuple:
-    """All ways to keep a subset of positions below: a tuple of (lower
-    letter, upper letters, first-position-kept flag).  Memoised per letter
-    word; the result is immutable and shared between calls."""
+    """All ways to keep a subset of positions below, as ``ncpart.Cut``
+    records: bit i of ``kept_mask`` keeps position i + 1 below, so bit 0
+    says whether position 1 stays below.  Memoised per letter word; the
+    result is immutable and shared between calls."""
     p = x.size
     out = []
     for mask in range(1 << p):
@@ -118,7 +119,7 @@ def letter_cuts(x: LetterWord) -> tuple:
             LetterWord._trusted(x.letters[bounds[g] + 1 : bounds[g + 1]])
             for g in range(len(kept) + 1)
         )
-        out.append((lower, upper, p > 0 and bool(mask & 1)))
+        out.append(ncpart.Cut(lower, upper, mask))
     return tuple(out)
 
 

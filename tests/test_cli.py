@@ -60,6 +60,15 @@ def test_enumerate_negative_size_is_usage_error(capsys):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("command", [["enumerate", "3"], ["verify", "--suite", "operad"]])
+@pytest.mark.parametrize("flag", ["--config", "--seed"])
+def test_missing_config_and_negative_seed_are_usage_errors(command, flag, tmp_path):
+    # enumerate reads neither flag, so argparse rejects both
+    value = str(tmp_path / "missing.json") if flag == "--config" else "-5"
+    code, out, _ = _invoke(command + [flag, value])
+    assert code == EXIT_USAGE and out == ""
+
+
 @pytest.mark.parametrize("bound, suite", [("3", "operad"), ("-1", "hopf")])
 def test_enumeration_bound_inside_verify_is_usage_error(capsys, monkeypatch, bound, suite):
     monkeypatch.setenv("OVC_MAX_ELEMENTS", bound)
@@ -475,7 +484,8 @@ def cli_cases(draw):
         argv = ["enumerate", str(draw(st.integers(-2, 8)))]
         if draw(st.booleans()):
             argv.append("--interval")
-    elif command == "cumulants":
+        return argv, body  # enumerate takes no config, order, seed or tol
+    if command == "cumulants":
         argv = ["cumulants",
                 "--kind", draw(st.sampled_from(["moment", "free", "boolean", "monotone"])),
                 "--word", draw(st.sampled_from(["a", "a.b", "b.a", "e", "z", "a..b", ""]))]
@@ -513,7 +523,9 @@ def test_fuzzed_invocations_keep_the_exit_code_contract(case):
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
             json.dump(body, fh)
-        code, out, err = _invoke(argv + ["--config", path])
+        if argv[0] != "enumerate":
+            argv = argv + ["--config", path]
+        code, out, err = _invoke(argv)
     assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
     assert "Traceback" not in err
     if code == EXIT_USAGE:

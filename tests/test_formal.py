@@ -69,14 +69,28 @@ def test_word_grading():
 
 def test_stack_grading_enforced():
     stack(word(gen1(3)), unit_word(3))
-    with pytest.raises(GradingError):
-        stack(word(gen1(3)), unit_word(2))
+    for levels in ((), (word(gen1(3)),), (word(gen1(3)), unit_word(2))):
+        with pytest.raises(GradingError):
+            BoxStack(levels)
     # map_stack checks the seam between the two results it stacks
     pair = single(stack(word(gen1(3)), unit_word(3)))
     with pytest.raises(GradingError):
         map_stack(lambda w: unit_word(2), lift, pair)
     with pytest.raises(GradingError):
         map_stack(coproduct, lambda w: unit_word(2), pair)
+
+
+def test_stack_is_the_tuple_of_its_words():
+    low, high = word(gen1(3)), unit_word(3)
+    s = stack(low, high)
+    assert s == (low, high) and hash(s) == hash((low, high))
+    assert len({s, BoxStack._trusted((low, high)), (low, high)}) == 1
+    assert s != low and low != s and stack(ONE, ONE) != ONE
+    assert (s.outputs, s.inputs) == (1, 3)
+    with pytest.raises(AttributeError):
+        s.parts = (high, low)
+    with pytest.raises(TypeError):
+        s[0] = high
 
 
 def test_formal_sum_arithmetic():
@@ -129,10 +143,31 @@ def _fresh_cuts(w):
         (
             cls(c[0] for c in combo),
             cls(u for c in combo for u in c[1]),
-            None if anchor is None else combo[anchor][2],
+            None if anchor is None else bool(combo[anchor].kept_mask & 1),
         )
         for combo in itertools.product(*map(w.letter_cuts, w.letters))
     )
+
+
+def _first_position_kept(w, s):
+    """Reference flag of the cut term ``s`` of ``w``: position 1 of the
+    first non-empty letter stays below exactly when its block is kept, that
+    is, when the upper letter filling gap 0 of its lower letter is empty."""
+    lower, upper = s
+    anchor = next(i for i, l in enumerate(w.letters) if l.size > 0)
+    gap0 = sum(l.arity for l in lower.letters[:anchor])
+    return upper.letters[gap0].size == 0
+
+
+def test_half_coproduct_flags_find_the_block_of_position_one():
+    for w in all_words(4, 2) + winsert.all_w_words([0, 1], 3, 2):
+        if w.is_unit():
+            continue
+        halves = {keep: formal.cut_sum(w, keep) for keep in (True, False)}
+        assert halves[True] + halves[False] == coproduct(w), w.text()
+        for keep, half in halves.items():
+            for s in half.terms:
+                assert _first_position_kept(w, s) is keep, (w.text(), s)
 
 
 def test_cached_word_cuts_equal_a_fresh_product():
@@ -384,7 +419,7 @@ def test_interchange_injective_given_length_split():
             for w2 in all_words(2, 1):
                 for c2 in coproduct(w2).terms:
                     quads.add((c1, c2))
-                    key = (len(c1.parts[0]), len(c1.parts[1]))
+                    key = (len(c1[0]), len(c1[1]))
                     keyed_images.add((key, hconcat(c1, c2)))
     assert len(keyed_images) == len(quads)
 

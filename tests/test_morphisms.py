@@ -153,7 +153,7 @@ def test_shuffle_axioms(space, words3):
 
 def test_left_right_inverse_lemma(space, words3):
     x = seeded_infinitesimal(space, seed=11)
-    lhs = convolve(exp_succ(x.scaled(-1)), exp_prec(x))
+    lhs = convolve(exp_succ((-1) * x), exp_prec(x))
     assert morphism_dev(lhs, eta_eps_morphism(space), words3) <= TOL
 
 
@@ -310,9 +310,8 @@ def test_operadic_extension_two_singletons(space):
 
 def test_operadic_extension_matches_recursive_evaluator(space):
     family = cumulant_families(space)["moment"]
-    ext = operadic_extension(
-        space, lambda w: family.generator(w), validate_vars=(0, 1), max_order=4
-    )
+    validate_generator_exchange(family.generator, (0, 1), 4)
+    ext = operadic_extension(space, family.generator)
     for p in range(5):
         for pi in enumerate_nc(p):
             colored = NCPartition(pi.blocks, colors=tuple(i % 2 for i in range(p)))

@@ -102,8 +102,8 @@ def test_letter_cuts_are_memoised_and_immutable():
     assert all(isinstance(cut, tuple) and isinstance(cut[1], tuple) for cut in first)
     with pytest.raises(TypeError):
         first[0] = first[1]
-    assert (LetterWord([0, 0]), (EMPTY_WORD, B, EMPTY_WORD), True) in first
-    assert letter_cuts(EMPTY_WORD) == ((EMPTY_WORD, (EMPTY_WORD,), False),)
+    assert (LetterWord([0, 0]), (EMPTY_WORD, B, EMPTY_WORD), 0b101) in first
+    assert letter_cuts(EMPTY_WORD) == ((EMPTY_WORD, (EMPTY_WORD,), 0),)
 
 
 def test_w_coproduct_single_letter():
