@@ -19,13 +19,8 @@ import sys
 import numpy as np
 
 from . import ncpart
-from .cumulants import cumulant_families
-from .ncpart import (
-    BoundSettingError,
-    EnumerationBound,
-    enumerate_interval,
-    enumerate_nc,
-)
+from .cumulants import KINDS, cumulant_families
+from .ncpart import EnumerationBound, enumerate_interval, enumerate_nc
 from .ovps import (
     OVMatrixSpace,
     matrix_from_json,
@@ -163,6 +158,8 @@ class RunConfig:
                         "variable %r has shape %r, expected (%d, %d)"
                         % (name, mat.shape, d * k, d * k)
                     )
+                if not np.isfinite(mat).all():
+                    raise ConfigError("variable %r has a non-finite entry" % (name,))
             variables[i] = mat
         return OVMatrixSpace(d=d, k=k, variables=variables, seed=self.seed)
 
@@ -201,11 +198,7 @@ def cmd_enumerate(ns) -> int:
     if ns.p < 0:
         raise ConfigError("the number of elements must be non-negative, got %d" % ns.p)
     kind = enumerate_interval if ns.interval else enumerate_nc
-    try:
-        parts = kind(ns.p)
-    except EnumerationBound as exc:
-        _emit(ns, {"error": str(exc)})
-        return EXIT_USAGE
+    parts = kind(ns.p)
     _emit(ns, {"count": len(parts), "partitions": [ncpart.to_text(pi) for pi in parts]})
     return EXIT_OK
 
@@ -305,11 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(fn=cmd_enumerate)
 
     p_cum = subs.add_parser("cumulants", help="evaluate a moment or cumulant map")
-    p_cum.add_argument(
-        "--kind",
-        choices=("moment", "free", "boolean", "monotone"),
-        required=True,
-    )
+    p_cum.add_argument("--kind", choices=KINDS, required=True)
     p_cum.add_argument(
         "--word",
         required=True,
@@ -335,7 +324,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.fn(ns)
-    except (ConfigError, BoundSettingError, EnumerationBound, json.JSONDecodeError) as exc:
+    except (ConfigError, EnumerationBound, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
 

@@ -535,12 +535,12 @@ def _restack(low, high):
 # Basis enumeration (shared by test suites)
 
 
-def all_words(max_size: int, max_letters: int, min_letters: int = 0):
+def all_words(max_size: int, max_letters: int):
     """All basis words with at most ``max_letters`` letters and total size at
     most ``max_size``, empty letters included, in deterministic order."""
     pool = {}
     out = []
-    for n_letters in range(min_letters, max_letters + 1):
+    for n_letters in range(max_letters + 1):
         for sizes in itertools.product(range(max_size + 1), repeat=n_letters):
             if sum(sizes) > max_size:
                 continue

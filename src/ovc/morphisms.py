@@ -25,7 +25,6 @@ built.  Beyond the limit both sums are evaluated on seeded probes.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from fractions import Fraction
 
@@ -40,17 +39,11 @@ from .ovps import (
     deviation,
     identity_map,
     multimap_compose,
-    multimap_eq,
     multimap_lincomb,
     multimap_partial,
     probe_batch,
     random_multimap,
 )
-
-
-class CommutationError(ValueError):
-    """Generator values do not satisfy the slot-exchange relation needed for
-    a well-defined operadic extension."""
 
 
 class UnitAmbiguity(ValueError):
@@ -113,7 +106,6 @@ class WordSum:
                 % (sum(self.profile), len(top.profile))
             )
         out_terms = []
-        out_profile = None
         for c1, bottom_maps in self.terms:
             for c2, top_maps in top.terms:
                 maps, pos = [], 0
@@ -122,26 +114,12 @@ class WordSum:
                     pos += m.arity
                     maps.append(multimap_compose(m, group))
                 out_terms.append((c1 * c2, tuple(maps)))
-                out_profile = tuple(m.arity for m in maps)
-        if out_profile is None:
-            # zero; compute the profile from the grading bookkeeping
-            pos, prof = 0, []
-            for r in self.profile:
-                prof.append(sum(top.profile[pos : pos + r]))
-                pos += r
-            out_profile = tuple(prof)
-        return WordSum(self.space, out_profile, out_terms)
-
-    def hconcat(self, other: "WordSum") -> "WordSum":
-        return WordSum(
-            self.space,
-            self.profile + other.profile,
-            [
-                (c1 * c2, m1 + m2)
-                for c1, m1 in self.terms
-                for c2, m2 in other.terms
-            ],
-        )
+        # each bottom letter takes the inputs of the top letters it receives
+        pos, profile = 0, []
+        for r in self.profile:
+            profile.append(sum(top.profile[pos : pos + r]))
+            pos += r
+        return WordSum(self.space, profile, out_terms)
 
     def collapse(self):
         """Single-letter sums fold to one multilinear map."""
@@ -449,33 +427,12 @@ def log_star(phi: Morphism) -> Morphism:
 # Operadic extension
 
 
-def validate_generator_exchange(gen, var_indices, max_order, tol=1e-9):
-    """Check gen(u) composed in its last slot with gen(v) equals gen(v)
-    composed in its first slot with gen(u), for all color words up to the
-    bound.  Raises CommutationError naming the first offending pair."""
-    words = [
-        w
-        for n in range(1, max_order)
-        for w in itertools.product(sorted(var_indices), repeat=n)
-    ]
-    for u in words:
-        for v in words:
-            if len(u) + len(v) > max_order:
-                continue
-            left = multimap_partial(gen(u), len(u) + 1, gen(v))
-            right = multimap_partial(gen(v), 1, gen(u))
-            if not multimap_eq(left, right, tol=tol):
-                raise CommutationError(
-                    "generator exchange fails for words %r and %r" % (u, v)
-                )
-
-
 def operadic_extension(space, gen) -> HorizontalMorphism:
     """Extend generator values on one-block partitions to all partitions by
     evaluating the peel-first factorization.
 
     ``gen`` maps a color word to a multilinear map of arity len(word)+1.
-    ``validate_generator_exchange`` checks the slot-exchange precondition.
+    ``ovps.exchange_dev`` measures the slot-exchange precondition.
     """
     def walk(expr):
         if isinstance(expr, GenLeaf):
@@ -532,17 +489,20 @@ def _stable_rng(seed, key_text):
     return np.random.default_rng(int.from_bytes(digest[:8], "big"))
 
 
-def seeded_infinitesimal(space, seed, max_size=5, word_type=formal.PartitionWord,
+SEEDED_MAX_SIZE = 5
+
+
+def seeded_infinitesimal(space, seed, word_type=formal.PartitionWord,
                          name=None, single_block=False) -> InfinitesimalMorphism:
-    """Deterministic pseudorandom generator values on letters up to
-    ``max_size``; values depend only on (seed, letter), not query order.
+    """Deterministic pseudorandom generator values on letters up to size
+    ``SEEDED_MAX_SIZE``; values depend only on (seed, letter), not query order.
     Each letter's map is built once and kept, so its structure tensor is
     too.  With ``single_block`` the support shrinks to one-block letters."""
 
     leaves = {}
 
     def gen(x):
-        if x.arity - 1 > max_size:
+        if x.arity - 1 > SEEDED_MAX_SIZE:
             return None
         if single_block and getattr(x, "n_blocks", 1) != 1:
             return None

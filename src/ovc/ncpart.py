@@ -22,13 +22,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 import threading
 import weakref
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-DEFAULT_MAX_ELEMENTS = 10
-DEFAULT_MAX_BLOCKS = 9
+# Enumeration bounds.  ``verify`` never reaches them: max_order <= 8 keeps
+# every enumerated size at 9 or below.
+MAX_ELEMENTS = 10
+MAX_BLOCKS = 9
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -46,28 +47,12 @@ class ArityMismatch(ValueError):
 
 
 class EnumerationBound(RuntimeError):
-    """Requested enumeration exceeds the configured size limit."""
-
-
-class BoundSettingError(ValueError):
-    """OVC_MAX_ELEMENTS is set to something other than an integer."""
+    """Requested enumeration exceeds MAX_ELEMENTS elements or MAX_BLOCKS
+    blocks."""
 
 
 class InvariantError(ArithmeticError):
     """A computed result failed its internal consistency check."""
-
-
-def max_elements() -> int:
-    """Enumeration bound; override with the OVC_MAX_ELEMENTS env variable."""
-    raw = os.environ.get("OVC_MAX_ELEMENTS")
-    if raw is None:
-        return DEFAULT_MAX_ELEMENTS
-    try:
-        return int(raw)
-    except ValueError:
-        raise BoundSettingError(
-            "OVC_MAX_ELEMENTS must be an integer, got %r" % (raw,)
-        ) from None
 
 
 def _checked_ground(blocks) -> int:
@@ -309,17 +294,19 @@ def _nc_block_lists(ground):
                 yield [block] + [b for part in tail for b in part]
 
 
-def enumerate_nc(p: int, bound: Optional[int] = None) -> list:
+def _check_size(p: int) -> None:
+    if p > MAX_ELEMENTS:
+        raise EnumerationBound("p=%d exceeds the enumeration bound %d" % (p, MAX_ELEMENTS))
+    if p < 0:
+        raise MalformedPartition("negative size")
+
+
+def enumerate_nc(p: int) -> list:
     """All non-crossing partitions of {1..p}, sorted lexicographically by
     canonical block list.  ``enumerate_nc(0)`` is ``[EMPTY]``.
 
-    The bound is checked on every call; the partitions are computed once
-    per size and process."""
-    limit = max_elements() if bound is None else bound
-    if p > limit:
-        raise EnumerationBound("p=%d exceeds the enumeration bound %d" % (p, limit))
-    if p < 0:
-        raise MalformedPartition("negative size")
+    The partitions are computed once per size and process."""
+    _check_size(p)
     return list(_nc_partitions(p))
 
 
@@ -330,13 +317,9 @@ def _nc_partitions(p: int) -> tuple:
     return tuple(parts)
 
 
-def enumerate_interval(p: int, bound: Optional[int] = None) -> list:
+def enumerate_interval(p: int) -> list:
     """All interval partitions of {1..p} (blocks are contiguous runs)."""
-    limit = max_elements() if bound is None else bound
-    if p > limit:
-        raise EnumerationBound("p=%d exceeds the enumeration bound %d" % (p, limit))
-    if p < 0:
-        raise MalformedPartition("negative size")
+    _check_size(p)
     if p == 0:
         return [EMPTY]
     out = []
@@ -511,15 +494,15 @@ def tree_factorial(forest: NestingForest) -> int:
     return result
 
 
-def count_monotone_labelings(pi: NCPartition, bound: int = DEFAULT_MAX_BLOCKS) -> int:
+def count_monotone_labelings(pi: NCPartition) -> int:
     """Number of bijective block labelings with nested blocks labeled smaller.
 
     Computed by brute force over all permutations and cross-checked against
     #blocks! / tree_factorial; InvariantError is raised if they differ.
     """
     k = pi.n_blocks
-    if k > bound:
-        raise EnumerationBound("%d blocks exceeds the bound %d" % (k, bound))
+    if k > MAX_BLOCKS:
+        raise EnumerationBound("%d blocks exceeds the bound %d" % (k, MAX_BLOCKS))
     forest = nesting_forest(pi)
     pairs = [(child, par) for child, par in enumerate(forest.parent) if par is not None]
     brute = 0

@@ -50,12 +50,12 @@ def matrix_from_json(data) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in data])
 
 
-def random_matrix(rng, n, scale=1.0) -> np.ndarray:
-    return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+def random_matrix(rng, n) -> np.ndarray:
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
 
 
-def random_hermitian(rng, n, scale=1.0) -> np.ndarray:
-    m = random_matrix(rng, n, scale)
+def random_hermitian(rng, n) -> np.ndarray:
+    m = random_matrix(rng, n)
     return (m + m.conj().T) / 2
 
 
@@ -426,6 +426,19 @@ def multimap_dev(f: MultiMap, g: MultiMap) -> float:
         return deviation(tf, g.tensor())
     args = probe_batch(f.space.d, f.arity)
     return deviation(f.eval_batch(args), g.eval_batch(args))
+
+
+def exchange_dev(gen, words) -> float:
+    """Largest deviation from the slot-exchange relation over all pairs
+    (u, v) of ``words``: gen(u) with gen(v) in its last slot against gen(v)
+    with gen(u) in its first slot.  ``gen`` maps a variable word to a map
+    of arity len(word) + 1."""
+    maps = [gen(w) for w in words]
+    return max(
+        multimap_dev(multimap_partial(gu, gu.arity, gv), multimap_partial(gv, 1, gu))
+        for gu in maps
+        for gv in maps
+    )
 
 
 def multimap_eq(f: MultiMap, g: MultiMap, tol: float = DEFAULT_TOL) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formal, ncpart, winsert
-from .cumulants import cumulant_families, e_pi_map, lattice, verify_mc
+from .cumulants import CUMULANT_KINDS, cumulant_families, e_pi_map, lattice, verify_mc
 from .formal import all_words, antipode, coproduct, delta_prec, delta_succ, eta_eps
 from .morphisms import (
     WordSum,
@@ -54,12 +54,16 @@ from .ncpart import (
     partial_insert,
     tree_factorial,
 )
-from .ovps import OVMatrixSpace, identity_map, moment_map, multimap_dev, multimap_partial
+from .ovps import OVMatrixSpace, exchange_dev, identity_map, moment_map, multimap_dev
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 
 # The word whose free cumulant ``--inject-fault`` corrupts.
 FAULT_WORD = (0, 0)
+
+# The one-variable words on which generator tables are checked for the
+# slot-exchange relation.
+EXCHANGE_WORDS = [(0,) * n for n in range(1, 4)]
 
 
 @dataclass
@@ -473,19 +477,10 @@ def suite_oracle(ctx: VerifyContext):
     ext = operadic_extension(space, moments.generator)
     left = exp_prec(family_infinitesimal(moments))
     rows = []
-    dev_rel = 0.0
-    e1 = moment_map(space, [])
-    dev_rel = max(dev_rel, multimap_dev(e1, identity_map(space)))
-    for n in range(2, 5):
-        for m in range(2, 5):
-            en = moments.generator((0,) * (n - 1))
-            em = moments.generator((0,) * (m - 1))
-            dev_rel = max(
-                dev_rel,
-                multimap_dev(
-                    multimap_partial(en, n, em), multimap_partial(em, 1, en)
-                ),
-            )
+    dev_rel = max(
+        multimap_dev(moment_map(space, []), identity_map(space)),
+        exchange_dev(moments.generator, EXCHANGE_WORDS),
+    )
     rows.append(
         _numeric(
             "oracle.moment-exchange",
@@ -563,7 +558,7 @@ def suite_moment_cumulant(ctx: VerifyContext):
         ("matrix", ctx.space, ctx.families),
     ):
         report = verify_mc(space, order=order, families=families)
-        for kind in ("free", "boolean", "monotone"):
+        for kind in CUMULANT_KINDS:
             rows.append(
                 _numeric(
                     "moment-cumulant.%s-%s" % (label, kind),
@@ -583,7 +578,7 @@ def suite_moment_cumulant(ctx: VerifyContext):
 def suite_splitting(ctx: VerifyContext):
     space = ctx.space
     rows = []
-    fp = winsert.verify_fixed_points(space, ctx.max_order, families=ctx.families, tol=ctx.tol)
+    fp = winsert.verify_fixed_points(space, ctx.max_order, families=ctx.families)
     rows.append(
         _numeric(
             "splitting.free-fixed-point",
@@ -705,22 +700,11 @@ def suite_monotone_scalar(ctx: VerifyContext):
     # formula, in its first-slot/after-last-slot form; on the scalar
     # backend every slot variant coincides, which is why the formula is
     # asserted only there
-    dev_ex = 0.0
-    for n in range(1, 4):
-        for m in range(1, 4):
-            gn = monotone.generator((0,) * n)
-            gm = monotone.generator((0,) * m)
-            dev_ex = max(
-                dev_ex,
-                multimap_dev(
-                    multimap_partial(gn, 1, gm), multimap_partial(gm, m + 1, gn)
-                ),
-            )
     rows.append(
         _numeric(
             "monotone.exchange-hypothesis",
             "scalar monotone generators satisfy the first-slot/after-last-slot exchange",
-            dev_ex,
+            exchange_dev(monotone.generator, EXCHANGE_WORDS),
             ctx.tol,
         )
     )

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from ovc import ncpart
 from ovc.ncpart import (
     EMPTY,
+    MAX_BLOCKS,
+    MAX_ELEMENTS,
     ArityMismatch,
     CrossingError,
     Cut,
@@ -129,7 +131,12 @@ def test_enumerate_nc_zero():
 
 def test_enumerate_nc_bound():
     with pytest.raises(EnumerationBound):
-        enumerate_nc(4, bound=3)
+        enumerate_nc(MAX_ELEMENTS + 1)
+
+
+def test_enumerate_interval_bound():
+    with pytest.raises(EnumerationBound):
+        enumerate_interval(MAX_ELEMENTS + 1)
 
 
 def test_enumerate_interval_counts():
@@ -300,6 +307,12 @@ def test_count_monotone_labelings_examples():
     assert count_monotone_labelings(NCPartition([(1, 6), (2, 3), (4, 5)])) == 2
 
 
+def test_count_monotone_labelings_bound():
+    singletons = NCPartition([(x,) for x in range(1, MAX_BLOCKS + 2)])
+    with pytest.raises(EnumerationBound):
+        count_monotone_labelings(singletons)
+
+
 def test_count_monotone_matches_formula():
     # the op itself asserts brute force == formula; drive it over all sizes <= 6
     for p in range(7):
@@ -439,13 +452,6 @@ def test_enumerate_nc_returns_a_fresh_list():
     first = enumerate_nc(3)
     first.clear()
     assert len(enumerate_nc(3)) == CATALAN[3]
-
-
-def test_enumerate_nc_checks_the_bound_after_caching(monkeypatch):
-    assert len(enumerate_nc(6)) == CATALAN[6]
-    monkeypatch.setenv("OVC_MAX_ELEMENTS", "5")
-    with pytest.raises(EnumerationBound):
-        enumerate_nc(6)
 
 
 def test_cuts_returns_a_fresh_list():

@@ -6,15 +6,18 @@ import os
 import ovc
 
 
-def test_library_has_no_assert_statements():
+def library_trees():
+    """(file name, parsed module) for every module of the package."""
     package = os.path.dirname(os.path.abspath(ovc.__file__))
-    found = []
     for name in sorted(os.listdir(package)):
         if not name.endswith(".py"):
             continue
         path = os.path.join(package, name)
         with open(path) as fh:
-            tree = ast.parse(fh.read(), filename=path)
-        found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+            yield name, ast.parse(fh.read(), filename=path)
+
+
+def test_library_has_no_assert_statements():
+    found = ["%s:%d" % (name, node.lineno) for name, tree in library_trees()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, "assert statements in the library: %s" % ", ".join(found)
