@@ -2,6 +2,8 @@
 words, and numeric verification of operator-valued moment-cumulant
 relations on block-matrix probability spaces."""
 
+import importlib
+
 from .ncpart import (
     EMPTY,
     NCPartition,
@@ -13,12 +15,31 @@ from .ncpart import (
     partial_insert,
 )
 from .formal import FormalSum, PartitionWord, coproduct, delta_prec, delta_succ
-from .ovps import OVMatrixSpace, MultiMap, moment_map, multimap_eq
-from .cumulants import cumulant_families, e_pi, verify_mc
-from .morphisms import convolve, exp_prec, exp_star, exp_succ, half_prec, half_succ, log_star
-from .winsert import LetterWord, WWord, split, word_insert
 
 __version__ = "0.1.0"
+
+# The numeric layer needs numpy, which the exact layer does not; its names
+# are imported on first access (PEP 562), so a run of the exact suites never
+# loads it.
+_NUMERIC = {
+    name: module
+    for module, names in (
+        ("ovps", ("OVMatrixSpace", "MultiMap", "moment_map", "multimap_eq")),
+        ("cumulants", ("cumulant_families", "e_pi", "verify_mc")),
+        ("morphisms", ("convolve", "exp_prec", "exp_star", "exp_succ", "half_prec",
+                       "half_succ", "log_star")),
+        ("winsert", ("LetterWord", "WWord", "split", "word_insert")),
+    )
+    for name in names
+}
+
+
+def __getattr__(name):
+    module = _NUMERIC.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(importlib.import_module("." + module, __name__), name)
+
 
 __all__ = [
     "EMPTY",

@@ -6,7 +6,10 @@ Hermitian generators), the order and tolerance, and the suites to run.
 Identical configuration and seed give byte-identical output.
 
 Exit codes: 0 all checks pass, 1 an assertion failed, 2 usage or
-configuration error.
+configuration error, or standard output could not be written.
+
+Only ``cumulants`` and the numeric suites load numpy and the numeric layer;
+``enumerate`` and ``verify --suite hopf,operad`` start without them.
 """
 
 from __future__ import annotations
@@ -14,21 +17,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import ncpart
-from .cumulants import KINDS, cumulant_families
-from .ncpart import EnumerationBound, enumerate_interval, enumerate_nc
-from .ovps import (
-    OVMatrixSpace,
-    matrix_from_json,
-    matrix_to_json,
-    probe_batch,
-    random_hermitian,
-)
-from .suites import SUITES, TWO_VARIABLE_SUITES, VerifyContext, run_suites
+from .ncpart import KINDS, EnumerationBound, enumerate_interval, enumerate_nc
+from .suites import EXACT_SUITES, SUITES, TWO_VARIABLE_SUITES, VerifyContext, run_suites
+
+if TYPE_CHECKING:
+    from .ovps import OVMatrixSpace
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -46,6 +44,10 @@ SEED_SPEC_KEYS = ("seed", "hermitian")
 
 class ConfigError(ValueError):
     pass
+
+
+class OutputError(OSError):
+    """Standard output could not be written."""
 
 
 def _number(value, what, kind=int):
@@ -103,14 +105,6 @@ class RunConfig:
             raise ConfigError("variables must be a JSON object")
         if not self.variable_specs:
             raise ConfigError("at least one variable is required")
-        for name, spec in self.variable_specs.items():
-            if isinstance(spec, dict):
-                _no_unknown_keys(spec, SEED_SPEC_KEYS, "seed spec of variable %r" % (name,))
-                if not isinstance(spec.get("hermitian", True), bool):
-                    raise ConfigError(
-                        "hermitian of variable %r must be true or false, got %r"
-                        % (name, spec["hermitian"])
-                    )
         if not isinstance(self.suites, list) or not all(
             isinstance(s, str) for s in self.suites
         ):
@@ -123,6 +117,10 @@ class RunConfig:
         repeated = sorted({s for s in self.suites if self.suites.count(s) > 1})
         if repeated:
             raise ConfigError("suites selected more than once: %s" % ", ".join(repeated))
+        self._variables = [
+            self._variable(i, name, spec)
+            for i, (name, spec) in enumerate(self.variable_specs.items())
+        ]
 
     @property
     def variable_names(self):
@@ -134,32 +132,54 @@ class RunConfig:
         except ValueError:
             raise ConfigError("unknown variable %r" % name) from None
 
+    def _variable(self, i, name, spec):
+        """Variable ``i`` checked without numpy: a seed spec as its seed and
+        hermitian flag, a matrix as its rows of complex entries."""
+        if isinstance(spec, dict):
+            _no_unknown_keys(spec, SEED_SPEC_KEYS, "seed spec of variable %r" % (name,))
+            hermitian = spec.get("hermitian", True)
+            if not isinstance(hermitian, bool):
+                raise ConfigError(
+                    "hermitian of variable %r must be true or false, got %r" % (name, hermitian)
+                )
+            seed = _seed(spec.get("seed", self.seed + i), "the seed of variable %r" % name)
+            return seed, hermitian
+        not_a_matrix = ConfigError(
+            "variable %r is neither a seed spec nor a matrix of [re, im] pairs" % (name,)
+        )
+        try:
+            rows = [[complex(re, im) for re, im in row] for row in spec]
+        except (TypeError, ValueError, OverflowError):
+            raise not_a_matrix from None
+        shape = (len(rows), len(rows[0])) if rows else (0,)
+        if any(len(row) != shape[-1] for row in rows):
+            raise not_a_matrix
+        n = self.d * self.k
+        if shape != (n, n):
+            raise ConfigError("variable %r has shape %r, expected (%d, %d)" % (name, shape, n, n))
+        if not all(math.isfinite(z.real) and math.isfinite(z.imag) for row in rows for z in row):
+            raise ConfigError("variable %r has a non-finite entry" % (name,))
+        return rows
+
     def build_space(self, d=None, k=None) -> OVMatrixSpace:
+        """The configured space, or the same variables split as d x k blocks;
+        explicit matrices were checked against the configured d * k."""
+        import numpy as np
+
+        from .ovps import OVMatrixSpace, random_hermitian
+
         d = self.d if d is None else d
         k = self.k if k is None else k
         variables = {}
-        for i, (name, spec) in enumerate(self.variable_specs.items()):
-            if isinstance(spec, dict):
-                seed = _seed(spec.get("seed", self.seed + i), "the seed of variable %r" % name)
+        for i, variable in enumerate(self._variables):
+            if isinstance(variable, tuple):
+                seed, hermitian = variable
                 mat = random_hermitian(np.random.default_rng(seed), d * k)
-                if not spec.get("hermitian", True):
+                if not hermitian:
                     rng2 = np.random.default_rng(seed + 1)
                     mat = (mat + random_hermitian(rng2, d * k) * 1j) / np.sqrt(2)
             else:
-                try:
-                    mat = matrix_from_json(spec)
-                except (TypeError, ValueError):
-                    raise ConfigError(
-                        "variable %r is neither a seed spec nor a matrix of "
-                        "[re, im] pairs" % (name,)
-                    ) from None
-                if mat.shape != (d * k, d * k):
-                    raise ConfigError(
-                        "variable %r has shape %r, expected (%d, %d)"
-                        % (name, mat.shape, d * k, d * k)
-                    )
-                if not np.isfinite(mat).all():
-                    raise ConfigError("variable %r has a non-finite entry" % (name,))
+                mat = np.array(variable)
             variables[i] = mat
         return OVMatrixSpace(d=d, k=k, variables=variables, seed=self.seed)
 
@@ -186,8 +206,13 @@ def _load_config(ns) -> RunConfig:
 
 
 def _emit(ns, payload) -> None:
+    """Print ``payload`` and flush, so that a closed or full stdout fails
+    here and not at interpreter exit."""
     indent = getattr(ns, "json_indent", None)
-    print(json.dumps(payload, sort_keys=True, indent=indent))
+    try:
+        print(json.dumps(payload, sort_keys=True, indent=indent), flush=True)
+    except OSError as exc:
+        raise OutputError("cannot write to standard output: %s" % (exc,)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +236,9 @@ def _parse_word(config: RunConfig, text: str):
 
 
 def cmd_cumulants(ns) -> int:
+    from .cumulants import cumulant_families
+    from .ovps import matrix_to_json, probe_batch
+
     config = _load_config(ns)
     word = _parse_word(config, ns.word)
     if len(word) > config.max_order:
@@ -243,8 +271,9 @@ def cmd_verify(ns) -> int:
     two_variable = sorted(TWO_VARIABLE_SUITES.intersection(config.suites))
     if two_variable and len(config.variable_specs) < 2:
         raise ConfigError("suites %s need two variables" % ", ".join(two_variable))
+    exact_only = EXACT_SUITES.issuperset(config.suites)
     ctx = VerifyContext(
-        space=config.build_space(),
+        space=None if exact_only else config.build_space(),
         tol=config.tolerance,
         seed=config.seed,
         max_order=config.max_order,
@@ -325,8 +354,17 @@ def main(argv=None) -> int:
     try:
         return ns.fn(ns)
     except (ConfigError, EnumerationBound, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_USAGE
+        error = exc
+    except OutputError as exc:
+        # Python flushes stdout again at exit; pointing it at the null device
+        # keeps that flush from failing too (the SIGPIPE note of the signal
+        # module's documentation).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        error = exc
+    print(json.dumps({"error": str(error)}), file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -33,6 +33,8 @@ import itertools
 from fractions import Fraction
 
 from .ncpart import (
+    CUMULANT_KINDS,
+    KINDS,
     CrossingError,
     NCPartition,
     enumerate_interval,
@@ -50,8 +52,6 @@ from .ovps import (
     multimap_partial,
 )
 
-KINDS = ("moment", "free", "boolean", "monotone")
-CUMULANT_KINDS = KINDS[1:]
 CORRUPTION_FACTOR = 1.5
 
 

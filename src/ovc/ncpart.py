@@ -494,6 +494,14 @@ def tree_factorial(forest: NestingForest) -> int:
     return result
 
 
+# The moment map and the cumulant kinds.  Each kind is a lattice of the
+# partitions above: free sums over ``enumerate_nc``, boolean over
+# ``enumerate_interval``, monotone over ``enumerate_nc`` weighted by the
+# inverse ``tree_factorial`` of the nesting forest.
+KINDS = ("moment", "free", "boolean", "monotone")
+CUMULANT_KINDS = KINDS[1:]
+
+
 def count_monotone_labelings(pi: NCPartition) -> int:
     """Number of bijective block labelings with nested blocks labeled smaller.
 

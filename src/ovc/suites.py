@@ -6,6 +6,11 @@ assertion: identifier, what it checks, whether the check is exact
 a tolerance), and the outcome.  Suites are deterministic for a fixed
 configuration and seed; report ordering follows suite then assertion order,
 independent of scheduling.
+
+The exact suites (``EXACT_SUITES``) need only ``ncpart`` and ``formal``; the
+numeric suites import numpy and the numeric layer (``ovps``, ``cumulants``,
+``morphisms``, ``winsert``) when they run, so a run of the exact suites
+never loads them.
 """
 
 from __future__ import annotations
@@ -13,33 +18,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from . import formal, ncpart, winsert
-from .cumulants import CUMULANT_KINDS, cumulant_families, e_pi_map, lattice, verify_mc
+from . import formal, ncpart
 from .formal import all_words, antipode, coproduct, delta_prec, delta_succ, eta_eps
-from .morphisms import (
-    WordSum,
-    convolve,
-    eta_eps_morphism,
-    exp_prec,
-    exp_star,
-    exp_succ,
-    family_infinitesimal,
-    half_prec,
-    half_succ,
-    log_star,
-    moment_morphism,
-    morphism_dev,
-    operadic_extension,
-    precompose,
-    seeded_infinitesimal,
-    shuffle,
-    word_sum_dev,
-)
 from .ncpart import (
+    CUMULANT_KINDS,
     NCPartition,
     count_monotone_labelings,
     cuts,
@@ -54,7 +40,9 @@ from .ncpart import (
     partial_insert,
     tree_factorial,
 )
-from .ovps import OVMatrixSpace, exchange_dev, identity_map, moment_map, multimap_dev
+
+if TYPE_CHECKING:
+    from .ovps import OVMatrixSpace
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 
@@ -70,6 +58,7 @@ EXCHANGE_WORDS = [(0,) * n for n in range(1, 4)]
 class VerifyContext:
     """Everything a suite needs; the CLI builds it from its configuration.
 
+    ``space`` is None when only the exact suites run, which never read it.
     The numeric suites check words up to ``max_order``; the hopf suite
     checks words of up to 3 letters and total size min(max_order + 1, 5).
     ``scalar_space`` holds the same variables read with d = 1, so its
@@ -79,7 +68,7 @@ class VerifyContext:
     entry of ``FAULT_WORD`` in ``families`` only.
     """
 
-    space: OVMatrixSpace
+    space: Optional[OVMatrixSpace]
     tol: float = 1e-9
     seed: int = 7
     max_order: int = 4
@@ -87,11 +76,15 @@ class VerifyContext:
 
     @functools.cached_property
     def scalar_space(self) -> OVMatrixSpace:
+        from .ovps import OVMatrixSpace
+
         space = self.space
         return OVMatrixSpace(d=1, k=space.dk, variables=space.variables, seed=space.seed)
 
     @functools.cached_property
     def families(self) -> dict:
+        from .cumulants import cumulant_families
+
         families = cumulant_families(self.space)
         if self.inject_fault:
             families["free"].corrupt(FAULT_WORD)
@@ -99,6 +92,8 @@ class VerifyContext:
 
     @functools.cached_property
     def scalar_families(self) -> dict:
+        from .cumulants import cumulant_families
+
         return cumulant_families(self.scalar_space)
 
 
@@ -192,15 +187,15 @@ def suite_operad(ctx: VerifyContext):
         )
     )
 
-    rng = np.random.default_rng(ctx.seed)
+    rng = random.Random(ctx.seed)
     small = enumerate_nc(0) + enumerate_nc(1) + enumerate_nc(2)
     assoc_ok = True
     for p in range(5):
         for pi in enumerate_nc(p):
             for _ in range(6):
-                alphas = [small[rng.integers(len(small))] for _ in range(pi.arity)]
+                alphas = [rng.choice(small) for _ in range(pi.arity)]
                 mid = gap_insert(pi, alphas)
-                betas = [small[rng.integers(len(small))] for _ in range(mid.arity)]
+                betas = [rng.choice(small) for _ in range(mid.arity)]
                 two_stage = gap_insert(mid, betas)
                 pos, inner = 0, []
                 for a in alphas:
@@ -405,6 +400,18 @@ def suite_hopf(ctx: VerifyContext):
 
 
 def suite_shuffle(ctx: VerifyContext):
+    from .morphisms import (
+        convolve,
+        eta_eps_morphism,
+        exp_prec,
+        exp_succ,
+        half_prec,
+        half_succ,
+        morphism_dev,
+        seeded_infinitesimal,
+        shuffle,
+    )
+
     space = ctx.space
     words = all_words(ctx.max_order, 2)
     f = seeded_infinitesimal(space, seed=ctx.seed + 1)
@@ -472,6 +479,19 @@ def suite_shuffle(ctx: VerifyContext):
 
 
 def suite_oracle(ctx: VerifyContext):
+    from .cumulants import e_pi_map
+    from .morphisms import (
+        convolve,
+        eta_eps_morphism,
+        exp_prec,
+        family_infinitesimal,
+        moment_morphism,
+        morphism_dev,
+        operadic_extension,
+        precompose,
+    )
+    from .ovps import exchange_dev, identity_map, moment_map, multimap_dev
+
     space = ctx.space
     moments = ctx.families["moment"]
     ext = operadic_extension(space, moments.generator)
@@ -551,6 +571,8 @@ def suite_oracle(ctx: VerifyContext):
 
 
 def suite_moment_cumulant(ctx: VerifyContext):
+    from .cumulants import verify_mc
+
     rows = []
     order = min(ctx.max_order + 1, 5)
     for label, space, families in (
@@ -576,6 +598,8 @@ def suite_moment_cumulant(ctx: VerifyContext):
 
 
 def suite_splitting(ctx: VerifyContext):
+    from . import winsert
+
     space = ctx.space
     rows = []
     fp = winsert.verify_fixed_points(space, ctx.max_order, families=ctx.families)
@@ -663,6 +687,18 @@ def suite_splitting(ctx: VerifyContext):
 
 
 def suite_monotone_scalar(ctx: VerifyContext):
+    from . import winsert
+    from .cumulants import lattice
+    from .morphisms import (
+        WordSum,
+        exp_prec,
+        exp_star,
+        log_star,
+        seeded_infinitesimal,
+        word_sum_dev,
+    )
+    from .ovps import exchange_dev
+
     rows = []
     space = ctx.scalar_space
     counts_ok = all(
@@ -740,6 +776,9 @@ SUITES = {
 
 # Suites whose words color letters with the variables 0 and 1.
 TWO_VARIABLE_SUITES = frozenset(("monotone-scalar", "oracle"))
+
+# Suites of exact arithmetic only: they never read the context's space.
+EXACT_SUITES = frozenset(("hopf", "operad"))
 
 
 def run_suites(ctx: VerifyContext, names=None) -> dict:

@@ -109,6 +109,9 @@ def test_non_finite_matrix_entry_is_usage_error(capsys, tmp_path, command, entry
         ({"max_ordr": 2, "suites": ["operad"]}, [], "unknown keys in the configuration: max_ordr"),
         ({"variables": {"a": {"seed": 5, "hermitan": False}}}, [],
          "unknown keys in the seed spec of variable 'a': hermitan"),
+        # an integer too large for a float
+        ({"variables": {"a": [[[10**400, 0]]]}}, [],
+         "variable 'a' is neither a seed spec nor a matrix"),
     ],
 )
 def test_malformed_configuration_is_usage_error(capsys, tmp_path, config, argv, message):
@@ -157,17 +160,76 @@ def test_unreadable_configuration_is_usage_error(capsys, tmp_path):
     assert "error" in json.loads(err)
 
 
-def _run_optimized(argv):
-    """Run ``python -O`` so that any ``assert`` in the library is stripped."""
+def _child_env():
+    """The environment of a child interpreter that imports this ``ovc``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ovc.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def _run_optimized(argv):
+    """Run ``python -O`` so that any ``assert`` in the library is stripped."""
     return subprocess.run(
-        [sys.executable, "-O"] + argv, capture_output=True, text=True, env=env,
+        [sys.executable, "-O"] + argv, capture_output=True, text=True, env=_child_env(),
         timeout=300,
     )
+
+
+def test_exact_commands_never_load_the_numeric_layer():
+    proc = subprocess.run([sys.executable, "-c", """
+import contextlib, io, json, sys
+from ovc import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["verify", "--suite", "hopf,operad", "--order", "2"]),
+             cli.main(["enumerate", "6"])]
+loaded = [name for name in ("numpy", "ovc.ovps") if name in sys.modules]
+from ovc import OVMatrixSpace
+import ovc
+for name in ovc.__all__:
+    getattr(ovc, name)
+print(json.dumps([codes, loaded, OVMatrixSpace.__module__]))
+"""], capture_output=True, text=True, env=_child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[EXIT_OK, EXIT_OK], [], "ovc.ovps"]
+
+
+def _buffered_env():
+    """``_child_env`` with a buffered stdout, as in a plain run, so that
+    output can still be pending when the interpreter exits."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_closed_stdout_is_usage_error():
+    # the listing is far larger than a pipe's buffer, so writing it fails
+    # once the reader has gone
+    with subprocess.Popen(
+        [sys.executable, "-m", "ovc.cli", "enumerate", "10"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_buffered_env(),
+    ) as proc:
+        head = proc.stdout.read(40)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=300)
+    assert head.startswith(b'{"count": 16796')
+    assert code == EXIT_USAGE and "Traceback" not in err
+    assert "Broken pipe" in json.loads(err)["error"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_full_stdout_is_usage_error():
+    # a short report fits the output buffer, so only the flush can fail
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ovc.cli", "enumerate", "3"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=_buffered_env(), timeout=300,
+        )
+    assert proc.returncode == EXIT_USAGE and "Traceback" not in proc.stderr
+    assert "No space left" in json.loads(proc.stderr)["error"]
 
 
 def test_fault_injection_fails_under_optimize():

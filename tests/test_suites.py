@@ -1,5 +1,6 @@
 """The operad suite's cut-duality oracle: it must catch a wrong cut set, and
-it inverts gap insertion once per size instead of once per partition.  The
+it inverts gap insertion once per size instead of once per partition.  Its
+associativity check must catch an insertion that is not associative.  The
 unshuffle-axiom check builds each word's coproducts once and still catches
 a wrong coproduct or half-coproduct.  The suites share one set of cumulant
 tables per space, and an injected fault changes one entry of one table."""
@@ -11,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ovc import ncpart, suites
+from ovc import cumulants, ncpart, suites
 from ovc.formal import (
     all_words,
     coproduct,
@@ -59,6 +60,19 @@ def test_cut_duality_fails_on_a_spurious_pair(ctx, monkeypatch):
     spurious = Cut(full_partition(4), (EMPTY,) * 5, 0)
     _cuts_of_target_edited(monkeypatch, lambda found: found + [spurious])
     assert _passed(suite_operad(ctx))["operad.cut-duality"] is False
+
+
+def test_associativity_fails_when_insertion_is_not_associative(ctx, monkeypatch):
+    # reading the three gap arguments of a two-element partition in reverse
+    # keeps every size, so the sampled composites still exist, but inserting
+    # in two stages no longer matches inserting the composites at once
+    real = suites.gap_insert
+
+    def reversed_gaps(pi, alphas):
+        return real(pi, alphas[::-1] if pi.size == 2 else alphas)
+
+    monkeypatch.setattr(suites, "gap_insert", reversed_gaps)
+    assert _passed(suite_operad(ctx))["operad.associativity"] is False
 
 
 def test_operad_suite_inserts_each_pair_once(ctx, monkeypatch):
@@ -150,13 +164,14 @@ def test_unshuffle_axioms_catch_a_corrupted_left_half():
 def test_suites_build_one_table_set_per_space(monkeypatch):
     ctx = VerifyContext(space=OVMatrixSpace(d=2, k=2, variables=2, seed=7), max_order=2)
     spaces = []
-    real = suites.cumulant_families
+    real = cumulants.cumulant_families
 
     def counted(space):
         spaces.append(space)
         return real(space)
 
-    monkeypatch.setattr(suites, "cumulant_families", counted)
+    # the suites import the table builder when they run
+    monkeypatch.setattr(cumulants, "cumulant_families", counted)
     suite_moment_cumulant(ctx)
     suite_monotone_scalar(ctx)
     assert spaces == [ctx.scalar_space, ctx.space]

@@ -27,7 +27,10 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-KINDS = ("moment", "free", "boolean", "monotone")
+# The kinds come from the program under SRC, the one the sweep runs.
+sys.path.insert(0, str(SRC))
+from ovc.ncpart import KINDS
+
 SUITES = ("shuffle", "splitting")
 ORDERS = range(4, 9)
 CUMULANT_WORD = ".".join("a" * 8)
