@@ -24,11 +24,11 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-import weakref
 from fractions import Fraction
+from types import NoneType
 
 from . import ncpart
-from .ncpart import EMPTY, NCPartition, cuts, gap_insert, intern_object
+from .ncpart import EMPTY, InternTable, NCPartition, cuts, gap_insert, intern_object
 
 
 class GradingError(ValueError):
@@ -75,7 +75,7 @@ class Word:
     def _trusted(cls, letters: tuple):
         """Internal: the word of letters already known to be of the letter
         type, as derived from valid words; nothing is checked."""
-        w = _WORDS.get((cls, letters))
+        w = _WORDS.get((cls, letters), NoneType)()
         if w is None:
             w = intern_object(
                 _WORDS, (cls, letters), cls,
@@ -157,7 +157,7 @@ class Word:
         return "%s(%r)" % (type(self).__name__, self.text())
 
 
-_WORDS = weakref.WeakValueDictionary()
+_WORDS = InternTable()
 
 
 @functools.lru_cache(maxsize=256)
@@ -165,17 +165,18 @@ def _word_cuts(w: Word) -> tuple:
     """The product of the letters' cuts of ``w``; ``Word.cuts`` documents
     the triples.  Bounded, since each entry holds every cut of its word:
     the checks reuse a word's cuts soon after first building them, so 256
-    words miss 455 times on the 441 words of the splitting and shuffle
-    suites at order 3, while splitting at order 5 queries 11,160 words and
-    a cache of all of them raises its peak memory from 68 to 85 MB and
-    makes it slower (6.3 to 7.5 s).  The default hopf suite misses 7,240
-    times on its 1,066 words at this bound."""
+    words miss 455 times (749 hits) on the 441 words of the splitting and
+    shuffle suites at order 3, while splitting at order 5 queries 11,160
+    words and a cache of all of them raises its peak memory from 68 to
+    85 MB and makes it slower (6.3 to 7.5 s).  The default hopf suite
+    queries 1,066 words and ends with 3,397 hits and 7,240 misses at this
+    bound (``cache_info()`` after ``verify --suite hopf``)."""
     trusted = type(w)._trusted
     anchor = next((i for i, l in enumerate(w.letters) if l.size > 0), None)
     out = []
     for combo in itertools.product(*map(w.letter_cuts, w.letters)):
-        lower = trusted(tuple(c.lower for c in combo))
-        upper = trusted(tuple(u for c in combo for u in c.upper))
+        lower = trusted(tuple([c.lower for c in combo]))
+        upper = trusted(tuple([u for c in combo for u in c.upper]))
         flag = None if anchor is None else bool(combo[anchor].kept_mask & 1)
         out.append((lower, upper, flag))
     return tuple(out)
@@ -478,6 +479,26 @@ def delta_succ(w) -> FormalSum:
     return cut_sum(w, False, reduced=True)
 
 
+def half_coproducts(w) -> tuple:
+    """``(delta_prec(w), delta_succ(w))`` from one walk of each word's
+    cuts: every cut goes to the half its first-position flag names.  For a
+    caller that needs both halves of a large sum, one walk also means each
+    word's cuts are built once, however many words come between."""
+    prec, succ = {}, {}
+    for basis, c in FormalSum.lift(w).terms.items():
+        if basis.is_unit():
+            raise UnitWordError("half-coproducts are undefined on unit words")
+        for lower, upper, flag in basis.cuts():
+            out = prec if flag else succ
+            key = BoxStack._trusted((lower, upper))
+            out[key] = out.get(key, 0) + c
+        key = BoxStack._trusted((basis, basis.unit(basis.inputs)))
+        prec[key] = prec.get(key, 0) - c
+        key = BoxStack._trusted((basis.unit(basis.outputs), basis))
+        succ[key] = succ.get(key, 0) - c
+    return FormalSum(prec), FormalSum(succ)
+
+
 # ---------------------------------------------------------------------------
 # Antipode, counit, unit
 
@@ -594,26 +615,3 @@ def sum_to_text(s: FormalSum) -> str:
             chunks.append(("+ " if coeff > 0 else "- ") + text)
     return " ".join(chunks)
 
-
-def sum_from_text(text: str) -> FormalSum:
-    text = text.strip()
-    if text == "0":
-        return ZERO
-    if text.startswith("- "):
-        text = "-" + text[2:]
-    tokens = re.split(r" ([+-]) ", text)
-    chunks = [(1, tokens[0])]
-    for op, tok in zip(tokens[1::2], tokens[2::2]):
-        chunks.append((1 if op == "+" else -1, tok))
-    terms = []
-    for sgn, chunk in chunks:
-        chunk = chunk.strip()
-        if chunk.startswith("-"):
-            sgn, chunk = -sgn, chunk[1:]
-        if "*" in chunk:
-            coeff_text, body = chunk.split("*", 1)
-            coeff = Fraction(coeff_text)
-        else:
-            coeff, body = 1, chunk
-        terms.append((basis_from_text(body), sgn * coeff))
-    return FormalSum(terms)

@@ -14,7 +14,26 @@ the one live object with its blocks and colors, so equality and hashing are
 identity.  Every function here is pure.  ``enumerate_nc`` and ``cuts`` of
 uncolored partitions are memoised per process; both return a fresh list on
 every call.  The cuts of a colored partition come from the memoised cuts of
-its uncolored shape, recolored by position.
+its uncolored shape, colored from that shape's recoloring plan (made once
+per shape): the positions of the kept elements color the lower partition,
+and each gap's slice of the colors colors its upper partition.
+
+Validation happens once, at the boundary: ``NCPartition(...)``,
+``standardize`` and ``from_text`` check the ground set and the crossings.
+Every internal route starts from a valid partition and builds through the
+unchecked ``NCPartition._trusted``, because its result is valid by
+construction:
+
+- ``gap_insert``: inserting non-crossing partitions into the gaps of a
+  non-crossing one gives a non-crossing one, and the relabelling keeps each
+  block sorted, so only the block order is restored;
+- the lower and upper partitions of a cut, and ``restrict``: a subset of a
+  valid partition's canonical blocks, relabelled 1..p in increasing order,
+  keeps its blocks sorted, in block order and uncrossed;
+- ``enumerate_nc``, ``enumerate_interval`` and uncolored ``full_partition``:
+  their block lists are non-crossing partitions by construction;
+- recoloring: the shapes are valid, and the colors are a valid colored
+  partition's, sliced by position.
 """
 
 from __future__ import annotations
@@ -24,6 +43,7 @@ import itertools
 import math
 import threading
 import weakref
+from types import NoneType
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 # Enumeration bounds.  ``verify`` never reaches them: max_order <= 8 keeps
@@ -115,25 +135,54 @@ def is_noncrossing(blocks) -> bool:
     )
 
 
-_INTERN_LOCK = threading.Lock()
+# Re-entrant, because a reference's callback takes it too and may run
+# inside ``intern_object`` when a collection frees an interned object.
+_INTERN_LOCK = threading.RLock()
 
 
-def intern_object(table, key, cls, **fields):
-    """The live object of ``cls`` stored under ``key`` in the weak-valued
-    ``table``, made with ``fields`` when there is none.  Callers look the
-    key up first, so only creation takes the lock; the lock is shared by
-    every intern table, and no two threads make two objects for one key."""
+class _InternRef(weakref.ref):
+    """A weak reference to an interned object that remembers its key,
+    which is set after the reference is made."""
+
+    __slots__ = ("key",)
+
+
+class InternTable(dict):
+    """An intern table: a dict from keys to weak references of their one
+    live object.  ``table.get(key, NoneType)()`` reads it with one lookup
+    and one call; a missing key reads as ``None``, as a dead reference
+    does.  When an object dies, its reference's callback drops that entry,
+    and only while it is still the entry: a newer object made under the
+    same key after the death stays."""
+
+    __slots__ = ()
+    _lock = _INTERN_LOCK  # a class attribute outlives module teardown
+
+    def _drop(self, ref):
+        with self._lock:
+            if self.get(ref.key) is ref:
+                del self[ref.key]
+
+
+def intern_object(table: InternTable, key, cls, **fields):
+    """The live object of ``cls`` stored under ``key`` in ``table``, made
+    with ``fields`` when there is none or its reference is dead.  Callers
+    read the table first, so only creation takes the lock; the lock is
+    shared by every intern table, and no two threads make two objects for
+    one key."""
     with _INTERN_LOCK:
-        obj = table.get(key)
+        obj = table.get(key, NoneType)()
         if obj is None:
             obj = object.__new__(cls)
             for name, value in fields.items():
                 object.__setattr__(obj, name, value)
-            table[key] = obj
+            ref = _InternRef(obj, table._drop)
+            ref.key = key
+            table[key] = ref
         return obj
 
 
-_PARTITIONS = weakref.WeakValueDictionary()
+_PARTITIONS = InternTable()
 
 
 class NCPartition:
@@ -171,7 +220,7 @@ class NCPartition:
         """Internal: the partition with the canonical blocks of a valid one
         of ``size`` elements and ``colors`` (None, or a tuple of ``size``
         indices when ``size > 0``); nothing is checked."""
-        pi = _PARTITIONS.get((blocks, colors))
+        pi = _PARTITIONS.get((blocks, colors), NoneType)()
         if pi is None:
             pi = intern_object(
                 _PARTITIONS, (blocks, colors), cls, size=size, blocks=blocks, colors=colors
@@ -213,10 +262,13 @@ def full_partition(size: int, colors: Optional[Sequence[int]] = None) -> NCParti
     """The one-block partition of ``size`` elements (size 0 gives the unit).
 
     With arity labelling this is the generator of arity ``size + 1``.
+    Without colors and for ``size > 0`` the block is valid by construction
+    and is not checked.
     """
-    if size == 0:
-        return NCPartition((), colors=colors)
-    return NCPartition((tuple(range(1, size + 1)),), colors=colors)
+    blocks = (tuple(range(1, size + 1)),) if size else ()
+    if colors is None and size > 0:
+        return NCPartition._trusted(blocks, size, None)
+    return NCPartition(blocks, colors=colors)
 
 
 def color_name(index: int) -> str:
@@ -312,7 +364,12 @@ def enumerate_nc(p: int) -> list:
 
 @functools.lru_cache(maxsize=None)
 def _nc_partitions(p: int) -> tuple:
-    parts = [NCPartition(bs) for bs in _nc_block_lists(tuple(range(1, p + 1)))]
+    # every block list is a non-crossing partition of 1..p with sorted
+    # blocks, so sorting the list puts it in canonical form
+    parts = [
+        NCPartition._trusted(tuple(sorted(bs)), p, None)
+        for bs in _nc_block_lists(tuple(range(1, p + 1)))
+    ]
     parts.sort(key=NCPartition.sort_key)
     return tuple(parts)
 
@@ -330,7 +387,8 @@ def enumerate_interval(p: int) -> list:
                 blocks.append(tuple(range(start, pos + 1)))
                 start = pos + 1
         blocks.append(tuple(range(start, p + 1)))
-        out.append(NCPartition(blocks))
+        # consecutive runs covering 1..p, in order: valid by construction
+        out.append(NCPartition._trusted(tuple(blocks), p, None))
     out.sort(key=NCPartition.sort_key)
     return out
 
@@ -340,21 +398,19 @@ def enumerate_interval(p: int) -> list:
 
 
 def _merge_colors(pi: NCPartition, alphas) -> Optional[tuple]:
-    sized = [x for x in (pi, *alphas) if x.size > 0]
-    if not sized:
+    sized = [x for x in (pi, *alphas) if x.size]
+    colored = [x for x in sized if x.colors is not None]
+    if not colored:
         return None
-    colored = [x.colors is not None for x in sized]
-    if not any(colored):
-        return None
-    if not all(colored):
+    if len(colored) != len(sized):
         raise ArityMismatch("mixed colored and uncolored inputs")
+    host = pi.colors or ()
     parts = []
     for i, a in enumerate(alphas):
-        parts.extend(a.colors or ())
+        if a.size:
+            parts.extend(a.colors)
         if i < pi.size:
-            parts.append(pi.colors[i] if pi.colors else None)
-    if any(c is None for c in parts):
-        raise ArityMismatch("mixed colored and uncolored inputs")
+            parts.append(host[i])
     return tuple(parts)
 
 
@@ -366,22 +422,26 @@ def gap_insert(pi: NCPartition, alphas: Sequence[NCPartition]) -> NCPartition:
     partition into its gap.  Colors concatenate in reading order.  Inserting
     non-crossing partitions gives a non-crossing one, and relabelling keeps
     each block sorted, so the result is only put in block order, not
-    checked again.
+    checked again.  Empty arguments are only counted: inserting nothing
+    returns ``pi`` itself, and inserting into the unit returns the argument.
     """
     alphas = tuple(alphas)
     if len(alphas) != pi.arity:
         raise ArityMismatch(
             "expected %d gap arguments, got %d" % (pi.arity, len(alphas))
         )
-    colors = _merge_colors(pi, alphas)
+    if not pi.size:
+        return alphas[0]
     sizes = [a.size for a in alphas]
-    prefix = [0]
-    for s in sizes:
-        prefix.append(prefix[-1] + s)
-    blocks = [tuple(x + prefix[x] for x in b) for b in pi.blocks]
-    for i, a in enumerate(alphas):
-        offset = i + prefix[i]
-        blocks.extend(tuple(x + offset for x in b) for b in a.blocks)
+    prefix = list(itertools.accumulate(sizes, initial=0))
+    if not prefix[-1]:
+        return pi
+    colors = _merge_colors(pi, alphas)
+    blocks = [tuple([x + prefix[x] for x in b]) for b in pi.blocks]
+    for i, size in enumerate(sizes):
+        if size:
+            offset = i + prefix[i]
+            blocks.extend([tuple([x + offset for x in b]) for b in alphas[i].blocks])
     blocks.sort()
     return NCPartition._trusted(tuple(blocks), prefix[-1] + pi.size, colors)
 
@@ -399,7 +459,8 @@ def standardize(blocks, colors=None) -> NCPartition:
     """Relabel blocks over an arbitrary finite integer ground set to {1..p}.
 
     ``colors``, if given, maps each original element to its variable index.
-    No blocks give the shared EMPTY.
+    No blocks give the shared EMPTY.  The result is validated like any
+    ``NCPartition``.
     """
     if not blocks:
         return EMPTY
@@ -410,6 +471,24 @@ def standardize(blocks, colors=None) -> NCPartition:
     new_blocks = [tuple(rank[x] for x in b) for b in blocks]
     new_colors = tuple(colors[x] for x in ground) if colors is not None else None
     return NCPartition(new_blocks, colors=new_colors)
+
+
+def _sub_partition(blocks, colors) -> NCPartition:
+    """Trusted relabelling: the partition that ``blocks``, some canonical
+    blocks of one valid partition kept in their canonical order, form on
+    their own elements, with that partition's ``colors`` (or None).
+
+    Relabelling the elements 1..p in increasing order keeps each block
+    sorted, the blocks ordered by minimum and every pair of blocks as
+    (un)crossed as before, so the result is valid by construction and is
+    made without checks."""
+    ground = sorted([x for b in blocks for x in b])
+    if not ground:
+        return EMPTY
+    rank = {x: i for i, x in enumerate(ground, 1)}
+    new_blocks = tuple([tuple([rank[x] for x in b]) for b in blocks])
+    new_colors = None if colors is None else tuple([colors[x - 1] for x in ground])
+    return NCPartition._trusted(new_blocks, len(ground), new_colors)
 
 
 def restrict(pi: NCPartition, positions) -> NCPartition:
@@ -425,10 +504,7 @@ def restrict(pi: NCPartition, positions) -> NCPartition:
             raise MalformedPartition("block %r straddles the restriction" % (b,))
         if inside:
             blocks.append(b)
-    colors = None
-    if pi.colors is not None:
-        colors = {x: pi.colors[x - 1] for x in keep}
-    return standardize(blocks, colors=colors)
+    return _sub_partition(blocks, pi.colors)
 
 
 # ---------------------------------------------------------------------------
@@ -548,33 +624,27 @@ def cuts(pi: NCPartition) -> list:
     """All cuts of ``pi``, ordered by kept_mask value.
 
     Includes the two trivial cuts (no blocks kept / all blocks kept).  The
-    empty partition has the single cut (EMPTY, (EMPTY,)).  The cuts of an
+    empty partition has the single cut (EMPTY, (EMPTY,), 0).  The cuts of an
     uncolored partition are computed once per process; a colored partition
-    takes the cuts of its uncolored shape and carries its colors along by
-    position, and nothing colored is cached.
+    takes the cuts of its uncolored shape and colors them from the shape's
+    recoloring plan, and nothing colored is cached.
     """
     if pi.colors is None:
         return list(_uncolored_cuts(pi))
-    shape = NCPartition._trusted(pi.blocks, pi.size, None)
-    return [_recolored(c, pi) for c in _uncolored_cuts(shape)]
-
-
-def _recolored(cut: Cut, pi: NCPartition) -> Cut:
-    """The cut of the colored ``pi`` whose shape is ``cut``: the kept
-    elements, in order, color ``lower``, and the elements of each gap
-    between them color that gap's ``upper``."""
-    kept = sorted(x for i, b in enumerate(pi.blocks) if cut.kept_mask >> i & 1 for x in b)
-    bounds = [0] + kept + [pi.size + 1]
-    lower = _colored(cut.lower, tuple(pi.colors[x - 1] for x in kept))
-    upper = tuple(
-        _colored(u, pi.colors[lo : hi - 1])
-        for u, lo, hi in zip(cut.upper, bounds, bounds[1:])
-    )
-    return Cut(lower, upper, cut.kept_mask)
-
-
-def _colored(shape: NCPartition, colors: tuple) -> NCPartition:
-    return NCPartition._trusted(shape.blocks, shape.size, colors) if shape.size else EMPTY
+    colors = pi.colors
+    trusted = NCPartition._trusted
+    out = []
+    shape = trusted(pi.blocks, pi.size, None)
+    for cut, (kept, starts, ends) in zip(_uncolored_cuts(shape), _recoloring_plan(shape)):
+        lower = cut.lower
+        if lower.size:
+            lower = trusted(lower.blocks, lower.size, tuple([colors[i] for i in kept]))
+        upper = tuple([
+            trusted(u.blocks, u.size, colors[lo:hi]) if u.size else EMPTY
+            for u, lo, hi in zip(cut.upper, starts, ends)
+        ])
+        out.append(Cut(lower, upper, cut.kept_mask))
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -582,14 +652,40 @@ def _uncolored_cuts(pi: NCPartition) -> tuple:
     return tuple(_cuts(pi))
 
 
+@functools.lru_cache(maxsize=None)
+def _recoloring_plan(shape: NCPartition) -> tuple:
+    """How to color each cut of the uncolored ``shape`` from the colors of
+    a partition of that shape, in the order of ``_uncolored_cuts(shape)``:
+    the ``_gap_bounds`` of the cut's kept elements.  One plan per shape,
+    made once, as its cuts are."""
+    return tuple(
+        _gap_bounds(
+            tuple(sorted(
+                x - 1 for i, b in enumerate(shape.blocks) if cut.kept_mask >> i & 1 for x in b
+            )),
+            shape.size,
+        )
+        for cut in _uncolored_cuts(shape)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _gap_bounds(kept: tuple, size: int) -> tuple:
+    """``(kept, starts, ends)`` for the 0-based indices ``kept`` of the
+    kept elements of a partition of ``size`` elements: ``lower`` takes the
+    colors at ``kept``, and gap g's ``upper`` the colors
+    ``[starts[g]:ends[g]]``, the elements between two kept ones.  Shared
+    by every cut that keeps the same elements, so plans stay small."""
+    return kept, (0,) + tuple(i + 1 for i in kept), kept + (size,)
+
+
 def _cuts(pi: NCPartition) -> list:
+    """The cuts of ``pi`` computed directly, colors included; every lower
+    and upper is a trusted sub-partition of ``pi``."""
     if pi.size == 0:
         return [Cut(EMPTY, (EMPTY,), 0)]
     forest = nesting_forest(pi)
     nb = pi.n_blocks
-    colors = None
-    if pi.colors is not None:
-        colors = {x: pi.colors[x - 1] for x in range(1, pi.size + 1)}
     out = []
     for mask in range(1 << nb):
         kept = [i for i in range(nb) if mask >> i & 1]
@@ -599,7 +695,7 @@ def _cuts(pi: NCPartition) -> list:
         ):
             continue
         kept_blocks = [pi.blocks[i] for i in kept]
-        lower = standardize(kept_blocks, colors=colors)
+        lower = _sub_partition(kept_blocks, pi.colors)
         positions = sorted(x for b in kept_blocks for x in b)
         bounds = [0] + positions + [pi.size + 1]
         removed = [pi.blocks[i] for i in range(nb) if not mask >> i & 1]
@@ -607,7 +703,7 @@ def _cuts(pi: NCPartition) -> list:
         for g in range(len(positions) + 1):
             lo, hi = bounds[g], bounds[g + 1]
             segment = [b for b in removed if lo < b[0] and b[-1] < hi]
-            upper.append(standardize(segment, colors=colors))
+            upper.append(_sub_partition(segment, pi.colors))
         if sum(len(b) for b in removed) != sum(u.size for u in upper):
             raise InvariantError(
                 "%r: the cut with kept mask %d loses removed elements" % (pi, mask)

@@ -46,10 +46,6 @@ def matrix_to_json(m) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
-def matrix_from_json(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])
-
-
 def random_matrix(rng, n) -> np.ndarray:
     return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import weakref
+from types import NoneType
 
 from . import formal, ncpart
 from .cumulants import cumulant_families
@@ -32,9 +32,9 @@ from .morphisms import (
     morphism_dev,
     precompose,
 )
-from .ncpart import NCPartition, enumerate_nc, intern_object
+from .ncpart import InternTable, NCPartition, enumerate_nc, intern_object
 
-_LETTER_WORDS = weakref.WeakValueDictionary()
+_LETTER_WORDS = InternTable()
 
 
 class LetterWord:
@@ -52,7 +52,7 @@ class LetterWord:
     def _trusted(cls, letters: tuple):
         """Internal: the letter word of a tuple of ``int`` indices; nothing
         is checked."""
-        x = _LETTER_WORDS.get(letters)
+        x = _LETTER_WORDS.get(letters, NoneType)()
         if x is None:
             x = intern_object(_LETTER_WORDS, letters, cls, letters=letters)
         return x
@@ -140,9 +140,6 @@ class WWord(formal.Word):
         """The most blocks of a word in ``split(self)``: its finest
         coloring has one block per position."""
         return self.total_size
-
-
-W_ONE = WWord(())
 
 
 def w_word(*letters) -> WWord:

@@ -15,8 +15,9 @@ import ovc
 from ovc import cli
 from ovc.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, RunConfig, main
 from ovc.cumulants import cumulant_families
-from ovc.ovps import deviation, elementary_batch, matrix_from_json, probe_batch
+from ovc.ovps import deviation, elementary_batch, probe_batch
 from ovc.suites import VerifyContext
+from helpers import matrix_from_json
 from reference_walk import walk_eval
 
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
@@ -185,7 +186,8 @@ from ovc import cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["verify", "--suite", "hopf,operad", "--order", "2"]),
              cli.main(["enumerate", "6"])]
-loaded = [name for name in ("numpy", "ovc.ovps") if name in sys.modules]
+loaded = [name for name in ("numpy", "ovc.ovps", "dataclasses", "inspect")
+          if name in sys.modules]
 from ovc import OVMatrixSpace
 import ovc
 for name in ovc.__all__:

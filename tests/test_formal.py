@@ -23,13 +23,13 @@ from ovc.formal import (
     delta_succ,
     delta_succ_plus,
     eta_eps,
+    half_coproducts,
     hconcat,
     map_stack,
     nabla,
     reduced_coproduct,
     single,
     stack,
-    sum_from_text,
     sum_to_text,
     unit_word,
     vcompose,
@@ -37,6 +37,7 @@ from ovc.formal import (
     word_from_text,
 )
 from ovc.ncpart import EMPTY, NCPartition, enumerate_nc, full_partition
+from helpers import sum_from_text
 
 NESTED = NCPartition([(1, 3), (2,)])
 TWO_SINGLETONS = NCPartition([(1,), (2,)])
@@ -287,6 +288,40 @@ def test_half_coproducts_reject_unit_words():
         delta_prec(unit_word(2))
     with pytest.raises(UnitWordError):
         delta_succ_plus(ONE)
+
+
+@st.composite
+def word_sums(draw):
+    """Sums of partition words with at least one non-empty letter each,
+    colored or not, with rational coefficients."""
+    terms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        letters = []
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            p = draw(st.integers(min_value=0, max_value=3))
+            pi = draw(st.sampled_from(enumerate_nc(p)))
+            if p and draw(st.booleans()):
+                colors = draw(st.lists(st.integers(0, 2), min_size=p, max_size=p))
+                pi = NCPartition(pi.blocks, colors=colors)
+            letters.append(pi)
+        if all(l.size == 0 for l in letters):
+            letters.append(gen1(2))
+        coeff = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+        terms.append((PartitionWord(letters), coeff))
+    return FormalSum(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(word_sums())
+def test_half_coproducts_are_both_halves_from_one_walk(s):
+    assert half_coproducts(s) == (delta_prec(s), delta_succ(s))
+
+
+def test_half_coproducts_reject_unit_words_as_both_halves_do():
+    for unit in (ONE, unit_word(2), single(unit_word(1)) + single(word(gen1(2)))):
+        for half in (half_coproducts, delta_prec, delta_succ):
+            with pytest.raises(UnitWordError):
+                half(unit)
 
 
 def test_splitting_of_reduced_coproduct():

@@ -10,20 +10,24 @@ import weakref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ovc import formal, winsert
+from ovc import formal, ncpart, winsert
 from ovc.formal import PartitionWord
 from ovc.ncpart import (
     EMPTY,
     NCPartition,
     cuts,
+    enumerate_interval,
     enumerate_nc,
     from_text,
+    full_partition,
     gap_insert,
     is_noncrossing,
+    restrict,
     standardize,
     to_text,
 )
 from ovc.winsert import LetterWord, WWord, letter_cuts, word_insert
+from helpers import W_ONE
 
 
 @st.composite
@@ -95,12 +99,12 @@ def test_every_route_to_a_letter_word_returns_one_object(letters):
 
 
 def test_partition_words_and_letter_words_are_never_one_object():
-    assert formal.ONE is not winsert.W_ONE and formal.ONE != winsert.W_ONE
+    assert formal.ONE is not W_ONE and formal.ONE != W_ONE
     for n in range(4):
         assert PartitionWord.unit(n) is not WWord.unit(n)
         assert PartitionWord.unit(n) != WWord.unit(n)
     assert EMPTY != winsert.EMPTY_WORD
-    assert len({formal.ONE, winsert.W_ONE, PartitionWord.unit(1), WWord.unit(1)}) == 4
+    assert len({formal.ONE, W_ONE, PartitionWord.unit(1), WWord.unit(1)}) == 4
 
 
 def _relabelled(pi, alphas):
@@ -140,6 +144,37 @@ def test_gap_insert_equals_the_validating_constructor(case):
     assert result.size == pi.size + sum(a.size for a in alphas)
 
 
+@settings(max_examples=150, deadline=None)
+@given(nc_partitions(max_size=6), st.data())
+def test_trusted_sub_partitions_equal_the_validating_constructor(pi, data):
+    """Cuts and restrictions relabel blocks of a valid partition without
+    checking them; each result is the one ``standardize`` validates."""
+    colors = None if pi.colors is None else dict(enumerate(pi.colors, start=1))
+    for cut in cuts(pi):
+        kept = [b for i, b in enumerate(pi.blocks) if cut.kept_mask >> i & 1]
+        removed = [b for b in pi.blocks if b not in kept]
+        assert standardize(kept[::-1], colors=colors) is cut.lower
+        positions = sorted(x for b in kept for x in b)
+        bounds = [0] + positions + [pi.size + 1]
+        assert len(cut.upper) == len(bounds) - 1
+        for upper, lo, hi in zip(cut.upper, bounds, bounds[1:]):
+            segment = [b for b in removed if lo < b[0] and b[-1] < hi]
+            assert standardize(segment[::-1], colors=colors) is upper
+    chosen = data.draw(st.permutations(pi.blocks))
+    chosen = chosen[: data.draw(st.integers(min_value=0, max_value=len(chosen)))]
+    positions = [x for b in chosen for x in b]
+    assert restrict(pi, positions) is standardize(chosen, colors=colors)
+
+
+def test_enumerated_partitions_equal_the_validating_constructor():
+    for p in range(8):
+        for pi in enumerate_nc(p):
+            assert NCPartition(pi.blocks) is pi
+        for pi in enumerate_interval(p):
+            assert NCPartition(pi.blocks) is pi
+        assert NCPartition([range(1, p + 1)] if p else []) is full_partition(p)
+
+
 def test_threads_building_the_same_words_get_one_object():
     # values no other test builds, so the threads race to create them
     values = [tuple(range(40 + i, 44 + i)) for i in range(30)]
@@ -172,6 +207,47 @@ def test_threads_building_the_same_words_get_one_object():
             assert all(a is b for a, b in zip(mine, theirs))
 
 
+def test_threads_dropping_and_rebuilding_values_keep_one_object():
+    """Each round's objects die in whichever thread lets go of them last,
+    while the other threads already rebuild the same values: a dying
+    object's callback must drop only its own entry, so every round still
+    has one object per value."""
+    values = [tuple(range(70 + i, 73 + i)) for i in range(20)]
+    n_threads, rounds = 4, 30
+    barrier = threading.Barrier(n_threads, timeout=60)
+    built = [None] * n_threads
+    mismatches, finished = [], []
+
+    def work(slot):
+        for _ in range(rounds):
+            mine = []
+            for v in values:
+                letter = LetterWord(v)
+                colored = NCPartition([range(1, 4)], colors=v)
+                mine += [letter, WWord((letter,)), colored, PartitionWord((colored,))]
+            built[slot] = mine
+            barrier.wait()
+            mismatches.extend(
+                slot for other in built for a, b in zip(mine, other) if a is not b
+            )
+            barrier.wait()
+            built[slot] = mine = None
+        finished.append(slot)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(finished) == list(range(n_threads)) and not mismatches
+
+
 def test_a_dropped_word_is_freed_and_rebuilt_equal():
     letters = (9, 8, 9, 7)
     w = WWord((LetterWord(letters),))
@@ -183,3 +259,46 @@ def test_a_dropped_word_is_freed_and_rebuilt_equal():
     trusted = WWord._trusted((LetterWord._trusted(letters),))
     assert again is trusted and again == trusted and hash(again) == hash(trusted)
     assert again.text() == text and {again: 1}[trusted] == 1
+
+
+def test_a_dropped_partition_is_freed_and_rebuilt_equal():
+    blocks, colors = ((1, 4), (2, 3), (5,)), (9, 8, 8, 9, 7)
+    pi = NCPartition(blocks, colors=colors)
+    text, alive = to_text(pi), weakref.ref(pi)
+    del pi
+    gc.collect()
+    assert alive() is None
+    # the dead object's entry went with it
+    assert (blocks, colors) not in ncpart._PARTITIONS
+    again = NCPartition(blocks, colors=colors)
+    trusted = NCPartition._trusted(blocks, 5, colors)
+    assert again is trusted and again == trusted and hash(again) == hash(trusted)
+    assert to_text(again) == text and {again: 1}[trusted] == 1
+
+
+class _Gone:
+    """A weakly referenceable stand-in for an object that has died."""
+
+
+def test_a_dead_reference_reads_as_no_object():
+    """A collection clears every reference before it runs any callback, so
+    an entry can hold a dead reference for a while.  Reading it must make a
+    new object, and the old reference's callback must not drop the entry
+    that replaced it."""
+    blocks, colors = ((1, 3), (2,), (4,)), (9, 7, 9, 8)
+    key = (blocks, colors)
+    assert key not in ncpart._PARTITIONS
+    stale = ncpart._InternRef(_Gone())  # dead at once: nothing else holds it
+    stale.key = key
+    assert stale() is None
+    ncpart._PARTITIONS[key] = stale
+    try:
+        pi = NCPartition._trusted(blocks, 4, colors)
+        assert pi is not None and pi.blocks == blocks and pi.colors == colors
+        assert NCPartition(blocks, colors=colors) is pi
+        assert ncpart._PARTITIONS[key]() is pi
+        ncpart._PARTITIONS._drop(stale)
+        assert ncpart._PARTITIONS[key]() is pi
+    finally:
+        if ncpart._PARTITIONS.get(key) is stale:
+            del ncpart._PARTITIONS[key]

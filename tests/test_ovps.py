@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovc import ovps
+from helpers import matrix_from_json
 from reference_walk import walk_eval
 from strategies import multimap_trees
 from ovc.ovps import (
@@ -12,7 +13,6 @@ from ovc.ovps import (
     deviation,
     elementary_batch,
     identity_map,
-    matrix_from_json,
     matrix_to_json,
     moment_map,
     multimap_compose,

@@ -19,7 +19,6 @@ from ovc.ncpart import ArityMismatch, NCPartition
 from ovc.ovps import OVMatrixSpace
 from ovc.winsert import (
     EMPTY_WORD,
-    W_ONE,
     LetterWord,
     WWord,
     all_w_words,
@@ -38,6 +37,7 @@ from ovc.winsert import (
     w_word,
     word_insert,
 )
+from helpers import W_ONE
 
 A, B, C = LetterWord([0]), LetterWord([1]), LetterWord([2])
 AB = LetterWord([0, 1])
@@ -131,6 +131,19 @@ def test_w_half_coproducts():
     assert delta_succ_plus(w_word(A)) == single(stack(w_word(EMPTY_WORD), w_word(A)))
     with pytest.raises(UnitWordError):
         w_delta_prec(W_ONE)
+
+
+def test_half_coproducts_of_letter_words_and_their_splits():
+    for w in WORDS:
+        if w.is_unit():
+            for x in (w, split(w)):
+                for half in (formal.half_coproducts, formal.delta_prec, formal.delta_succ):
+                    with pytest.raises(UnitWordError):
+                        half(x)
+            continue
+        assert formal.half_coproducts(w) == (w_delta_prec(w), w_delta_succ(w))
+        s = split(w)
+        assert formal.half_coproducts(s) == (formal.delta_prec(s), formal.delta_succ(s))
 
 
 def test_w_reduced_splits():
