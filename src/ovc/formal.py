@@ -44,10 +44,11 @@ class Word:
 
     The word-level structure is shared by every letter type: cuts, unit
     words and the vertical product.  A subclass names its letter type and
-    empty letter and supplies three letter operations: ``letter_cuts``
+    empty letter and supplies four letter operations: ``letter_cuts``
     (the letter's ``ncpart.Cut`` records, whose ``kept_mask`` has bit 0 set
-    when position 1 stays below), ``insert_letter`` (fill a letter's gaps)
-    and ``letter_text``.
+    when position 1 stays below), ``insert_letter`` (fill a letter's gaps),
+    ``letter_text`` and ``letter_partition`` (the colored non-crossing
+    partition a letter stands for, which the morphism builders evaluate).
 
     Words are interned like their letters: there is one live word per word
     type and letter tuple, so words compare and hash by identity, and a
@@ -190,6 +191,10 @@ class PartitionWord(Word):
     EMPTY = EMPTY
     SORT_TAG = 0
     letter_text = staticmethod(ncpart.to_text)
+
+    @staticmethod
+    def letter_partition(letter):
+        return letter
 
     # both look their function up on each call, so a wrapped one is used
     @staticmethod
@@ -559,17 +564,20 @@ def _restack(low, high):
 def all_words(max_size: int, max_letters: int):
     """All basis words with at most ``max_letters`` letters and total size at
     most ``max_size``, empty letters included, in deterministic order."""
-    pool = {}
+    return words_of(PartitionWord, ncpart.enumerate_nc, max_size, max_letters)
+
+
+def words_of(word_type, letters_of_size, max_size: int, max_letters: int):
+    """All words of ``word_type`` with at most ``max_letters`` letters and
+    total size at most ``max_size``, in sort-key order; ``letters_of_size(s)``
+    lists the letters of size s, empty ones included."""
+    pool = functools.cache(letters_of_size)
     out = []
     for n_letters in range(max_letters + 1):
         for sizes in itertools.product(range(max_size + 1), repeat=n_letters):
-            if sum(sizes) > max_size:
-                continue
-            for letters in itertools.product(
-                *(pool.setdefault(s, ncpart.enumerate_nc(s)) for s in sizes)
-            ):
-                out.append(PartitionWord(letters))
-    out.sort(key=PartitionWord.sort_key)
+            if sum(sizes) <= max_size:
+                out.extend(map(word_type, itertools.product(*map(pool, sizes))))
+    out.sort(key=word_type.sort_key)
     return out
 
 

@@ -206,12 +206,11 @@ class Morphism:
     ``fn`` maps a non-unit basis word to a WordSum; values are memoized.
     """
 
-    def __init__(self, space, word_type, unit_coeff, fn, name="morphism"):
+    def __init__(self, space, word_type, unit_coeff, fn):
         self.space = space
         self.word_type = word_type
         self.unit_coeff = complex(unit_coeff)
         self._fn = fn
-        self.name = name
         self._memo = {}
 
     def value(self, w) -> WordSum:
@@ -229,7 +228,6 @@ class Morphism:
             self.word_type,
             self.unit_coeff + other.unit_coeff,
             lambda w: self.value(w) + other.value(w),
-            name="(%s + %s)" % (self.name, other.name),
         )
 
     def __sub__(self, other):
@@ -241,7 +239,6 @@ class Morphism:
             self.word_type,
             complex(coeff) * self.unit_coeff,
             lambda w: self.value(w).scale(coeff),
-            name="(%s * %s)" % (coeff, self.name),
         )
 
     def __neg__(self):
@@ -251,14 +248,9 @@ class Morphism:
         if self.space is not other.space or self.word_type is not other.word_type:
             raise DimensionMismatch("morphisms over different structures")
 
-    def __repr__(self):
-        return "Morphism(%s)" % self.name
-
 
 def eta_eps_morphism(space, word_type=formal.PartitionWord) -> Morphism:
-    return Morphism(
-        space, word_type, 1, lambda w: WordSum.zero(space, w.profile()), name="eta.eps"
-    )
+    return Morphism(space, word_type, 1, lambda w: WordSum.zero(space, w.profile()))
 
 
 class InfinitesimalMorphism(Morphism):
@@ -268,8 +260,8 @@ class InfinitesimalMorphism(Morphism):
     arity, or None for letters outside the support.
     """
 
-    def __init__(self, space, gen, word_type=formal.PartitionWord, name="infinitesimal"):
-        super().__init__(space, word_type, 0, self._value, name=name)
+    def __init__(self, space, gen, word_type=formal.PartitionWord):
+        super().__init__(space, word_type, 0, self._value)
         self.gen = gen
 
     def _value(self, w) -> WordSum:
@@ -292,8 +284,8 @@ class HorizontalMorphism(Morphism):
     """Multiplicative over concatenation: the value on a word is the word of
     letter values; empty letters map to the identity."""
 
-    def __init__(self, space, letter_fn, word_type=formal.PartitionWord, name="horizontal"):
-        super().__init__(space, word_type, 1, self._value, name=name)
+    def __init__(self, space, letter_fn, word_type=formal.PartitionWord):
+        super().__init__(space, word_type, 1, self._value)
         self._letter_fn = letter_fn
         self._letter_memo = {}
 
@@ -312,7 +304,7 @@ class HorizontalMorphism(Morphism):
 # Convolution and half-shuffles
 
 
-def _cut_product(a: Morphism, b: Morphism, keep, unit_coeff, name) -> Morphism:
+def _cut_product(a: Morphism, b: Morphism, keep, unit_coeff) -> Morphism:
     """a below and b above, composed vertically across the cuts of each
     word.  ``keep`` None takes every cut; True or False takes only the cuts
     whose first-position flag equals it, as in ``formal.cut_sum``, and such
@@ -320,7 +312,7 @@ def _cut_product(a: Morphism, b: Morphism, keep, unit_coeff, name) -> Morphism:
     (UnitAmbiguity)."""
     a._check_compatible(b)
     if keep is not None and a.unit_coeff != 0 and b.unit_coeff != 0:
-        raise UnitAmbiguity("both factors of %s carry a unit" % name)
+        raise UnitAmbiguity("both factors of a half product carry a unit")
 
     def fn(w):
         total = WordSum.zero(a.space, w.profile())
@@ -329,24 +321,22 @@ def _cut_product(a: Morphism, b: Morphism, keep, unit_coeff, name) -> Morphism:
                 total = total + a.value(lower).vcompose(b.value(upper))
         return total
 
-    return Morphism(a.space, a.word_type, unit_coeff, fn, name=name)
+    return Morphism(a.space, a.word_type, unit_coeff, fn)
 
 
 def convolve(a: Morphism, b: Morphism) -> Morphism:
     """a * b = vertical composition of a and b across the full coproduct."""
-    return _cut_product(
-        a, b, None, a.unit_coeff * b.unit_coeff, "(%s * %s)" % (a.name, b.name)
-    )
+    return _cut_product(a, b, None, a.unit_coeff * b.unit_coeff)
 
 
 def half_prec(a: Morphism, b: Morphism) -> Morphism:
     """Convolution restricted to cuts keeping the first block below."""
-    return _cut_product(a, b, True, 0, "(%s < %s)" % (a.name, b.name))
+    return _cut_product(a, b, True, 0)
 
 
 def half_succ(a: Morphism, b: Morphism) -> Morphism:
     """Convolution restricted to cuts moving the first block above."""
-    return _cut_product(a, b, False, 0, "(%s > %s)" % (a.name, b.name))
+    return _cut_product(a, b, False, 0)
 
 
 def shuffle(a: Morphism, b: Morphism) -> Morphism:
@@ -357,7 +347,7 @@ def shuffle(a: Morphism, b: Morphism) -> Morphism:
 # Exponentials
 
 
-def _exponential(k: InfinitesimalMorphism, left: bool, name: str) -> HorizontalMorphism:
+def _exponential(k: InfinitesimalMorphism, left: bool) -> HorizontalMorphism:
     """The horizontal solution K of K = eta.eps + k < K (``left``) or of
     K = eta.eps + K > k.  Its value on a letter x is the right-hand side on
     the one-letter word (x), collapsed to one map; the cuts of (x) reach K
@@ -366,7 +356,6 @@ def _exponential(k: InfinitesimalMorphism, left: bool, name: str) -> HorizontalM
         k.space,
         lambda x: rhs.value(k.word_type((x,))).collapse(),
         k.word_type,
-        name="%s(%s)" % (name, k.name),
     )
     rhs = half_prec(k, K) if left else half_succ(K, k)
     return K
@@ -374,15 +363,15 @@ def _exponential(k: InfinitesimalMorphism, left: bool, name: str) -> HorizontalM
 
 def exp_prec(k: InfinitesimalMorphism) -> HorizontalMorphism:
     """Unique solution of K = eta.eps + k < K."""
-    return _exponential(k, True, "exp<")
+    return _exponential(k, True)
 
 
 def exp_succ(b: InfinitesimalMorphism) -> HorizontalMorphism:
     """Unique solution of B = eta.eps + B > b."""
-    return _exponential(b, False, "exp>")
+    return _exponential(b, False)
 
 
-def _power_series(m: Morphism, unit_coeff, coeff, name) -> Morphism:
+def _power_series(m: Morphism, unit_coeff, coeff) -> Morphism:
     """unit_coeff * eta.eps plus the sum over p >= 1 of coeff(p) times the
     p-th convolution power of m.
 
@@ -400,16 +389,14 @@ def _power_series(m: Morphism, unit_coeff, coeff, name) -> Morphism:
             total = total + powers[p - 1].value(w).scale(coeff(p))
         return total
 
-    return Morphism(m.space, m.word_type, unit_coeff, fn, name=name)
+    return Morphism(m.space, m.word_type, unit_coeff, fn)
 
 
 def exp_star(m: Morphism) -> Morphism:
     """eta.eps plus the sum of convolution powers of m over p!."""
     if m.unit_coeff != 0:
         raise ValueError("exp expects a morphism with no unit component")
-    return _power_series(
-        m, 1, lambda p: Fraction(1, math.factorial(p)), "exp*(%s)" % m.name
-    )
+    return _power_series(m, 1, lambda p: Fraction(1, math.factorial(p)))
 
 
 def log_star(phi: Morphism) -> Morphism:
@@ -417,10 +404,8 @@ def log_star(phi: Morphism) -> Morphism:
     (phi - eta.eps) with coefficients (-1)^(n+1)/n."""
     if phi.unit_coeff != 1:
         raise ValueError("log expects a morphism with unit coefficient 1")
-    reduced = Morphism(phi.space, phi.word_type, 0, phi.value, name="(%s)+" % phi.name)
-    return _power_series(
-        reduced, 0, lambda n: Fraction((-1) ** (n + 1), n), "log*(%s)" % phi.name
-    )
+    reduced = Morphism(phi.space, phi.word_type, 0, phi.value)
+    return _power_series(reduced, 0, lambda n: Fraction((-1) ** (n + 1), n))
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +435,7 @@ def operadic_extension(space, gen) -> HorizontalMorphism:
     def letter_fn(pi):
         return walk(operadic_factorization(pi))
 
-    return HorizontalMorphism(space, letter_fn, name="operadic-extension")
+    return HorizontalMorphism(space, letter_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -461,26 +446,30 @@ def _partition_colors(pi):
     return pi.colors if pi.colors is not None else (0,) * pi.size
 
 
-def family_infinitesimal(family, name=None) -> InfinitesimalMorphism:
-    """Generator values from a cumulant family on one-block letters only."""
+def family_infinitesimal(family, word_type=formal.PartitionWord) -> InfinitesimalMorphism:
+    """Generator values from a cumulant family on the letters whose
+    ``letter_partition`` has one block: every non-empty letter word, and
+    the one-block partitions."""
 
-    def gen(pi):
+    def gen(x):
+        pi = word_type.letter_partition(x)
         if pi.n_blocks != 1:
             return None
         return family.generator(_partition_colors(pi))
 
-    return InfinitesimalMorphism(
-        family.space, gen, name=name or ("inf-%s" % family.kind)
-    )
+    return InfinitesimalMorphism(family.space, gen, word_type)
 
 
-def moment_morphism(family) -> HorizontalMorphism:
+def moment_morphism(family, word_type=formal.PartitionWord) -> HorizontalMorphism:
     """The distribution morphism: letter values through the recursive
-    partition evaluator of the moment family."""
+    partition evaluator of the moment family, read on each letter's
+    ``letter_partition``.  On a one-block partition that is the table's
+    own entry, so a letter word has one moment leaf however many
+    morphisms read it."""
     return HorizontalMorphism(
         family.space,
-        lambda pi: e_pi_map(pi, family),
-        name="moments",
+        lambda x: e_pi_map(word_type.letter_partition(x), family),
+        word_type,
     )
 
 
@@ -493,7 +482,7 @@ SEEDED_MAX_SIZE = 5
 
 
 def seeded_infinitesimal(space, seed, word_type=formal.PartitionWord,
-                         name=None, single_block=False) -> InfinitesimalMorphism:
+                         single_block=False) -> InfinitesimalMorphism:
     """Deterministic pseudorandom generator values on letters up to size
     ``SEEDED_MAX_SIZE``; values depend only on (seed, letter), not query order.
     Each letter's map is built once and kept, so its structure tensor is
@@ -504,16 +493,14 @@ def seeded_infinitesimal(space, seed, word_type=formal.PartitionWord,
     def gen(x):
         if x.arity - 1 > SEEDED_MAX_SIZE:
             return None
-        if single_block and getattr(x, "n_blocks", 1) != 1:
+        if single_block and word_type.letter_partition(x).n_blocks != 1:
             return None
         if x not in leaves:
             rng = _stable_rng(seed, word_type.letter_text(x))
             leaves[x] = random_multimap(space, x.arity, rng, label="seeded")
         return leaves[x]
 
-    return InfinitesimalMorphism(
-        space, gen, word_type, name=name or ("seeded-%s" % seed)
-    )
+    return InfinitesimalMorphism(space, gen, word_type)
 
 
 def morphism_dev(a: Morphism, b: Morphism, words) -> float:
@@ -524,7 +511,7 @@ def morphism_dev(a: Morphism, b: Morphism, words) -> float:
     return worst
 
 
-def precompose(alpha: Morphism, linear_fn, name="precomposed", word_type=None) -> Morphism:
+def precompose(alpha: Morphism, linear_fn, word_type=None) -> Morphism:
     """alpha pulled back along a linear map from basis words of ``word_type``
     to formal sums of alpha's words.  The antipode keeps alpha's word type,
     the default; the splitting map takes letter words (``winsert.WWord``)
@@ -537,7 +524,4 @@ def precompose(alpha: Morphism, linear_fn, name="precomposed", word_type=None) -
             total = total + alpha.value(basis).scale(complex(coeff))
         return total
 
-    return Morphism(
-        alpha.space, word_type or alpha.word_type, alpha.unit_coeff, fn,
-        name="%s(%s)" % (name, alpha.name),
-    )
+    return Morphism(alpha.space, word_type or alpha.word_type, alpha.unit_coeff, fn)

@@ -680,8 +680,9 @@ def _gap_bounds(kept: tuple, size: int) -> tuple:
 
 
 def _cuts(pi: NCPartition) -> list:
-    """The cuts of ``pi`` computed directly, colors included; every lower
-    and upper is a trusted sub-partition of ``pi``."""
+    """The cuts of the uncolored shape ``pi`` computed directly; every
+    lower and upper is a trusted uncolored sub-partition of ``pi``.
+    ``cuts`` colors them from the shape's recoloring plan."""
     if pi.size == 0:
         return [Cut(EMPTY, (EMPTY,), 0)]
     forest = nesting_forest(pi)
@@ -695,7 +696,7 @@ def _cuts(pi: NCPartition) -> list:
         ):
             continue
         kept_blocks = [pi.blocks[i] for i in kept]
-        lower = _sub_partition(kept_blocks, pi.colors)
+        lower = _sub_partition(kept_blocks, None)
         positions = sorted(x for b in kept_blocks for x in b)
         bounds = [0] + positions + [pi.size + 1]
         removed = [pi.blocks[i] for i in range(nb) if not mask >> i & 1]
@@ -703,7 +704,7 @@ def _cuts(pi: NCPartition) -> list:
         for g in range(len(positions) + 1):
             lo, hi = bounds[g], bounds[g + 1]
             segment = [b for b in removed if lo < b[0] and b[-1] < hi]
-            upper.append(_sub_partition(segment, pi.colors))
+            upper.append(_sub_partition(segment, None))
         if sum(len(b) for b in removed) != sum(u.size for u in upper):
             raise InvariantError(
                 "%r: the cut with kept mask %d loses removed elements" % (pi, mask)

@@ -556,7 +556,7 @@ def suite_oracle(ctx: VerifyContext):
     )
     unit = eta_eps_morphism(space)
     mom_mor = moment_morphism(moments)
-    inv = precompose(mom_mor, antipode, name="antipode-pullback")
+    inv = precompose(mom_mor, antipode)
     words = all_words(4, 2)
     rows.append(
         _numeric(
@@ -700,6 +700,7 @@ def suite_monotone_scalar(ctx: VerifyContext):
         exp_prec,
         exp_star,
         log_star,
+        moment_morphism,
         seeded_infinitesimal,
         word_sum_dev,
     )
@@ -751,7 +752,7 @@ def suite_monotone_scalar(ctx: VerifyContext):
         )
     )
 
-    log_m = log_star(winsert.w_moment_morphism(ctx.scalar_families["moment"]))
+    log_m = log_star(moment_morphism(ctx.scalar_families["moment"], winsert.WWord))
     dev_h = 0.0
     for n in range(1, 5):
         for word in itertools.product((0, 1), repeat=n):

@@ -23,12 +23,12 @@ from . import formal, ncpart
 from .cumulants import cumulant_families
 from .formal import FormalSum, PartitionWord, single
 from .morphisms import (
-    HorizontalMorphism,
-    InfinitesimalMorphism,
     Morphism,
     eta_eps_morphism,
+    family_infinitesimal,
     half_prec,
     half_succ,
+    moment_morphism,
     morphism_dev,
     precompose,
 )
@@ -135,6 +135,12 @@ class WWord(formal.Word):
     insert_letter = staticmethod(word_insert)
     letter_text = staticmethod(letter_word_to_text)
 
+    @staticmethod
+    def letter_partition(x):
+        """The one-block coloring of ``x``, the summand of ``split`` that
+        is the letter itself."""
+        return ncpart.full_partition(x.size, colors=x.letters)
+
     @property
     def total_blocks(self):
         """The most blocks of a word in ``split(self)``: its finest
@@ -206,15 +212,8 @@ def split(w) -> FormalSum:
 def split_insert_defect(alpha: LetterWord, betas) -> tuple:
     """Both sides of the insertion-compatibility failure: splitting after
     inserting vs inserting the split summands.  Returns (lhs, rhs)."""
-    inserted = word_insert(alpha, betas)
-    lhs = split(w_word(inserted))
-    rhs = {}
-    betas_word = WWord(tuple(betas))
-    for low, cl in split(w_word(alpha)).terms.items():
-        for high, ch in split(betas_word).terms.items():
-            for b, c in formal.vcompose(low, high).terms.items():
-                rhs[b] = rhs.get(b, 0) + cl * ch * c
-    return lhs, FormalSum(rhs)
+    lhs = split(w_word(word_insert(alpha, betas)))
+    return lhs, formal.vcompose(split(w_word(alpha)), split(WWord(tuple(betas))))
 
 
 # ---------------------------------------------------------------------------
@@ -223,47 +222,18 @@ def split_insert_defect(alpha: LetterWord, betas) -> tuple:
 
 def pullback(phi: Morphism) -> Morphism:
     """Precompose a partition-word morphism with the splitting map."""
-    return precompose(phi, split, name="Sp*", word_type=WWord)
-
-
-def w_moment_morphism(moments) -> HorizontalMorphism:
-    """Letter values are the moment maps of the letter's variable word,
-    read from the moment table ``moments`` (``families["moment"]``), so a
-    word has one moment leaf however many morphisms read it."""
-    return HorizontalMorphism(
-        moments.space,
-        lambda x: moments.generator(x.letters),
-        WWord,
-        name="moments-W",
-    )
-
-
-def w_family_infinitesimal(family, name=None) -> InfinitesimalMorphism:
-    """Generator values from a cumulant family on letter words."""
-    return InfinitesimalMorphism(
-        family.space,
-        lambda x: family.generator(x.letters),
-        WWord,
-        name=name or ("inf-%s-W" % family.kind),
-    )
+    return precompose(phi, split, word_type=WWord)
 
 
 def all_w_words(var_indices, max_size, max_letters):
     """All words over the variable alphabet with bounded total size."""
     vs = sorted(var_indices)
-    letters_by_size = {
-        s: [LetterWord(c) for c in itertools.product(vs, repeat=s)]
-        for s in range(max_size + 1)
-    }
-    out = []
-    for n_letters in range(max_letters + 1):
-        for sizes in itertools.product(range(max_size + 1), repeat=n_letters):
-            if sum(sizes) > max_size:
-                continue
-            for combo in itertools.product(*(letters_by_size[s] for s in sizes)):
-                out.append(WWord(combo))
-    out.sort(key=WWord.sort_key)
-    return out
+    return formal.words_of(
+        WWord,
+        lambda s: [LetterWord(c) for c in itertools.product(vs, repeat=s)],
+        max_size,
+        max_letters,
+    )
 
 
 def verify_fixed_points(space, max_order, families=None) -> dict:
@@ -278,9 +248,9 @@ def verify_fixed_points(space, max_order, families=None) -> dict:
     """
     if families is None:
         families = cumulant_families(space)
-    k = w_family_infinitesimal(families["free"])
-    b = w_family_infinitesimal(families["boolean"])
-    e_mor = w_moment_morphism(families["moment"])
+    k = family_infinitesimal(families["free"], WWord)
+    b = family_infinitesimal(families["boolean"], WWord)
+    e_mor = moment_morphism(families["moment"], WWord)
     unit = eta_eps_morphism(space, WWord)
     words = all_w_words(sorted(space.variables), max_order, 1)
     return {

@@ -104,7 +104,7 @@ def test_pros_morphism_inverse_is_antipode_pullback(space):
     # a morphism compatible with insertion is convolution-inverted by
     # precomposition with the antipode
     moments = moment_morphism(cumulant_families(space)["moment"])
-    inv = precompose(moments, antipode, name="S-pullback")
+    inv = precompose(moments, antipode)
     unit = eta_eps_morphism(space)
     words = all_words(4, 1) + [unit_word(2), word(gen1(2), gen1(2))]
     assert morphism_dev(convolve(moments, inv), unit, words) <= TOL
@@ -284,7 +284,7 @@ def _as_infinitesimal_from(m, space):
         v = m.value(word(pi))
         return v.collapse()
 
-    return InfinitesimalMorphism(space, gen, name="from-log")
+    return InfinitesimalMorphism(space, gen)
 
 
 def test_log_star_requires_normalized_unit(space):

@@ -273,13 +273,26 @@ def test_cuts_preserve_colors():
 
 
 def test_colored_cuts_equal_the_direct_computation():
-    """Recoloring the cuts of the uncolored shape gives exactly what the
-    direct computation gives, on every 2-colored partition of size <= 5."""
+    """Recoloring the cuts of the uncolored shape gives exactly the
+    restrictions of the colored partition to each direct cut's kept
+    elements and gaps, on every 2-colored partition of size <= 5."""
     for p in range(6):
         for shape in enumerate_nc(p):
+            direct = ncpart._cuts(shape)
+            assert all(c.lower.colors is None for c in direct)
             for colors in itertools.product((0, 1), repeat=p):
                 pi = NCPartition(shape.blocks, colors=colors)
-                assert cuts(pi) == ncpart._cuts(pi)
+                expected = []
+                for c in direct:
+                    kept = sorted(
+                        x for i, b in enumerate(pi.blocks) if c.kept_mask >> i & 1 for x in b
+                    )
+                    bounds = [0] + kept + [p + 1]
+                    upper = tuple(
+                        restrict(pi, range(lo + 1, hi)) for lo, hi in zip(bounds, bounds[1:])
+                    )
+                    expected.append(Cut(restrict(pi, kept), upper, c.kept_mask))
+                assert cuts(pi) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,13 @@ from ovc.formal import (
     single,
     stack,
 )
-from ovc.morphisms import eta_eps_morphism, exp_prec, family_infinitesimal, morphism_dev
+from ovc.morphisms import (
+    eta_eps_morphism,
+    exp_prec,
+    family_infinitesimal,
+    moment_morphism,
+    morphism_dev,
+)
 from ovc.ncpart import ArityMismatch, NCPartition
 from ovc.ovps import OVMatrixSpace
 from ovc.winsert import (
@@ -32,7 +38,6 @@ from ovc.winsert import (
     w_coproduct,
     w_delta_prec,
     w_delta_succ,
-    w_moment_morphism,
     w_reduced_coproduct,
     w_word,
     word_insert,
@@ -263,7 +268,7 @@ def test_pullback_of_unit_is_unit(space):
 def test_pullback_of_free_exponential_gives_moments(space):
     families = cumulant_families(space)
     K = exp_prec(family_infinitesimal(families["free"]))
-    e_w = w_moment_morphism(families["moment"])
+    e_w = moment_morphism(families["moment"], WWord)
     words = all_w_words((0, 1), 3, 1)
     assert morphism_dev(pullback(K), e_w, words) <= 1e-9
 
@@ -273,7 +278,7 @@ def test_pullback_of_boolean_exponential_gives_moments(space):
 
     families = cumulant_families(space)
     B = exp_succ(family_infinitesimal(families["boolean"]))
-    e_w = w_moment_morphism(families["moment"])
+    e_w = moment_morphism(families["moment"], WWord)
     words = all_w_words((0, 1), 3, 1)
     assert morphism_dev(pullback(B), e_w, words) <= 1e-9
 
@@ -283,17 +288,54 @@ def test_word_exponentials_factor_through_splitting(space):
     # the partition side and pulling back: the infinitesimal data only
     # survives on one-block colorings, so both routes see the same input
     from ovc.morphisms import exp_succ
-    from ovc.winsert import w_family_infinitesimal
 
     families = cumulant_families(space)
     free, boolean = families["free"], families["boolean"]
     words = all_w_words((0, 1), 3, 2)
-    left_w = exp_prec(w_family_infinitesimal(free))
+    left_w = exp_prec(family_infinitesimal(free, WWord))
     left_nc = pullback(exp_prec(family_infinitesimal(free)))
     assert morphism_dev(left_w, left_nc, words) <= 1e-9
-    right_w = exp_succ(w_family_infinitesimal(boolean))
+    right_w = exp_succ(family_infinitesimal(boolean, WWord))
     right_nc = pullback(exp_succ(family_infinitesimal(boolean)))
     assert morphism_dev(right_w, right_nc, words) <= 1e-9
+
+
+def test_builders_read_the_table_entries_on_both_word_types(space):
+    # a letter word's letter_partition is its one-block coloring, so the
+    # generic builders hand back the table entry itself, on letter words
+    # as on one-block partitions; on other partitions they are unchanged:
+    # e_pi_map for moments, no generator for the infinitesimals
+    import numpy as np
+
+    from ovc.cumulants import e_pi_map
+
+    families = cumulant_families(space)
+    moments = families["moment"]
+    w_moments = moment_morphism(moments, WWord)
+    w_infs = {kind: family_infinitesimal(t, WWord) for kind, t in families.items()}
+    for w in all_w_words((0, 1), 4, 1):
+        if w.is_unit():
+            continue
+        (x,) = w.letters
+        assert w_moments.letter_value(x) is moments.generator(x.letters)
+        for kind, inf in w_infs.items():
+            ((_, maps),) = inf.value(w).terms
+            assert maps[0] is families[kind].generator(x.letters)
+    nc_moments = moment_morphism(moments)
+    nc_infs = {kind: family_infinitesimal(t) for kind, t in families.items()}
+    for w in formal.all_words(4, 1):
+        if w.is_unit():
+            continue
+        (pi,) = w.letters
+        colors = (0,) * pi.size
+        value = nc_moments.letter_value(pi)
+        if pi.n_blocks == 1:
+            assert value is moments.generator(colors)
+        else:
+            assert np.array_equal(value.tensor(), e_pi_map(pi, moments).tensor())
+        for kind, inf in nc_infs.items():
+            expected = families[kind].generator(colors) if pi.n_blocks == 1 else None
+            assert inf.gen(pi) is expected
 
 
 def test_letter_word_block_bound_is_the_finest_split():
