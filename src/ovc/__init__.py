@@ -18,10 +18,11 @@ from .formal import FormalSum, PartitionWord, coproduct, delta_prec, delta_succ
 
 __version__ = "0.1.0"
 
-# The numeric layer needs numpy, which the exact layer does not; its names
-# are imported on first access (PEP 562), so a run of the exact suites never
-# loads it.
-_NUMERIC = {
+# These names are imported on first access (PEP 562).  The numeric layer
+# needs numpy, which the exact layer does not; ``winsert`` is exact, but
+# only the numeric suites read letter words.  So a run of the exact suites
+# neither loads numpy nor compiles ``winsert``.
+_LAZY = {
     name: module
     for module, names in (
         ("ovps", ("OVMatrixSpace", "MultiMap", "moment_map", "multimap_eq")),
@@ -35,7 +36,7 @@ _NUMERIC = {
 
 
 def __getattr__(name):
-    module = _NUMERIC.get(name)
+    module = _LAZY.get(name)
     if module is None:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
     return getattr(importlib.import_module("." + module, __name__), name)

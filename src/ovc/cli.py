@@ -186,7 +186,7 @@ class RunConfig:
 
 def _load_config(ns) -> RunConfig:
     data = {}
-    if getattr(ns, "config", None):
+    if getattr(ns, "config", None) is not None:
         try:
             with open(ns.config) as fh:
                 data = json.load(fh)
@@ -200,7 +200,7 @@ def _load_config(ns) -> RunConfig:
         data["tolerance"] = ns.tol
     if getattr(ns, "seed", None) is not None:
         data["seed"] = ns.seed
-    if getattr(ns, "suite", None):
+    if getattr(ns, "suite", None) is not None:
         data["suites"] = [s.strip() for s in ns.suite.split(",") if s.strip()]
     return RunConfig(data)
 

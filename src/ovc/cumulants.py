@@ -18,7 +18,7 @@ table entry with moment maps:
   the block-count-graded sums F_m, which obey the same recursion with
   F_1 = k and are memoised per word and block count.
 
-The evaluator collapses an innermost interval block of a partition: the
+The evaluator collapses the leftmost interval block of a partition: the
 family generator for that block's color word consumes the gap arguments
 around the block, and the resulting element of B occupies the merged gap of
 the restricted partition.  Iterating reduces any non-crossing partition to
@@ -35,7 +35,6 @@ from fractions import Fraction
 from .ncpart import (
     CUMULANT_KINDS,
     KINDS,
-    CrossingError,
     NCPartition,
     enumerate_interval,
     enumerate_nc,
@@ -212,35 +211,29 @@ def cumulant_families(space) -> dict:
     return families
 
 
-def contiguous_blocks(pi: NCPartition) -> list:
-    """Indices of blocks occupying a contiguous run of positions; these are
-    exactly the leaves of the nesting forest."""
-    return [
-        i for i, b in enumerate(pi.blocks) if b[-1] - b[0] + 1 == len(b)
-    ]
+def partition_colors(pi: NCPartition) -> tuple:
+    """The variable of each position of ``pi``: an uncolored partition
+    reads variable 0 throughout."""
+    return pi.colors if pi.colors is not None else (0,) * pi.size
 
 
-def e_pi_map(pi: NCPartition, family: CumulantFamily, pick: int = 0):
+def e_pi_map(pi: NCPartition, family: CumulantFamily):
     """The multilinear map of the recursive evaluator on a colored partition.
 
-    ``pick`` selects which innermost interval block to collapse first; the
-    result is independent of the choice (checked by tests), the default
-    collapses the leftmost one.
+    It collapses the leftmost interval block, which every non-empty
+    non-crossing partition has, and recurses on the restriction of ``pi``
+    to the other positions.  A one-block partition is its generator.
     """
     if pi.size == 0:
         return identity_map(family.space)
-    colors = pi.colors if pi.colors is not None else (0,) * pi.size
-    leaves = contiguous_blocks(pi)
-    if not leaves:
-        raise CrossingError("no interval block to collapse in %r" % (pi,))
-    block = pi.blocks[leaves[pick % len(leaves)]]
+    colors = partition_colors(pi)
+    block = next(b for b in pi.blocks if b[-1] - b[0] + 1 == len(b))
     k, l = block[0], block[-1]
     gen = family.generator(colors[k - 1 : l])
+    if len(block) == pi.size:
+        return gen
     remaining = [x for x in range(1, pi.size + 1) if not k <= x <= l]
-    recolored = NCPartition(pi.blocks, colors=colors)
-    rest = restrict(recolored, remaining)
-    outer = e_pi_map(rest, family, pick=pick)
-    return multimap_partial(outer, k, gen)
+    return multimap_partial(e_pi_map(restrict(pi, remaining), family), k, gen)
 
 
 def e_pi(pi: NCPartition, family: CumulantFamily, args):

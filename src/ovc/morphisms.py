@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import formal
-from .cumulants import e_pi_map
+from .cumulants import e_pi_map, partition_colors
 from .ncpart import GenLeaf, PartialNode, operadic_factorization
 from .ovps import (
     EXACT_BASIS_LIMIT,
@@ -442,10 +442,6 @@ def operadic_extension(space, gen) -> HorizontalMorphism:
 # Stock morphisms and seeded test data
 
 
-def _partition_colors(pi):
-    return pi.colors if pi.colors is not None else (0,) * pi.size
-
-
 def family_infinitesimal(family, word_type=formal.PartitionWord) -> InfinitesimalMorphism:
     """Generator values from a cumulant family on the letters whose
     ``letter_partition`` has one block: every non-empty letter word, and
@@ -455,7 +451,7 @@ def family_infinitesimal(family, word_type=formal.PartitionWord) -> Infinitesima
         pi = word_type.letter_partition(x)
         if pi.n_blocks != 1:
             return None
-        return family.generator(_partition_colors(pi))
+        return family.generator(partition_colors(pi))
 
     return InfinitesimalMorphism(family.space, gen, word_type)
 

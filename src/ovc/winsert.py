@@ -11,6 +11,12 @@ The splitting map sends a letter word to the sum of all non-crossing
 partitions of its positions, colored by the letters; it intertwines the two
 half-coproduct structures, which is what transports the operator-valued
 moment-cumulant fixed points from partitions to plain words.
+
+Everything here is exact and imports only ``formal`` and ``ncpart``.  The
+numeric reading of letter words is ``morphisms``' with ``word_type=WWord``:
+the pullback of a partition-word morphism along the splitting map is
+``morphisms.precompose(phi, split, word_type=WWord)``, and the fixed points
+on letter words are rows of ``suites.suite_splitting``.
 """
 
 from __future__ import annotations
@@ -20,18 +26,7 @@ import itertools
 from types import NoneType
 
 from . import formal, ncpart
-from .cumulants import cumulant_families
 from .formal import FormalSum, PartitionWord, single
-from .morphisms import (
-    Morphism,
-    eta_eps_morphism,
-    family_infinitesimal,
-    half_prec,
-    half_succ,
-    moment_morphism,
-    morphism_dev,
-    precompose,
-)
 from .ncpart import InternTable, NCPartition, enumerate_nc, intern_object
 
 _LETTER_WORDS = InternTable()
@@ -152,6 +147,17 @@ def w_word(*letters) -> WWord:
     return WWord(letters)
 
 
+def all_w_words(var_indices, max_size, max_letters):
+    """All words over the variable alphabet with bounded total size."""
+    vs = sorted(var_indices)
+    return formal.words_of(
+        WWord,
+        lambda s: [LetterWord(c) for c in itertools.product(vs, repeat=s)],
+        max_size,
+        max_letters,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Coproducts and antipode
 #
@@ -214,46 +220,3 @@ def split_insert_defect(alpha: LetterWord, betas) -> tuple:
     inserting vs inserting the split summands.  Returns (lhs, rhs)."""
     lhs = split(w_word(word_insert(alpha, betas)))
     return lhs, formal.vcompose(split(w_word(alpha)), split(WWord(tuple(betas))))
-
-
-# ---------------------------------------------------------------------------
-# Morphisms on the insertion operad
-
-
-def pullback(phi: Morphism) -> Morphism:
-    """Precompose a partition-word morphism with the splitting map."""
-    return precompose(phi, split, word_type=WWord)
-
-
-def all_w_words(var_indices, max_size, max_letters):
-    """All words over the variable alphabet with bounded total size."""
-    vs = sorted(var_indices)
-    return formal.words_of(
-        WWord,
-        lambda s: [LetterWord(c) for c in itertools.product(vs, repeat=s)],
-        max_size,
-        max_letters,
-    )
-
-
-def verify_fixed_points(space, max_order, families=None) -> dict:
-    """Deviations from the moment-cumulant fixed points on the insertion
-    operad.
-
-    The moment morphism must solve E = unit + k < E with k the free
-    cumulant infinitesimal (``free_dev``) and E = unit + E > b with b the
-    boolean one (``boolean_dev``), on every one-letter word over the
-    space's variables up to the size bound.  ``families`` defaults to
-    ``cumulant_families(space)``.
-    """
-    if families is None:
-        families = cumulant_families(space)
-    k = family_infinitesimal(families["free"], WWord)
-    b = family_infinitesimal(families["boolean"], WWord)
-    e_mor = moment_morphism(families["moment"], WWord)
-    unit = eta_eps_morphism(space, WWord)
-    words = all_w_words(sorted(space.variables), max_order, 1)
-    return {
-        "free_dev": morphism_dev(unit + half_prec(k, e_mor), e_mor, words),
-        "boolean_dev": morphism_dev(unit + half_succ(e_mor, b), e_mor, words),
-    }

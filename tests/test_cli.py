@@ -156,9 +156,11 @@ def test_negative_seed_is_usage_error_for_cumulants(capsys):
 
 
 def test_unreadable_configuration_is_usage_error(capsys, tmp_path):
-    code, out, err = run(capsys, ["verify", "--config", str(tmp_path), "--suite", "operad"])
-    assert code == EXIT_USAGE and out == ""
-    assert "error" in json.loads(err)
+    # an empty path names no file; it does not select the default config
+    for path in (str(tmp_path), ""):
+        code, out, err = run(capsys, ["verify", "--config", path, "--suite", "operad"])
+        assert code == EXIT_USAGE and out == ""
+        assert "cannot read the configuration" in json.loads(err)["error"]
 
 
 def _child_env():
@@ -196,6 +198,17 @@ print(json.dumps([codes, loaded, OVMatrixSpace.__module__]))
 """], capture_output=True, text=True, env=_child_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[EXIT_OK, EXIT_OK], [], "ovc.ovps"]
+
+
+def test_insertion_operad_loads_no_numeric_code():
+    proc = subprocess.run([sys.executable, "-c", """
+import json, sys
+import ovc.winsert
+print(json.dumps([name for name in ("numpy", "ovc.ovps", "ovc.cumulants", "ovc.morphisms")
+                  if name in sys.modules]))
+"""], capture_output=True, text=True, env=_child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def _buffered_env():
@@ -366,7 +379,11 @@ def test_config_validation(capsys, tmp_path):
     assert code == EXIT_USAGE
     code, _, err = run(capsys, ["verify", "--suite", "nonsense"])
     assert code == EXIT_USAGE
-    for suite, message in (("hopf,hopf", "more than once: hopf"), (",", "no suites")):
+    for suite, message in (
+        ("hopf,hopf", "more than once: hopf"),
+        (",", "no suites"),
+        ("", "no suites"),
+    ):
         code, out, err = run(capsys, ["verify", "--suite", suite])
         assert code == EXIT_USAGE and out == ""
         assert message in json.loads(err)["error"]
@@ -394,6 +411,20 @@ def test_verify_pass_and_fault_injection(capsys):
         if not a["passed"]
     ]
     assert "moment-cumulant.matrix-free" in failing
+
+
+def test_injected_fault_fails_exactly_the_free_rows(capsys):
+    # the corrupted free entry of FAULT_WORD reaches the matrix lattice sum
+    # and the free fixed point on letter words, and no other row
+    code, out, _ = run(capsys, ["verify", "--inject-fault"])
+    failing = [
+        a["id"]
+        for s in json.loads(out)["suites"]
+        for a in s["assertions"]
+        if not a["passed"]
+    ]
+    assert code == EXIT_FAIL
+    assert failing == ["moment-cumulant.matrix-free", "splitting.free-fixed-point"]
 
 
 def test_cumulants_monotone_kind(capsys):

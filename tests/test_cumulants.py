@@ -10,7 +10,6 @@ import pytest
 from ovc import cumulants
 from ovc.cumulants import (
     CumulantFamily,
-    contiguous_blocks,
     cumulant_families,
     e_pi,
     e_pi_map,
@@ -27,6 +26,7 @@ from ovc.ovps import (
     probe_batch,
     random_matrix,
 )
+from reference_collapse import interval_blocks, rightmost_collapse
 
 ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
 
@@ -94,10 +94,10 @@ def test_collapse_order_independence(space):
         for pi in enumerate_nc(p):
             word = tuple(i % 2 for i in range(p))
             cpi = NCPartition(pi.blocks, colors=word)
-            if len(contiguous_blocks(cpi)) < 2:
+            if len(interval_blocks(cpi)) < 2:
                 continue
-            first = e_pi_map(cpi, fam, pick=0)
-            last = e_pi_map(cpi, fam, pick=-1)
+            first = e_pi_map(cpi, fam)
+            last = rightmost_collapse(cpi, fam)
             assert multimap_dev(first, last) <= 1e-10, cpi
 
 
@@ -319,7 +319,7 @@ def _free_without_crossing_nests(original):
         return [
             (w, pi)
             for w, pi in original(kind, n)
-            if pi.n_blocks < 3 or len(contiguous_blocks(pi)) == pi.n_blocks
+            if pi.n_blocks < 3 or pi.is_interval()
         ]
 
     return mutated

@@ -3,7 +3,9 @@ it inverts gap insertion once per size instead of once per partition.  Its
 associativity check must catch an insertion that is not associative.  The
 unshuffle-axiom check builds each word's coproducts once and still catches
 a wrong coproduct or half-coproduct.  The suites share one set of cumulant
-tables per space, and an injected fault changes one entry of one table."""
+tables per space, and an injected fault changes one entry of one table.  A
+corrupted boolean entry fails only the splitting suite's boolean fixed
+point."""
 
 import itertools
 import sys
@@ -30,6 +32,7 @@ from ovc.suites import (
     suite_moment_cumulant,
     suite_monotone_scalar,
     suite_operad,
+    suite_splitting,
 )
 
 TARGET = NCPartition([(1, 4), (2, 3)])
@@ -189,3 +192,10 @@ def test_injected_fault_changes_only_the_matrix_free_entry_of_its_word():
                     getattr(clean, attr)[kind].generator(w).tensor(),
                 )
                 assert same != (attr == "families" and kind == "free" and w == FAULT_WORD)
+
+
+def test_corrupted_boolean_entry_fails_only_the_boolean_fixed_point():
+    ctx = VerifyContext(space=OVMatrixSpace(d=2, k=2, variables=2, seed=7), max_order=3)
+    ctx.families["boolean"].corrupt((0, 1))
+    failing = [r["id"] for r in suite_splitting(ctx) if not r["passed"]]
+    assert failing == ["splitting.boolean-fixed-point"]

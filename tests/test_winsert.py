@@ -20,6 +20,7 @@ from ovc.morphisms import (
     family_infinitesimal,
     moment_morphism,
     morphism_dev,
+    precompose,
 )
 from ovc.ncpart import ArityMismatch, NCPartition
 from ovc.ovps import OVMatrixSpace
@@ -30,10 +31,8 @@ from ovc.winsert import (
     all_w_words,
     letter_cuts,
     letter_word_to_text,
-    pullback,
     split,
     split_insert_defect,
-    verify_fixed_points,
     w_antipode,
     w_coproduct,
     w_delta_prec,
@@ -262,7 +261,7 @@ def space():
 def test_pullback_of_unit_is_unit(space):
     unit_nc = eta_eps_morphism(space)
     unit_w = eta_eps_morphism(space, WWord)
-    assert morphism_dev(pullback(unit_nc), unit_w, WORDS) <= 1e-12
+    assert morphism_dev(precompose(unit_nc, split, word_type=WWord), unit_w, WORDS) <= 1e-12
 
 
 def test_pullback_of_free_exponential_gives_moments(space):
@@ -270,7 +269,7 @@ def test_pullback_of_free_exponential_gives_moments(space):
     K = exp_prec(family_infinitesimal(families["free"]))
     e_w = moment_morphism(families["moment"], WWord)
     words = all_w_words((0, 1), 3, 1)
-    assert morphism_dev(pullback(K), e_w, words) <= 1e-9
+    assert morphism_dev(precompose(K, split, word_type=WWord), e_w, words) <= 1e-9
 
 
 def test_pullback_of_boolean_exponential_gives_moments(space):
@@ -280,7 +279,7 @@ def test_pullback_of_boolean_exponential_gives_moments(space):
     B = exp_succ(family_infinitesimal(families["boolean"]))
     e_w = moment_morphism(families["moment"], WWord)
     words = all_w_words((0, 1), 3, 1)
-    assert morphism_dev(pullback(B), e_w, words) <= 1e-9
+    assert morphism_dev(precompose(B, split, word_type=WWord), e_w, words) <= 1e-9
 
 
 def test_word_exponentials_factor_through_splitting(space):
@@ -293,10 +292,10 @@ def test_word_exponentials_factor_through_splitting(space):
     free, boolean = families["free"], families["boolean"]
     words = all_w_words((0, 1), 3, 2)
     left_w = exp_prec(family_infinitesimal(free, WWord))
-    left_nc = pullback(exp_prec(family_infinitesimal(free)))
+    left_nc = precompose(exp_prec(family_infinitesimal(free)), split, word_type=WWord)
     assert morphism_dev(left_w, left_nc, words) <= 1e-9
     right_w = exp_succ(family_infinitesimal(boolean, WWord))
-    right_nc = pullback(exp_succ(family_infinitesimal(boolean)))
+    right_nc = precompose(exp_succ(family_infinitesimal(boolean)), split, word_type=WWord)
     assert morphism_dev(right_w, right_nc, words) <= 1e-9
 
 
@@ -352,8 +351,11 @@ def test_power_series_round_trip_on_letter_words(space):
 
 
 def test_verify_fixed_points_small(space):
-    report = verify_fixed_points(space, max_order=3)
-    assert report["free_dev"] <= 1e-9 and report["boolean_dev"] <= 1e-9, report
+    from ovc.suites import VerifyContext, suite_splitting
+
+    rows = {r["id"]: r for r in suite_splitting(VerifyContext(space, max_order=3))}
+    for ident in ("splitting.free-fixed-point", "splitting.boolean-fixed-point"):
+        assert rows[ident]["passed"] and rows[ident]["dev"] <= 1e-9, rows[ident]
 
 
 def test_letter_word_text():
