@@ -29,7 +29,7 @@ _LAZY = {
         ("cumulants", ("cumulant_families", "e_pi", "verify_mc")),
         ("morphisms", ("convolve", "exp_prec", "exp_star", "exp_succ", "half_prec",
                        "half_succ", "log_star")),
-        ("winsert", ("LetterWord", "WWord", "split", "word_insert")),
+        ("winsert", ("WWord", "letter_word", "split")),
     )
     for name in names
 }
@@ -45,7 +45,6 @@ def __getattr__(name):
 __all__ = [
     "EMPTY",
     "FormalSum",
-    "LetterWord",
     "MultiMap",
     "NCPartition",
     "OVMatrixSpace",
@@ -67,11 +66,11 @@ __all__ = [
     "gap_insert",
     "half_prec",
     "half_succ",
+    "letter_word",
     "log_star",
     "moment_map",
     "multimap_eq",
     "partial_insert",
     "split",
     "verify_mc",
-    "word_insert",
 ]

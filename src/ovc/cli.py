@@ -51,15 +51,16 @@ class OutputError(OSError):
 
 
 def _number(value, what, kind=int):
-    """``value`` as a ``kind``; a boolean, or a fraction where ``kind`` is
-    int, is an error rather than a number to truncate."""
-    if isinstance(value, bool):
+    """``value``, a JSON number, as a ``kind``.  A string or a boolean is
+    an error rather than a number to read, and a fraction where ``kind``
+    is int an error rather than a number to truncate."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError("%s must be a number, got %r" % (what, value))
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError("%s must be an integer, got %r" % (what, value))
     try:
         return kind(value)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         raise ConfigError("%s must be a number, got %r" % (what, value)) from None
 
 

@@ -243,10 +243,12 @@ def e_pi(pi: NCPartition, family: CumulantFamily, args):
 
 def family_sum_map(word, family: CumulantFamily):
     """The weighted sum of e_pi over ``lattice(family.kind, len(word))``
-    for one word."""
+    for one word.  Each lattice partition is valid, so coloring it by the
+    word is a trusted build."""
     n = len(word)
+    colors = tuple(word) if n else None
     terms = [
-        (w, e_pi_map(NCPartition(pi.blocks, colors=tuple(word)), family))
+        (w, e_pi_map(NCPartition._trusted(pi.blocks, n, colors), family))
         for w, pi in lattice(family.kind, n)
     ]
     return multimap_lincomb(family.space, n + 1, terms)

@@ -2,9 +2,10 @@
 
 Basis elements are horizontal words (concatenations) of letters, plus
 vertical stacks of such words (``BoxStack``, a tuple of interned words).
-The letters are non-crossing partitions (``PartitionWord``) or, in
-``winsert``, words of variables (``WWord``).  Each word type supplies its
-letters' cuts, as ``ncpart.Cut`` records, and their insertion; the
+The letters are non-crossing partitions: any of them (``PartitionWord``)
+or, in ``winsert``, the finest colorings that stand for words of variables
+(``WWord``).  Letters insert through ``ncpart.gap_insert``, and each word
+type supplies its letters' cuts, as ``ncpart.Cut`` records; the
 coproducts, half-coproducts, ``nabla``, counit and ``eta_eps`` here are
 built from those alone and serve both word types.  Linear
 combinations carry exact coefficients: ``int`` while a coefficient is
@@ -42,11 +43,13 @@ class UnitWordError(ValueError):
 class Word:
     """Horizontal word of operad letters; the empty word is the algebra unit 1.
 
-    The word-level structure is shared by every letter type: cuts, unit
-    words and the vertical product.  A subclass names its letter type and
-    empty letter and supplies four letter operations: ``letter_cuts``
-    (the letter's ``ncpart.Cut`` records, whose ``kept_mask`` has bit 0 set
-    when position 1 stays below), ``insert_letter`` (fill a letter's gaps),
+    Every letter is an ``ncpart.NCPartition`` and the empty letter is
+    ``ncpart.EMPTY``.  The word-level structure is shared by every word
+    type: cuts, unit words, the vertical product, whose letters insert
+    through ``ncpart.gap_insert``, and the block count ``total_blocks``.
+    A subclass supplies its ``SORT_TAG`` and three letter operations:
+    ``letter_cuts`` (the letter's ``ncpart.Cut`` records, whose
+    ``kept_mask`` has bit 0 set when position 1 stays below),
     ``letter_text`` and ``letter_partition`` (the colored non-crossing
     partition a letter stands for, which the morphism builders evaluate).
 
@@ -57,18 +60,14 @@ class Word:
     """
 
     __slots__ = ("letters", "inputs", "__weakref__")
-    LETTER = None
-    EMPTY = None
     SORT_TAG = None
 
     def __new__(cls, letters=()):
         letters = tuple(letters)
-        letter_type = cls.LETTER
         for l in letters:
-            if not isinstance(l, letter_type):
+            if not isinstance(l, NCPartition):
                 raise TypeError(
-                    "%s letters must be %s instances, got %r"
-                    % (cls.__name__, letter_type.__name__, l)
+                    "%s letters must be NCPartition instances, got %r" % (cls.__name__, l)
                 )
         return cls._trusted(letters)
 
@@ -90,7 +89,7 @@ class Word:
     @classmethod
     def unit(cls, n: int):
         """The word of n empty letters (n inputs, n outputs)."""
-        return cls._trusted((cls.EMPTY,) * n)
+        return cls._trusted((EMPTY,) * n)
 
     @property
     def outputs(self):
@@ -99,6 +98,10 @@ class Word:
     @property
     def total_size(self):
         return sum(l.size for l in self.letters)
+
+    @property
+    def total_blocks(self):
+        return sum(l.n_blocks for l in self.letters)
 
     def profile(self):
         return tuple(l.arity for l in self.letters)
@@ -126,7 +129,7 @@ class Word:
             )
         letters, pos = [], 0
         for l in self.letters:
-            letters.append(self.insert_letter(l, top.letters[pos : pos + l.arity]))
+            letters.append(gap_insert(l, top.letters[pos : pos + l.arity]))
             pos += l.arity
         return type(self)._trusted(tuple(letters))
 
@@ -187,8 +190,6 @@ class PartitionWord(Word):
     """Horizontal word of non-crossing partitions."""
 
     __slots__ = ()
-    LETTER = NCPartition
-    EMPTY = EMPTY
     SORT_TAG = 0
     letter_text = staticmethod(ncpart.to_text)
 
@@ -196,18 +197,10 @@ class PartitionWord(Word):
     def letter_partition(letter):
         return letter
 
-    # both look their function up on each call, so a wrapped one is used
+    # looked up on each call, so a wrapped ``cuts`` is used
     @staticmethod
     def letter_cuts(letter):
         return cuts(letter)
-
-    @staticmethod
-    def insert_letter(letter, group):
-        return gap_insert(letter, group)
-
-    @property
-    def total_blocks(self):
-        return sum(l.n_blocks for l in self.letters)
 
 
 def word(*letters) -> PartitionWord:

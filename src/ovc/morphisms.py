@@ -32,7 +32,7 @@ import numpy as np
 
 from . import formal
 from .cumulants import e_pi_map, partition_colors
-from .ncpart import GenLeaf, PartialNode, operadic_factorization
+from .ncpart import GenLeaf, NCPartition, PartialNode, operadic_factorization
 from .ovps import (
     EXACT_BASIS_LIMIT,
     DimensionMismatch,
@@ -421,8 +421,7 @@ def operadic_extension(space, gen) -> HorizontalMorphism:
     """
     def walk(expr):
         if isinstance(expr, GenLeaf):
-            colors = expr.colors if expr.colors is not None else (0,) * expr.block_size
-            g = gen(colors)
+            g = gen(expr.colors)
             if g.arity != expr.block_size + 1:
                 raise DimensionMismatch("generator arity mismatch")
             return g
@@ -433,7 +432,9 @@ def operadic_extension(space, gen) -> HorizontalMorphism:
         return multimap_partial(walk(expr.outer), expr.slot, walk(expr.inner))
 
     def letter_fn(pi):
-        return walk(operadic_factorization(pi))
+        # colored by ``partition_colors``, every leaf carries its colors
+        colored = NCPartition._trusted(pi.blocks, pi.size, partition_colors(pi))
+        return walk(operadic_factorization(colored))
 
     return HorizontalMorphism(space, letter_fn)
 

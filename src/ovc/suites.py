@@ -689,8 +689,8 @@ def suite_splitting(ctx: VerifyContext):
     )
 
     lhs, rhs = winsert.split_insert_defect(
-        winsert.LetterWord([vs[0]]),
-        [winsert.LetterWord([vs[-1]]), winsert.EMPTY_WORD],
+        winsert.letter_word([vs[0]]),
+        [winsert.letter_word([vs[-1]]), ncpart.EMPTY],
     )
     rows.append(
         _exact(
@@ -770,7 +770,7 @@ def suite_monotone_scalar(ctx: VerifyContext):
     dev_h = 0.0
     for n in range(1, 5):
         for word in itertools.product((0, 1), repeat=n):
-            w = winsert.w_word(winsert.LetterWord(word))
+            w = winsert.w_word(winsert.letter_word(word))
             target = WordSum.word(space, (monotone.generator(word),))
             dev_h = max(dev_h, word_sum_dev(log_m.value(w), target))
     rows.append(

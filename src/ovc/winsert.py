@@ -2,10 +2,16 @@
 
 A letter word is a finite string of variable indices with one input per gap
 (arity = length + 1) and one output; the empty word is the operad unit.
-Insertion interleaves: the arguments fill the gaps of the host word.  Words
-of letter words carry the same cut machinery as words of partitions: a cut
+It is kept as its finest coloring: the ``ncpart.NCPartition`` with one
+singleton block per position, colored by the letters, and ``ncpart.EMPTY``
+for the empty word.  So the words-insertion operad is the singleton
+sub-operad of the partition operad: insertion interleaves the arguments
+into the gaps of the host word, which is ``ncpart.gap_insert``, and a cut
 of a letter word keeps a subset of its positions below and pushes the
-complementary segments above, recorded as an ``ncpart.Cut``.
+complementary segments above, which is ``ncpart.cuts``.  Words of letter
+words (``WWord``) share every word operation of ``formal.Word``, the
+antipode included: a singleton block is an interval, so the antipode is
+the sign (-1)^length.
 
 The splitting map sends a letter word to the sum of all non-crossing
 partitions of its positions, colored by the letters; it intertwines the two
@@ -23,124 +29,70 @@ from __future__ import annotations
 
 import functools
 import itertools
-from types import NoneType
 
 from . import formal, ncpart
 from .formal import FormalSum, PartitionWord, single
-from .ncpart import InternTable, NCPartition, enumerate_nc, intern_object
-
-_LETTER_WORDS = InternTable()
+from .ncpart import EMPTY, NCPartition, enumerate_nc
 
 
-class LetterWord:
-    """A word of variable indices: one letter of the insertion operad.
-
-    There is one live letter word per tuple of indices: the constructor
-    returns it, so letter words compare and hash by identity."""
-
-    __slots__ = ("letters", "__weakref__")
-
-    def __new__(cls, letters=()):
-        return cls._trusted(tuple(int(v) for v in letters))
-
-    @classmethod
-    def _trusted(cls, letters: tuple):
-        """Internal: the letter word of a tuple of ``int`` indices; nothing
-        is checked."""
-        x = _LETTER_WORDS.get(letters, NoneType)()
-        if x is None:
-            x = intern_object(_LETTER_WORDS, letters, cls, letters=letters)
-        return x
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LetterWord is immutable")
-
-    @property
-    def size(self):
-        return len(self.letters)
-
-    @property
-    def arity(self):
-        return len(self.letters) + 1
-
-    def __len__(self):
-        return len(self.letters)
-
-    def sort_key(self):
-        return (len(self.letters), self.letters)
-
-    def __repr__(self):
-        return "LetterWord(%r)" % (letter_word_to_text(self),)
-
-
-EMPTY_WORD = LetterWord(())
-
-
-def letter_word_to_text(x: LetterWord) -> str:
-    """Variable names separated by '.'; the empty word is 'e'."""
-    if not x.letters:
-        return "e"
-    return ".".join(ncpart.color_name(v) for v in x.letters)
-
-
-def word_insert(x: LetterWord, ys) -> LetterWord:
-    """Interleave: the i-th argument fills the gap before the i-th letter."""
-    ys = tuple(ys)
-    if len(ys) != x.arity:
-        raise ncpart.ArityMismatch(
-            "expected %d gap arguments, got %d" % (x.arity, len(ys))
-        )
-    out = []
-    for i, v in enumerate(x.letters):
-        out.extend(ys[i].letters)
-        out.append(v)
-    out.extend(ys[-1].letters)
-    return LetterWord._trusted(tuple(out))
+def letter_word(colors) -> NCPartition:
+    """The letter word of a sequence of variable indices: its finest
+    coloring, one singleton block per position; ``EMPTY`` when there are
+    none."""
+    colors = tuple(int(v) for v in colors)
+    if not colors:
+        return EMPTY
+    return NCPartition._trusted(_singletons(len(colors)), len(colors), colors)
 
 
 @functools.lru_cache(maxsize=None)
-def letter_cuts(x: LetterWord) -> tuple:
-    """All ways to keep a subset of positions below, as ``ncpart.Cut``
-    records: bit i of ``kept_mask`` keeps position i + 1 below, so bit 0
-    says whether position 1 stays below.  Memoised per letter word; the
-    result is immutable and shared between calls."""
-    p = x.size
-    out = []
-    for mask in range(1 << p):
-        kept = [i for i in range(p) if mask >> i & 1]
-        lower = LetterWord._trusted(tuple(x.letters[i] for i in kept))
-        bounds = [-1] + kept + [p]
-        upper = tuple(
-            LetterWord._trusted(x.letters[bounds[g] + 1 : bounds[g + 1]])
-            for g in range(len(kept) + 1)
-        )
-        out.append(ncpart.Cut(lower, upper, mask))
-    return tuple(out)
+def _singletons(n: int) -> tuple:
+    """The blocks of the finest partition of n elements, shared by every
+    letter word of that length."""
+    return tuple((i,) for i in range(1, n + 1))
+
+
+def letter_word_to_text(x: NCPartition) -> str:
+    """Variable names separated by '.'; the empty word is 'e'."""
+    if not x.size:
+        return "e"
+    return ".".join(ncpart.color_name(v) for v in x.colors)
+
+
+@functools.lru_cache(maxsize=None)
+def letter_cuts(x: NCPartition) -> tuple:
+    """The cuts of a letter word, ``ncpart.cuts`` of its finest coloring:
+    every subset of positions kept below, ordered by ``kept_mask``, whose
+    bit i keeps position i + 1.  Memoised per letter word, since the cuts
+    of a colored partition are recolored on every call; the result is
+    immutable and shared between calls."""
+    return tuple(ncpart.cuts(x))
 
 
 class WWord(formal.Word):
     """Horizontal word of letter words; the empty list is the unit 1.  Its
-    cuts, unit words and vertical product are those of ``formal.Word``."""
+    cuts, unit words, vertical product and antipode are those of
+    ``formal.Word``."""
 
     __slots__ = ()
-    LETTER = LetterWord
-    EMPTY = EMPTY_WORD
     SORT_TAG = 2
     letter_cuts = staticmethod(letter_cuts)
-    insert_letter = staticmethod(word_insert)
     letter_text = staticmethod(letter_word_to_text)
+
+    def __new__(cls, letters=()):
+        letters = tuple(letters)
+        for x in letters:
+            if isinstance(x, NCPartition) and x.size and (
+                x.colors is None or x.n_blocks != x.size
+            ):
+                raise TypeError("WWord letters must be letter words, got %r" % (x,))
+        return super().__new__(cls, letters)
 
     @staticmethod
     def letter_partition(x):
         """The one-block coloring of ``x``, the summand of ``split`` that
         is the letter itself."""
-        return ncpart.full_partition(x.size, colors=x.letters)
-
-    @property
-    def total_blocks(self):
-        """The most blocks of a word in ``split(self)``: its finest
-        coloring has one block per position."""
-        return self.total_size
+        return ncpart.full_partition(x.size, colors=x.colors)
 
 
 def w_word(*letters) -> WWord:
@@ -152,7 +104,7 @@ def all_w_words(var_indices, max_size, max_letters):
     vs = sorted(var_indices)
     return formal.words_of(
         WWord,
-        lambda s: [LetterWord(c) for c in itertools.product(vs, repeat=s)],
+        lambda s: [letter_word(c) for c in itertools.product(vs, repeat=s)],
         max_size,
         max_letters,
     )
@@ -183,13 +135,10 @@ def w_delta_succ(w) -> FormalSum:
 
 
 def w_antipode(w) -> FormalSum:
-    """Letterwise sign by word length, multiplicative over concatenation."""
-
-    def on_word(basis):
-        sign = (-1) ** basis.total_size
-        return single(basis, sign)
-
-    return FormalSum.lift(w).map_basis(on_word)
+    """Letterwise sign by word length, multiplicative over concatenation:
+    ``formal.antipode``, since every block of a letter word is an
+    interval of one position."""
+    return formal.antipode(w)
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +153,8 @@ def split(w) -> FormalSum:
     for basis, c in FormalSum.lift(w).terms.items():
         term = single(PartitionWord(()), c)
         for letter in basis.letters:
-            colors = letter.letters or None
             colorings = (
-                NCPartition._trusted(pi.blocks, pi.size, colors)
+                NCPartition._trusted(pi.blocks, pi.size, letter.colors)
                 for pi in enumerate_nc(letter.size)
             )
             letter_sum = FormalSum({PartitionWord._trusted((pi,)): 1 for pi in colorings})
@@ -215,8 +163,8 @@ def split(w) -> FormalSum:
     return out if out is not None else FormalSum()
 
 
-def split_insert_defect(alpha: LetterWord, betas) -> tuple:
+def split_insert_defect(alpha: NCPartition, betas) -> tuple:
     """Both sides of the insertion-compatibility failure: splitting after
     inserting vs inserting the split summands.  Returns (lhs, rhs)."""
-    lhs = split(w_word(word_insert(alpha, betas)))
+    lhs = split(w_word(ncpart.gap_insert(alpha, betas)))
     return lhs, formal.vcompose(split(w_word(alpha)), split(WWord(tuple(betas))))

@@ -12,6 +12,7 @@ import pytest
 
 from ovc import cli
 from ovc.ncpart import (
+    EMPTY,
     NCPartition,
     count_monotone_labelings,
     enumerate_interval,
@@ -31,7 +32,7 @@ from ovc.suites import (
     suite_shuffle,
     suite_splitting,
 )
-from ovc.winsert import EMPTY_WORD, LetterWord, split_insert_defect
+from ovc.winsert import letter_word, split_insert_defect
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 
@@ -169,7 +170,7 @@ def test_criterion_8_monotone(ctx):
 
 def test_criterion_9_negative_controls(capsys):
     t0 = time.time()
-    lhs, rhs = split_insert_defect(LetterWord([0]), [LetterWord([1]), EMPTY_WORD])
+    lhs, rhs = split_insert_defect(letter_word([0]), [letter_word([1]), EMPTY])
     ok = lhs != rhs
     code = cli.main(
         ["verify", "--suite", "moment-cumulant", "--order", "2", "--inject-fault"]

@@ -113,6 +113,11 @@ def test_non_finite_matrix_entry_is_usage_error(capsys, tmp_path, command, entry
         # an integer too large for a float
         ({"variables": {"a": [[[10**400, 0]]]}}, [],
          "variable 'a' is neither a seed spec nor a matrix"),
+        # a number written as a JSON string is not a number
+        ({"d": "2", "max_order": "2", "seed": "7", "tolerance": "1e-9"}, [],
+         "d must be a number"),
+        ({"tolerance": "1e-9"}, [], "tolerance must be a number"),
+        ({"variables": {"a": {"seed": "101"}}}, [], "seed of variable 'a' must be a number"),
     ],
 )
 def test_malformed_configuration_is_usage_error(capsys, tmp_path, config, argv, message):

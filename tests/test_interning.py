@@ -1,8 +1,11 @@
 """The exact layer is interned: every route to a partition, a letter word or
 a word returns the one live object with that value, so equality and
-hashing are identity."""
+hashing are identity.  A letter word is a partition, its finest coloring,
+so the package holds two intern tables: partitions and words."""
 
 import gc
+import importlib
+import pkgutil
 import sys
 import threading
 import weakref
@@ -10,6 +13,7 @@ import weakref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ovc
 from ovc import formal, ncpart, winsert
 from ovc.formal import PartitionWord
 from ovc.ncpart import (
@@ -26,7 +30,7 @@ from ovc.ncpart import (
     standardize,
     to_text,
 )
-from ovc.winsert import LetterWord, WWord, letter_cuts, word_insert
+from ovc.winsert import WWord, letter_cuts, letter_word
 from helpers import W_ONE
 
 
@@ -42,7 +46,7 @@ def nc_partitions(draw, max_size=5, colored=None):
     return pi
 
 
-letter_words = st.lists(st.integers(min_value=0, max_value=2), max_size=4).map(LetterWord)
+letter_words = st.lists(st.integers(min_value=0, max_value=2), max_size=4).map(letter_word)
 
 
 @settings(max_examples=150, deadline=None)
@@ -83,13 +87,13 @@ def test_every_route_to_a_partition_word_returns_one_object(letters):
 @given(st.lists(letter_words, max_size=3))
 def test_every_route_to_a_letter_word_returns_one_object(letters):
     for x in letters:
-        assert LetterWord(list(x.letters)) is x
-        assert LetterWord._trusted(x.letters) is x
-        assert word_insert(x, [winsert.EMPTY_WORD] * x.arity) is x
+        assert letter_word(list(x.colors or ())) is x
+        assert NCPartition(x.blocks, colors=x.colors) is x
+        assert gap_insert(x, [EMPTY] * x.arity) is x
         for lower, upper, _ in letter_cuts(x):
-            assert LetterWord(lower.letters) is lower
-            assert all(LetterWord(u.letters) is u for u in upper)
-            assert word_insert(lower, upper) is x
+            assert letter_word(lower.colors or ()) is lower
+            assert all(letter_word(u.colors or ()) is u for u in upper)
+            assert gap_insert(lower, upper) is x
     w = WWord(letters)
     assert WWord._trusted(tuple(letters)) is w
     assert winsert.w_word(*letters) is w
@@ -103,8 +107,15 @@ def test_partition_words_and_letter_words_are_never_one_object():
     for n in range(4):
         assert PartitionWord.unit(n) is not WWord.unit(n)
         assert PartitionWord.unit(n) != WWord.unit(n)
-    assert EMPTY != winsert.EMPTY_WORD
     assert len({formal.ONE, W_ONE, PartitionWord.unit(1), WWord.unit(1)}) == 4
+
+
+def test_the_package_holds_two_intern_tables():
+    tables = set()
+    for info in pkgutil.iter_modules(ovc.__path__):
+        module = importlib.import_module("ovc." + info.name)
+        tables |= {id(v) for v in vars(module).values() if isinstance(v, ncpart.InternTable)}
+    assert tables == {id(ncpart._PARTITIONS), id(formal._WORDS)}
 
 
 def _relabelled(pi, alphas):
@@ -185,7 +196,7 @@ def test_threads_building_the_same_words_get_one_object():
         barrier.wait()
         out = []
         for v in values:
-            letter = LetterWord(v)
+            letter = letter_word(v)
             colored = NCPartition([range(1, len(v) + 1)], colors=v)
             out.append((letter, WWord((letter, letter)), colored, PartitionWord((colored,))))
         results[slot] = out
@@ -222,7 +233,7 @@ def test_threads_dropping_and_rebuilding_values_keep_one_object():
         for _ in range(rounds):
             mine = []
             for v in values:
-                letter = LetterWord(v)
+                letter = letter_word(v)
                 colored = NCPartition([range(1, 4)], colors=v)
                 mine += [letter, WWord((letter,)), colored, PartitionWord((colored,))]
             built[slot] = mine
@@ -250,13 +261,13 @@ def test_threads_dropping_and_rebuilding_values_keep_one_object():
 
 def test_a_dropped_word_is_freed_and_rebuilt_equal():
     letters = (9, 8, 9, 7)
-    w = WWord((LetterWord(letters),))
+    w = WWord((letter_word(letters),))
     text, alive = w.text(), weakref.ref(w)
     del w
     gc.collect()
     assert alive() is None  # the intern tables hold their objects weakly
-    again = WWord((LetterWord(letters),))
-    trusted = WWord._trusted((LetterWord._trusted(letters),))
+    again = WWord((letter_word(letters),))
+    trusted = WWord._trusted((NCPartition._trusted(((1,), (2,), (3,), (4,)), 4, letters),))
     assert again is trusted and again == trusted and hash(again) == hash(trusted)
     assert again.text() == text and {again: 1}[trusted] == 1
 

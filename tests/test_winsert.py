@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -22,14 +23,13 @@ from ovc.morphisms import (
     morphism_dev,
     precompose,
 )
-from ovc.ncpart import ArityMismatch, NCPartition
+from ovc.ncpart import EMPTY, ArityMismatch, Cut, NCPartition, cuts, gap_insert
 from ovc.ovps import OVMatrixSpace
 from ovc.winsert import (
-    EMPTY_WORD,
-    LetterWord,
     WWord,
     all_w_words,
     letter_cuts,
+    letter_word,
     letter_word_to_text,
     split,
     split_insert_defect,
@@ -39,12 +39,12 @@ from ovc.winsert import (
     w_delta_succ,
     w_reduced_coproduct,
     w_word,
-    word_insert,
 )
 from helpers import W_ONE
+from reference_letters import interleave, subset_cuts
 
-A, B, C = LetterWord([0]), LetterWord([1]), LetterWord([2])
-AB = LetterWord([0, 1])
+A, B, C = letter_word([0]), letter_word([1]), letter_word([2])
+AB = letter_word([0, 1])
 
 
 def lift(x):
@@ -60,30 +60,77 @@ SINGLES = [w for w in all_w_words((0, 1), 4, 1) if len(w) == 1]
 
 
 def test_word_insert_examples():
-    assert word_insert(EMPTY_WORD, [B]) == B
-    assert word_insert(A, [B, C]) == LetterWord([1, 0, 2])
-    assert word_insert(AB, [EMPTY_WORD, C, EMPTY_WORD]) == LetterWord([0, 2, 1])
+    assert gap_insert(EMPTY, [B]) == B
+    assert gap_insert(A, [B, C]) == letter_word([1, 0, 2])
+    assert gap_insert(AB, [EMPTY, C, EMPTY]) == letter_word([0, 2, 1])
     with pytest.raises(ArityMismatch):
-        word_insert(A, [B])
+        gap_insert(A, [B])
 
 
 def test_insertion_operad_laws():
-    words = [EMPTY_WORD, A, B, AB]
+    words = [EMPTY, A, B, AB]
     for x in words:
-        assert word_insert(x, [EMPTY_WORD] * x.arity) == x
-        assert word_insert(EMPTY_WORD, [x]) == x
+        assert gap_insert(x, [EMPTY] * x.arity) == x
+        assert gap_insert(EMPTY, [x]) == x
     # associativity through the two-stage composite
     for x in [A, AB]:
-        for ys in itertools.product([EMPTY_WORD, A, B], repeat=x.arity):
-            mid = word_insert(x, ys)
-            pool = [EMPTY_WORD, C]
+        for ys in itertools.product([EMPTY, A, B], repeat=x.arity):
+            mid = gap_insert(x, ys)
+            pool = [EMPTY, C]
             for zs in itertools.product(pool, repeat=mid.arity):
-                direct = word_insert(mid, zs)
+                direct = gap_insert(mid, zs)
                 pos, inner = 0, []
                 for y in ys:
-                    inner.append(word_insert(y, zs[pos : pos + y.arity]))
+                    inner.append(gap_insert(y, zs[pos : pos + y.arity]))
                     pos += y.arity
-                assert direct == word_insert(x, inner)
+                assert direct == gap_insert(x, inner)
+
+
+# every color tuple over three variables up to size 5: 364 letter words
+COLOR_TUPLES = [c for n in range(6) for c in itertools.product(range(3), repeat=n)]
+
+
+def test_letter_words_are_finest_colorings():
+    assert letter_word(()) is EMPTY
+    for colors in COLOR_TUPLES[1:]:
+        x = letter_word(colors)
+        assert x is NCPartition([(i,) for i in range(1, len(colors) + 1)], colors=colors)
+        assert x.colors == colors and x.n_blocks == x.size == len(colors)
+
+
+def test_gap_insert_of_letter_words_interleaves():
+    rng = random.Random(19)
+    for host in COLOR_TUPLES:
+        for _ in range(8):
+            # arguments of up to 3 letters, the first 40 tuples
+            args = [rng.choice(COLOR_TUPLES[:40]) for _ in range(len(host) + 1)]
+            got = gap_insert(letter_word(host), [letter_word(a) for a in args])
+            assert got is letter_word(interleave(host, args)), (host, args)
+
+
+def test_cuts_of_letter_words_keep_every_subset():
+    for colors in COLOR_TUPLES:
+        x = letter_word(colors)
+        expected = [
+            Cut(letter_word(lower), tuple(map(letter_word, uppers)), mask)
+            for lower, uppers, mask in subset_cuts(colors)
+        ]
+        assert cuts(x) == expected, colors
+        assert list(letter_cuts(x)) == expected, colors
+
+
+def test_wword_letters_must_be_letter_words():
+    for bad in (
+        NCPartition([(1, 2)], colors=(0, 1)),
+        NCPartition([(1,), (2,)]),
+        (0, 1),
+        "a",
+    ):
+        with pytest.raises(TypeError):
+            WWord((A, bad))
+        with pytest.raises(TypeError):
+            w_word(bad)
+    assert WWord((EMPTY, A)).letters == (EMPTY, A)
 
 
 def test_w_vcompose_units():
@@ -97,22 +144,22 @@ def test_w_vcompose_units():
 
 
 def test_letter_cuts_are_memoised_and_immutable():
-    x = LetterWord([0, 1, 0])
+    x = letter_word([0, 1, 0])
     first = letter_cuts(x)
-    again = letter_cuts(LetterWord([0, 1, 0]))
+    again = letter_cuts(letter_word([0, 1, 0]))
     assert first == again and len(first) == 2 ** x.size
     assert again is first
     assert isinstance(first, tuple)
     assert all(isinstance(cut, tuple) and isinstance(cut[1], tuple) for cut in first)
     with pytest.raises(TypeError):
         first[0] = first[1]
-    assert (LetterWord([0, 0]), (EMPTY_WORD, B, EMPTY_WORD), 0b101) in first
-    assert letter_cuts(EMPTY_WORD) == ((EMPTY_WORD, (EMPTY_WORD,), 0),)
+    assert (letter_word([0, 0]), (EMPTY, B, EMPTY), 0b101) in first
+    assert letter_cuts(EMPTY) == ((EMPTY, (EMPTY,), 0),)
 
 
 def test_w_coproduct_single_letter():
     got = w_coproduct(w_word(A))
-    expected = single(stack(w_word(EMPTY_WORD), w_word(A))) + single(
+    expected = single(stack(w_word(EMPTY), w_word(A))) + single(
         stack(w_word(A), WWord.unit(2))
     )
     assert got == expected
@@ -121,18 +168,18 @@ def test_w_coproduct_single_letter():
 def test_w_coproduct_two_letter_word():
     got = w_coproduct(w_word(AB))
     assert len(got) == 4
-    assert got.coeff(stack(w_word(EMPTY_WORD), w_word(AB))) == 1
+    assert got.coeff(stack(w_word(EMPTY), w_word(AB))) == 1
     assert got.coeff(stack(w_word(AB), WWord.unit(3))) == 1
-    assert got.coeff(stack(w_word(A), w_word(EMPTY_WORD, B))) == 1
-    assert got.coeff(stack(w_word(B), w_word(A, EMPTY_WORD))) == 1
+    assert got.coeff(stack(w_word(A), w_word(EMPTY, B))) == 1
+    assert got.coeff(stack(w_word(B), w_word(A, EMPTY))) == 1
 
 
 def test_w_half_coproducts():
     reduced = w_delta_prec(w_word(AB))
-    assert reduced == single(stack(w_word(A), w_word(EMPTY_WORD, B)))
-    assert w_delta_succ(w_word(AB)) == single(stack(w_word(B), w_word(A, EMPTY_WORD)))
+    assert reduced == single(stack(w_word(A), w_word(EMPTY, B)))
+    assert w_delta_succ(w_word(AB)) == single(stack(w_word(B), w_word(A, EMPTY)))
     assert delta_prec_plus(w_word(A)) == single(stack(w_word(A), WWord.unit(2)))
-    assert delta_succ_plus(w_word(A)) == single(stack(w_word(EMPTY_WORD), w_word(A)))
+    assert delta_succ_plus(w_word(A)) == single(stack(w_word(EMPTY), w_word(A)))
     with pytest.raises(UnitWordError):
         w_delta_prec(W_ONE)
 
@@ -193,9 +240,14 @@ def test_w_counit_laws():
 
 
 def test_w_antipode_values():
-    assert w_antipode(w_word(EMPTY_WORD)) == single(w_word(EMPTY_WORD))
+    assert w_antipode(w_word(EMPTY)) == single(w_word(EMPTY))
     assert w_antipode(w_word(A)) == single(w_word(A), -1)
     assert w_antipode(w_word(AB)) == single(w_word(AB))
+
+
+def test_w_antipode_is_the_length_sign():
+    for w in all_w_words((0, 1), 4, 2):
+        assert w_antipode(w) == single(w, (-1) ** w.total_size), w
 
 
 def test_w_antipode_identity():
@@ -212,13 +264,13 @@ def test_w_antipode_identity():
 
 
 def test_split_examples():
-    assert split(w_word(EMPTY_WORD)) == single(formal.word(NCPartition([])))
+    assert split(w_word(EMPTY)) == single(formal.word(NCPartition([])))
     two = split(w_word(AB))
     assert len(two) == 2
     blocks = {b.letters[0].blocks for b in two.terms}
     assert blocks == {((1, 2),), ((1,), (2,))}
     assert all(b.letters[0].colors == (0, 1) for b in two.terms)
-    three = split(w_word(LetterWord([0, 0, 0])))
+    three = split(w_word(letter_word([0, 0, 0])))
     assert len(three) == 5
     assert split(W_ONE) == single(formal.ONE)
 
@@ -243,7 +295,7 @@ def test_split_counit_compatibility():
 
 
 def test_split_is_not_an_insertion_morphism():
-    lhs, rhs = split_insert_defect(A, [w_word(B).letters[0], EMPTY_WORD])
+    lhs, rhs = split_insert_defect(A, [w_word(B).letters[0], EMPTY])
     assert lhs != rhs
     # splitting the inserted word sees colorings that straddle the insertion
     assert len(lhs) == 2 and len(rhs) == 1
@@ -316,10 +368,10 @@ def test_builders_read_the_table_entries_on_both_word_types(space):
         if w.is_unit():
             continue
         (x,) = w.letters
-        assert w_moments.letter_value(x) is moments.generator(x.letters)
+        assert w_moments.letter_value(x) is moments.generator(x.colors)
         for kind, inf in w_infs.items():
             ((_, maps),) = inf.value(w).terms
-            assert maps[0] is families[kind].generator(x.letters)
+            assert maps[0] is families[kind].generator(x.colors)
     nc_moments = moment_morphism(moments)
     nc_infs = {kind: family_infinitesimal(t) for kind, t in families.items()}
     for w in formal.all_words(4, 1):
@@ -359,6 +411,6 @@ def test_verify_fixed_points_small(space):
 
 
 def test_letter_word_text():
-    assert letter_word_to_text(EMPTY_WORD) == "e"
-    assert letter_word_to_text(LetterWord([0, 1, 0])) == "a.b.a"
-    assert w_word(EMPTY_WORD, AB).text() == "[e][a.b]" and W_ONE.text() == "1"
+    assert letter_word_to_text(EMPTY) == "e"
+    assert letter_word_to_text(letter_word([0, 1, 0])) == "a.b.a"
+    assert w_word(EMPTY, AB).text() == "[e][a.b]" and W_ONE.text() == "1"
