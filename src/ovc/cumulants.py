@@ -18,13 +18,15 @@ table entry with moment maps:
   the block-count-graded sums F_m, which obey the same recursion with
   F_1 = k and are memoised per word and block count.
 
-The evaluator collapses the leftmost interval block of a partition: the
-family generator for that block's color word consumes the gap arguments
-around the block, and the resulting element of B occupies the merged gap of
-the restricted partition.  Iterating reduces any non-crossing partition to
-nested generator compositions.  ``verify_mc`` sums it over the whole
-lattice of each kind, so it checks the tables by a route they were not
-built by.
+The partition evaluator ``e_pi_map`` reads the interval-collapse
+factorization of ``ncpart.collapse_factorization`` in the operad of
+multilinear maps: each one-block generator goes to the family's generator
+for its color word, and each partial composition to ``multimap_partial``.
+Collapsing the leftmost interval block, whose generator consumes the gap
+arguments around it, leaves an element of B in the merged gap of the
+restricted partition, so any non-crossing partition becomes nested
+generator compositions.  ``verify_mc`` sums it over the whole lattice of
+each kind, so it checks the tables by a route they were not built by.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ from .ncpart import (
     CUMULANT_KINDS,
     KINDS,
     NCPartition,
+    collapse_factorization,
     enumerate_interval,
     enumerate_nc,
     nesting_forest,
-    restrict,
     tree_factorial,
 )
 from .ovps import (
@@ -218,22 +220,15 @@ def partition_colors(pi: NCPartition) -> tuple:
 
 
 def e_pi_map(pi: NCPartition, family: CumulantFamily):
-    """The multilinear map of the recursive evaluator on a colored partition.
-
-    It collapses the leftmost interval block, which every non-empty
-    non-crossing partition has, and recurses on the restriction of ``pi``
-    to the other positions.  A one-block partition is its generator.
-    """
+    """The multilinear map of ``pi``: its interval-collapse factorization
+    (``ncpart.collapse_factorization``) evaluated with the family's
+    generators.  A one-block partition is its generator, and the empty
+    partition the identity."""
     if pi.size == 0:
         return identity_map(family.space)
-    colors = partition_colors(pi)
-    block = next(b for b in pi.blocks if b[-1] - b[0] + 1 == len(b))
-    k, l = block[0], block[-1]
-    gen = family.generator(colors[k - 1 : l])
-    if len(block) == pi.size:
-        return gen
-    remaining = [x for x in range(1, pi.size + 1) if not k <= x <= l]
-    return multimap_partial(e_pi_map(restrict(pi, remaining), family), k, gen)
+    if pi.colors is None:
+        pi = NCPartition._trusted(pi.blocks, pi.size, partition_colors(pi))
+    return collapse_factorization(pi, lambda _, colors: family.generator(colors), multimap_partial)
 
 
 def e_pi(pi: NCPartition, family: CumulantFamily, args):

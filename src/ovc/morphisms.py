@@ -32,7 +32,7 @@ import numpy as np
 
 from . import formal
 from .cumulants import e_pi_map, partition_colors
-from .ncpart import GenLeaf, NCPartition, PartialNode, operadic_factorization
+from .ncpart import NCPartition, operadic_factorization
 from .ovps import (
     EXACT_BASIS_LIMIT,
     DimensionMismatch,
@@ -419,22 +419,16 @@ def operadic_extension(space, gen) -> HorizontalMorphism:
     ``gen`` maps a color word to a multilinear map of arity len(word)+1.
     ``ovps.exchange_dev`` measures the slot-exchange precondition.
     """
-    def walk(expr):
-        if isinstance(expr, GenLeaf):
-            g = gen(expr.colors)
-            if g.arity != expr.block_size + 1:
-                raise DimensionMismatch("generator arity mismatch")
-            return g
-        if not isinstance(expr, PartialNode):
-            raise TypeError(
-                "a factorization node must be a GenLeaf or a PartialNode, got %r" % (expr,)
-            )
-        return multimap_partial(walk(expr.outer), expr.slot, walk(expr.inner))
+    def leaf(size, colors):
+        g = gen(colors)
+        if g.arity != size + 1:
+            raise DimensionMismatch("generator arity mismatch")
+        return g
 
     def letter_fn(pi):
         # colored by ``partition_colors``, every leaf carries its colors
         colored = NCPartition._trusted(pi.blocks, pi.size, partition_colors(pi))
-        return walk(operadic_factorization(colored))
+        return operadic_factorization(colored, leaf, multimap_partial)
 
     return HorizontalMorphism(space, letter_fn)
 

@@ -19,7 +19,8 @@ per shape): the positions of the kept elements color the lower partition,
 and each gap's slice of the colors colors its upper partition.
 
 Validation happens once, at the boundary: ``NCPartition(...)``,
-``standardize`` and ``from_text`` check the ground set and the crossings.
+``standardize`` and ``from_text`` check the ground set, the crossings and
+the colors, each a non-negative ``int``.
 Every internal route starts from a valid partition and builds through the
 unchecked ``NCPartition._trusted``, because its result is valid by
 construction:
@@ -30,8 +31,9 @@ construction:
 - the lower and upper partitions of a cut, and ``restrict``: a subset of a
   valid partition's canonical blocks, relabelled 1..p in increasing order,
   keeps its blocks sorted, in block order and uncrossed;
-- ``enumerate_nc``, ``enumerate_interval`` and uncolored ``full_partition``:
-  their block lists are non-crossing partitions by construction;
+- ``enumerate_nc``, ``enumerate_interval`` and ``full_partition``: their
+  block lists are non-crossing partitions by construction (``full_partition``
+  checks only its size and colors);
 - recoloring: the shapes are valid, and the colors are a valid colored
   partition's, sliced by position.
 """
@@ -91,6 +93,22 @@ def _checked_ground(blocks) -> int:
     if seen and (min(seen) != 1 or max(seen) != p):
         raise MalformedPartition("elements must cover 1..p without gaps")
     return p
+
+
+def _checked_colors(colors, size: int) -> Optional[tuple]:
+    """``colors`` as a tuple, after checking that there are ``size`` of
+    them and that each is a non-negative ``int`` (not a ``bool``); None
+    when there are none, since a partition without elements records no
+    coloring."""
+    if colors is None:
+        return None
+    colors = tuple(colors)
+    if len(colors) != size:
+        raise MalformedPartition("expected %d colors, got %d" % (size, len(colors)))
+    for c in colors:
+        if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+            raise MalformedPartition("colors must be non-negative integers, got %r" % (c,))
+    return colors or None
 
 
 def _blocks_cross(b1, b2) -> bool:
@@ -205,15 +223,7 @@ class NCPartition:
                 pair for pair in itertools.combinations(canon, 2) if _blocks_cross(*pair)
             )
             raise CrossingError("blocks %r and %r cross" % (b1, b2))
-        if colors is not None:
-            colors = tuple(colors)
-            if len(colors) != size:
-                raise MalformedPartition(
-                    "expected %d colors, got %d" % (size, len(colors))
-                )
-            if size == 0:
-                colors = None  # the empty partition has no coloring to record
-        return cls._trusted(canon, size, colors)
+        return cls._trusted(canon, size, _checked_colors(colors, size))
 
     @classmethod
     def _trusted(cls, blocks: tuple, size: int, colors: Optional[tuple]):
@@ -261,14 +271,14 @@ EMPTY = NCPartition(())
 def full_partition(size: int, colors: Optional[Sequence[int]] = None) -> NCPartition:
     """The one-block partition of ``size`` elements (size 0 gives the unit).
 
-    With arity labelling this is the generator of arity ``size + 1``.
-    Without colors and for ``size > 0`` the block is valid by construction
-    and is not checked.
+    With arity labelling this is the generator of arity ``size + 1``.  The
+    block is valid by construction, so only the size and the colors are
+    checked.
     """
+    if not isinstance(size, int) or isinstance(size, bool) or size < 0:
+        raise MalformedPartition("size must be a non-negative integer, got %r" % (size,))
     blocks = (tuple(range(1, size + 1)),) if size else ()
-    if colors is None and size > 0:
-        return NCPartition._trusted(blocks, size, None)
-    return NCPartition(blocks, colors=colors)
+    return NCPartition._trusted(blocks, size, _checked_colors(colors, size))
 
 
 def color_name(index: int) -> str:
@@ -277,11 +287,11 @@ def color_name(index: int) -> str:
 
 def color_index(token: str) -> int:
     token = token.strip()
-    if token.isdigit():
+    if token.isdecimal():
         return int(token)
     if len(token) == 1 and token in _ALPHABET:
         return _ALPHABET.index(token)
-    if token.startswith("v") and token[1:].isdigit():
+    if token.startswith("v") and token[1:].isdecimal():
         return int(token[1:])
     raise MalformedPartition("cannot read variable token %r" % token)
 
@@ -717,49 +727,46 @@ def _cuts(pi: NCPartition) -> list:
 # Operadic factorization
 
 
-class GenLeaf(NamedTuple):
-    """Generator leaf: the one-block partition of ``block_size`` elements."""
+def operadic_factorization(pi: NCPartition, leaf, partial):
+    """Evaluate the peel-first factorization of ``pi`` in an operad.
 
-    block_size: int
-    colors: Optional[tuple]
-
-
-class PartialNode(NamedTuple):
-    """Partial composition: insert ``inner`` into input ``slot`` of ``outer``."""
-
-    outer: object
-    slot: int
-    inner: object
-
-
-def operadic_factorization(pi: NCPartition):
-    """Express ``pi`` through partial insertions of one-block generators.
-
-    Strategy: peel the block containing position 1, then recurse on the gap
-    contents, attaching them right to left so earlier slots stay valid.
-    The empty partition, being the operad unit, has no factorization.
+    ``leaf(size, colors)`` is the image of the one-block generator of
+    ``size`` elements (``colors`` is None when ``pi`` is uncolored), and
+    ``partial(outer, slot, inner)`` composes ``inner`` into the 1-based
+    input ``slot`` of ``outer``.  Strategy: peel the block containing
+    position 1, then fold the gap contents in right to left so earlier slots
+    stay valid.  The empty partition, being the operad unit, has no
+    factorization.
     """
     if pi.size == 0:
         raise ArityMismatch("the empty partition is the unit; no factorization")
     block = pi.blocks[0]  # canonical order puts the block containing 1 first
     m = len(block)
-    expr = GenLeaf(m, pi.block_colors(0))
+    value = leaf(m, pi.block_colors(0))
     bounds = list(block) + [pi.size + 1]
     for gap in range(m, 0, -1):
         lo, hi = bounds[gap - 1], bounds[gap]
-        segment = range(lo + 1, hi)
-        if len(segment) == 0:
-            continue
-        expr = PartialNode(expr, gap + 1, operadic_factorization(restrict(pi, segment)))
-    return expr
+        if hi - lo > 1:
+            inner = operadic_factorization(restrict(pi, range(lo + 1, hi)), leaf, partial)
+            value = partial(value, gap + 1, inner)
+    return value
 
 
-def evaluate_factorization(expr) -> NCPartition:
-    """Re-evaluate a factorization expression back to a partition."""
-    if isinstance(expr, GenLeaf):
-        return full_partition(expr.block_size, colors=expr.colors)
-    if isinstance(expr, PartialNode):
-        return partial_insert(
-            evaluate_factorization(expr.outer), expr.slot, evaluate_factorization(expr.inner)
-        )
-    raise TypeError("not a factorization expression: %r" % (expr,))
+def collapse_factorization(pi: NCPartition, leaf, partial):
+    """Evaluate the interval-collapse factorization of ``pi`` in an operad,
+    with ``leaf`` and ``partial`` as in ``operadic_factorization``.
+
+    Every non-empty non-crossing partition has an interval block; the
+    leftmost one, at positions k..l, is a generator composed into slot k of
+    the restriction of ``pi`` to the other positions, which collapses in
+    turn.  ``leaf`` is called before the recursion.
+    """
+    if pi.size == 0:
+        raise ArityMismatch("the empty partition is the unit; no factorization")
+    block = next(b for b in pi.blocks if b[-1] - b[0] + 1 == len(b))
+    k, l = block[0], block[-1]
+    value = leaf(len(block), None if pi.colors is None else pi.colors[k - 1 : l])
+    if len(block) == pi.size:
+        return value
+    remaining = [x for x in range(1, pi.size + 1) if not k <= x <= l]
+    return partial(collapse_factorization(restrict(pi, remaining), leaf, partial), k, value)

@@ -31,7 +31,6 @@ from .ncpart import (
     cuts,
     enumerate_interval,
     enumerate_nc,
-    evaluate_factorization,
     full_partition,
     gap_insert,
     is_noncrossing,
@@ -245,7 +244,7 @@ def suite_operad(ctx: VerifyContext):
     )
 
     fact_ok = all(
-        evaluate_factorization(operadic_factorization(pi)) == pi
+        operadic_factorization(pi, full_partition, partial_insert) == pi
         for p in range(1, 7)
         for pi in enumerate_nc(p)
     )

@@ -38,9 +38,9 @@ from .ncpart import EMPTY, NCPartition, enumerate_nc
 def letter_word(colors) -> NCPartition:
     """The letter word of a sequence of variable indices: its finest
     coloring, one singleton block per position; ``EMPTY`` when there are
-    none."""
-    colors = tuple(int(v) for v in colors)
-    if not colors:
+    none.  Each color must be a non-negative ``int``."""
+    colors = tuple(colors)
+    if not ncpart._checked_colors(colors, len(colors)):
         return EMPTY
     return NCPartition._trusted(_singletons(len(colors)), len(colors), colors)
 

@@ -280,7 +280,7 @@ def test_bad_letters_are_rejected_under_optimize():
 from ovc import morphisms
 from ovc.formal import PartitionWord
 from ovc.ncpart import NCPartition
-from ovc.ovps import OVMatrixSpace, moment_map
+from ovc.ovps import DimensionMismatch, OVMatrixSpace, moment_map
 from ovc.winsert import WWord
 rejected = []
 for build in (PartitionWord, WWord):
@@ -289,13 +289,13 @@ for build in (PartitionWord, WWord):
     except TypeError:
         rejected.append(build.__name__)
 space = OVMatrixSpace(d=1, k=1, variables=1)
-morphisms.operadic_factorization = lambda pi: "x"
-extension = morphisms.operadic_extension(space, lambda word: moment_map(space, word))
+# a generator one input short for every color word
+extension = morphisms.operadic_extension(space, lambda word: moment_map(space, word[1:]))
 try:
     extension.letter_value(NCPartition([(1,)]))
-except TypeError:
-    rejected.append("factorization")
-raise SystemExit(0 if rejected == ["PartitionWord", "WWord", "factorization"] else 3)
+except DimensionMismatch:
+    rejected.append("arity")
+raise SystemExit(0 if rejected == ["PartitionWord", "WWord", "arity"] else 3)
 """])
     assert proc.returncode == 0, proc.stderr
 

@@ -19,11 +19,11 @@ from ovc.ncpart import (
     EnumerationBound,
     MalformedPartition,
     NCPartition,
+    collapse_factorization,
     count_monotone_labelings,
     cuts,
     enumerate_interval,
     enumerate_nc,
-    evaluate_factorization,
     from_text,
     full_partition,
     gap_insert,
@@ -36,6 +36,7 @@ from ovc.ncpart import (
     to_text,
     tree_factorial,
 )
+from ovc.winsert import letter_word
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 
@@ -338,32 +339,63 @@ def test_count_monotone_matches_formula():
 # Factorization
 
 
+def as_tuples(factorization, pi):
+    """The factorization of ``pi`` as nested tuples: ("leaf", size, colors)
+    and ("partial", outer, slot, inner)."""
+    return factorization(
+        pi,
+        lambda size, colors: ("leaf", size, colors),
+        lambda outer, slot, inner: ("partial", outer, slot, inner),
+    )
+
+
 def test_factorization_examples():
-    expr = operadic_factorization(gen1(3))
-    assert isinstance(expr, ncpart.GenLeaf) and expr.block_size == 2
-    expr = operadic_factorization(NCPartition([(1, 3), (2,)]))
-    assert isinstance(expr, ncpart.PartialNode) and expr.slot == 2
-    assert evaluate_factorization(expr) == NCPartition([(1, 3), (2,)])
-    expr = operadic_factorization(NCPartition([(1,), (2,)]))
-    assert isinstance(expr, ncpart.PartialNode) and expr.slot == 2
+    assert as_tuples(operadic_factorization, gen1(3)) == ("leaf", 2, None)
+    expr = as_tuples(operadic_factorization, NCPartition([(1, 3), (2,)]))
+    assert expr == ("partial", ("leaf", 2, None), 2, ("leaf", 1, None))
+    expr = as_tuples(operadic_factorization, NCPartition([(1,), (2,)]))
+    assert expr == ("partial", ("leaf", 1, None), 2, ("leaf", 1, None))
+    pi = NCPartition([(1, 3), (2,)], colors=(0, 1, 2))
+    expr = as_tuples(operadic_factorization, pi)
+    assert expr == ("partial", ("leaf", 2, (0, 2)), 2, ("leaf", 1, (1,)))
+    assert as_tuples(collapse_factorization, gen1(3)) == ("leaf", 2, None)
+    # the leftmost interval block of 1,3|2 is {2}: into slot 2 of 1,2
+    expr = as_tuples(collapse_factorization, NCPartition([(1, 3), (2,)]))
+    assert expr == ("partial", ("leaf", 2, None), 2, ("leaf", 1, None))
+    expr = as_tuples(collapse_factorization, NCPartition([(1,), (2,)], colors=(0, 1)))
+    assert expr == ("partial", ("leaf", 1, (1,)), 1, ("leaf", 1, (0,)))
+
+
+def test_collapse_calls_leaf_before_it_recurses():
+    seen = []
+
+    def leaf(size, colors):
+        seen.append(colors)
+        return full_partition(size, colors)
+
+    pi = NCPartition([(1,), (2, 4), (3,)], colors=(0, 1, 2, 3))
+    assert collapse_factorization(pi, leaf, partial_insert) == pi
+    assert seen == [(0,), (2,), (1, 3)]
 
 
 def test_factorization_round_trip():
-    for p in range(7):
-        for pi in enumerate_nc(p):
-            if pi.size == 0:
-                continue
-            assert evaluate_factorization(operadic_factorization(pi)) == pi
+    # both factorizations are exact, uncolored and 2-colored
+    for p in range(1, 7):
+        for shape in enumerate_nc(p):
+            for pi in (shape, NCPartition(shape.blocks, colors=[i % 2 for i in range(p)])):
+                for factorization in (operadic_factorization, collapse_factorization):
+                    assert factorization(pi, full_partition, partial_insert) == pi
 
 
 def test_factorization_round_trip_colored():
     pi = NCPartition([(1, 4), (2,), (3,), (5,)], colors=(0, 1, 0, 1, 0))
-    assert evaluate_factorization(operadic_factorization(pi)) == pi
+    assert operadic_factorization(pi, full_partition, partial_insert) == pi
 
 
 def test_factorization_rejects_unit():
-    with pytest.raises(ArityMismatch):
-        operadic_factorization(EMPTY)
+    for factorization in (operadic_factorization, collapse_factorization):
+        with pytest.raises(ArityMismatch):
+            factorization(EMPTY, full_partition, partial_insert)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +451,32 @@ def test_standardize_shift_invariance(pi, shift):
 
 # ---------------------------------------------------------------------------
 # Crossing check, caches and invariants
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: NCPartition([(1,)], colors=(-2,)),
+        lambda: NCPartition([(1,)], colors=("x",)),
+        lambda: NCPartition([(1, 2)], colors=(0, 1.0)),
+        lambda: NCPartition([(1,)], colors=(True,)),
+        lambda: NCPartition([(1,)], colors=(0, 1)),
+        lambda: standardize([(3,), (5,)], colors={3: 0, 5: -1}),
+        lambda: full_partition(2, colors=(0, -1)),
+        lambda: full_partition(1, colors=(False,)),
+        lambda: full_partition(2, colors=(0,)),
+        lambda: full_partition(0, colors=(0,)),
+        lambda: full_partition(-1),
+        lambda: full_partition(True),
+        lambda: letter_word([1.9, -2]),
+        lambda: letter_word(["x"]),
+        lambda: from_text("1;\u00b2"),
+        lambda: from_text("1;v\u00b2"),
+    ],
+)
+def test_colors_are_checked_at_the_boundary(build):
+    with pytest.raises(MalformedPartition):
+        build()
 
 
 def test_two_crossing_blocks_are_rejected():
