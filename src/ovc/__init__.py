@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 _LAZY = {
     name: module
     for module, names in (
-        ("ovps", ("OVMatrixSpace", "MultiMap", "moment_map", "multimap_eq")),
+        ("ovps", ("OVMatrixSpace", "MultiMap", "moment_map")),
         ("cumulants", ("cumulant_families", "e_pi", "verify_mc")),
         ("morphisms", ("convolve", "exp_prec", "exp_star", "exp_succ", "half_prec",
                        "half_succ", "log_star")),
@@ -69,7 +69,6 @@ __all__ = [
     "letter_word",
     "log_star",
     "moment_map",
-    "multimap_eq",
     "partial_insert",
     "split",
     "verify_mc",

@@ -148,9 +148,13 @@ class RunConfig:
         not_a_matrix = ConfigError(
             "variable %r is neither a seed spec nor a matrix of [re, im] pairs" % (name,)
         )
+        what = "an entry of variable %r" % (name,)
         try:
-            rows = [[complex(re, im) for re, im in row] for row in spec]
-        except (TypeError, ValueError, OverflowError):
+            rows = [
+                [complex(_number(re, what, float), _number(im, what, float)) for re, im in row]
+                for row in spec
+            ]
+        except (TypeError, ValueError):
             raise not_a_matrix from None
         shape = (len(rows), len(rows[0])) if rows else (0,)
         if any(len(row) != shape[-1] for row in rows):
@@ -237,6 +241,8 @@ def _parse_word(config: RunConfig, text: str):
 
 
 def cmd_cumulants(ns) -> int:
+    import numpy as np
+
     from .cumulants import cumulant_families
     from .ovps import matrix_to_json, probe_batch
 
@@ -252,6 +258,11 @@ def cmd_cumulants(ns) -> int:
     if values is None:
         batch = probe_batch(space.d, gen.arity, seed=config.seed)
         values, basis = gen.eval_batch(batch), "probes"
+    # np.max propagates NaN, so the peak is finite only when every value is
+    if not math.isfinite(float(np.max(np.abs(values)))):
+        raise ConfigError(
+            "the %s map of the word %s has values that are not finite" % (ns.kind, ns.word)
+        )
     _emit(
         ns,
         {

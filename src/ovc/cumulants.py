@@ -45,7 +45,6 @@ from .ncpart import (
     tree_factorial,
 )
 from .ovps import (
-    identity_map,
     moment_map,
     multimap_compose,
     multimap_dev,
@@ -107,7 +106,7 @@ class CumulantFamily:
             return moment_map(self.space, word)
         n = len(word)
         if n == 0:
-            return identity_map(self.space)
+            return self.space.identity
         terms = [(1, self.moments._entry(word))]
         terms.extend((-weight, term) for weight, term in self._first_block_terms(word))
         return multimap_lincomb(self.space, n + 1, terms)
@@ -119,7 +118,7 @@ class CumulantFamily:
         with m blocks: the tail then holds the graded sum of the m - 1 - M
         blocks that V and its M gap blocks leave, instead of its moment
         map."""
-        identity = identity_map(self.space)
+        identity = self.space.identity
         for block, gaps, tail in _first_blocks(word, self.kind == "boolean"):
             outer = self._entry(block)
             for nested, inner in self._gap_sums(gaps):
@@ -133,7 +132,7 @@ class CumulantFamily:
                 yield weight, multimap_compose(outer, (identity,) + inner + (last,))
 
     def _moment(self, word):
-        return self.moments._entry(word) if word else identity_map(self.space)
+        return self.moments._entry(word) if word else self.space.identity
 
     def _gap_sums(self, gaps):
         """The (nested block count, gap maps) choices for the gaps of a
@@ -151,7 +150,7 @@ class CumulantFamily:
         ``word`` with m blocks: F_0 of the empty word is the identity and
         F_1 is the table entry; the others are memoised like entries."""
         if not word:
-            return identity_map(self.space)
+            return self.space.identity
         if m == 1:
             return self._entry(word)
         graded = self._graded_table.get((word, m))
@@ -225,7 +224,7 @@ def e_pi_map(pi: NCPartition, family: CumulantFamily):
     generators.  A one-block partition is its generator, and the empty
     partition the identity."""
     if pi.size == 0:
-        return identity_map(family.space)
+        return family.space.identity
     if pi.colors is None:
         pi = NCPartition._trusted(pi.blocks, pi.size, partition_colors(pi))
     return collapse_factorization(pi, lambda _, colors: family.generator(colors), multimap_partial)

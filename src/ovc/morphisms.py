@@ -37,7 +37,6 @@ from .ovps import (
     EXACT_BASIS_LIMIT,
     DimensionMismatch,
     deviation,
-    identity_map,
     multimap_compose,
     multimap_lincomb,
     multimap_partial,
@@ -55,7 +54,8 @@ class UnitAmbiguity(ValueError):
 
 
 class WordSum:
-    """Linear combination of words of multilinear maps sharing one profile."""
+    """Linear combination of words of multilinear maps sharing one profile.
+    ``WordSum(space, profile)`` is zero."""
 
     __slots__ = ("space", "profile", "terms")
 
@@ -77,21 +77,18 @@ class WordSum:
         self.terms = tuple(kept)
 
     @classmethod
-    def zero(cls, space, profile):
-        return cls(space, profile, ())
-
-    @classmethod
     def word(cls, space, maps, coeff=1):
         maps = tuple(maps)
         return cls(space, tuple(m.arity for m in maps), [(coeff, maps)])
 
+    @classmethod
+    def sum(cls, space, profile, sums):
+        """One sum of the terms of ``sums``, in order; each term is checked
+        against ``profile``."""
+        return cls(space, profile, [term for part in sums for term in part.terms])
+
     def is_zero(self):
         return not self.terms
-
-    def __add__(self, other):
-        if self.profile != other.profile:
-            raise DimensionMismatch("profiles %r vs %r" % (self.profile, other.profile))
-        return WordSum(self.space, self.profile, self.terms + other.terms)
 
     def scale(self, coeff):
         return WordSum(
@@ -215,7 +212,7 @@ class Morphism:
 
     def value(self, w) -> WordSum:
         if w.is_unit():
-            maps = (identity_map(self.space),) * len(w.letters)
+            maps = (self.space.identity,) * len(w.letters)
             return WordSum.word(self.space, maps, self.unit_coeff)
         if w not in self._memo:
             self._memo[w] = self._fn(w)
@@ -227,11 +224,8 @@ class Morphism:
             self.space,
             self.word_type,
             self.unit_coeff + other.unit_coeff,
-            lambda w: self.value(w) + other.value(w),
+            lambda w: WordSum.sum(self.space, w.profile(), (self.value(w), other.value(w))),
         )
-
-    def __sub__(self, other):
-        return self + (-1) * other
 
     def __rmul__(self, coeff):
         return Morphism(
@@ -241,16 +235,13 @@ class Morphism:
             lambda w: self.value(w).scale(coeff),
         )
 
-    def __neg__(self):
-        return (-1) * self
-
     def _check_compatible(self, other):
         if self.space is not other.space or self.word_type is not other.word_type:
             raise DimensionMismatch("morphisms over different structures")
 
 
 def eta_eps_morphism(space, word_type=formal.PartitionWord) -> Morphism:
-    return Morphism(space, word_type, 1, lambda w: WordSum.zero(space, w.profile()))
+    return Morphism(space, word_type, 1, lambda w: WordSum(space, w.profile()))
 
 
 class InfinitesimalMorphism(Morphism):
@@ -269,13 +260,13 @@ class InfinitesimalMorphism(Morphism):
         profile = w.profile()
         live = [i for i, x in enumerate(letters) if x.size != 0]
         if len(live) != 1:
-            return WordSum.zero(self.space, profile)
+            return WordSum(self.space, profile)
         g = self.gen(letters[live[0]])
         if g is None:
-            return WordSum.zero(self.space, profile)
+            return WordSum(self.space, profile)
         if g.arity != profile[live[0]]:
             raise DimensionMismatch("generator arity does not match the letter")
-        maps = [identity_map(self.space)] * len(letters)
+        maps = [self.space.identity] * len(letters)
         maps[live[0]] = g
         return WordSum.word(self.space, maps)
 
@@ -291,7 +282,7 @@ class HorizontalMorphism(Morphism):
 
     def letter_value(self, x):
         if x.size == 0:
-            return identity_map(self.space)
+            return self.space.identity
         if x not in self._letter_memo:
             self._letter_memo[x] = self._letter_fn(x)
         return self._letter_memo[x]
@@ -315,11 +306,11 @@ def _cut_product(a: Morphism, b: Morphism, keep, unit_coeff) -> Morphism:
         raise UnitAmbiguity("both factors of a half product carry a unit")
 
     def fn(w):
-        total = WordSum.zero(a.space, w.profile())
-        for lower, upper, flag in w.cuts():
-            if keep is None or flag == keep:
-                total = total + a.value(lower).vcompose(b.value(upper))
-        return total
+        return WordSum.sum(a.space, w.profile(), (
+            a.value(lower).vcompose(b.value(upper))
+            for lower, upper, flag in w.cuts()
+            if keep is None or flag == keep
+        ))
 
     return Morphism(a.space, a.word_type, unit_coeff, fn)
 
@@ -382,12 +373,11 @@ def _power_series(m: Morphism, unit_coeff, coeff) -> Morphism:
     powers = [m]
 
     def fn(w):
-        total = WordSum.zero(m.space, w.profile())
-        for p in range(1, w.total_blocks + 1):
-            while len(powers) < p:
-                powers.append(convolve(powers[-1], m))
-            total = total + powers[p - 1].value(w).scale(coeff(p))
-        return total
+        while len(powers) < w.total_blocks:
+            powers.append(convolve(powers[-1], m))
+        return WordSum.sum(m.space, w.profile(), (
+            powers[p - 1].value(w).scale(coeff(p)) for p in range(1, w.total_blocks + 1)
+        ))
 
     return Morphism(m.space, m.word_type, unit_coeff, fn)
 
@@ -488,7 +478,7 @@ def seeded_infinitesimal(space, seed, word_type=formal.PartitionWord,
             return None
         if x not in leaves:
             rng = _stable_rng(seed, word_type.letter_text(x))
-            leaves[x] = random_multimap(space, x.arity, rng, label="seeded")
+            leaves[x] = random_multimap(space, x.arity, rng)
         return leaves[x]
 
     return InfinitesimalMorphism(space, gen, word_type)
@@ -509,10 +499,8 @@ def precompose(alpha: Morphism, linear_fn, word_type=None) -> Morphism:
     to partition words."""
 
     def fn(w):
-        total = WordSum.zero(alpha.space, w.profile())
-        image = linear_fn(w)
-        for basis, coeff in image.terms.items():
-            total = total + alpha.value(basis).scale(complex(coeff))
-        return total
+        return WordSum.sum(alpha.space, w.profile(), (
+            alpha.value(basis).scale(complex(coeff)) for basis, coeff in linear_fn(w).terms.items()
+        ))
 
     return Morphism(alpha.space, word_type or alpha.word_type, alpha.unit_coeff, fn)

@@ -5,7 +5,9 @@ matrices embedded as b -> b (x) I_k, and the conditional expectation takes
 the normalized trace of each k x k block.  Multilinear maps B^n -> B are
 held as evaluation DAGs whose leaves are the identity or generator maps and
 whose internal nodes are operadic compositions or pointwise linear
-combinations.
+combinations.  A map is a plain value with no display name, and each space
+holds one identity map, ``OVMatrixSpace.identity``, the unit of
+composition.
 
 Two evaluations exist.  Where (d^2)^arity <= EXACT_BASIS_LIMIT a map has a
 structure tensor, its values on every tuple of elementary matrices, built
@@ -17,14 +19,16 @@ on stacked argument batches.  The walk stops at every linear combination
 that holds its tensor, which is then contracted with the arguments instead,
 so a memoised sub-map below the limit costs one contraction per use.
 
-All tolerances are relative with an absolute floor of 1e-12.
+All tolerances are relative with an absolute floor of 1e-12, and a value
+that is not finite deviates infinitely.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-DEFAULT_TOL = 1e-9
 ABS_FLOOR = 1e-12
 EXACT_BASIS_LIMIT = 4096
 N_PROBES = 20
@@ -59,7 +63,9 @@ class OVMatrixSpace:
     """Operator-valued probability space (A, E, B) on block matrices.
 
     ``variables`` maps variable indices to elements of A; pass an int to get
-    that many seeded pseudorandom Hermitian variables instead.
+    that many seeded pseudorandom Hermitian variables instead.  ``identity``
+    is the one identity map on B of the space, the unit of its operad of
+    multilinear maps.
     """
 
     def __init__(self, d: int, k: int, variables=2, seed: int = 7):
@@ -83,12 +89,11 @@ class OVMatrixSpace:
                     % (idx, mat.shape, self.dk, self.dk)
                 )
             self.variables[int(idx)] = mat
-        self._eye_b = np.eye(d, dtype=complex)
-        self._eye_a = np.eye(self.dk, dtype=complex)
+        self.identity = MultiMap(self, 1, "id")
         self._self_check()
 
     def _self_check(self):
-        if np.max(np.abs(self.cond_expect(self._eye_a) - self._eye_b)) > ABS_FLOOR:
+        if np.max(np.abs(self.cond_expect(np.eye(self.dk)) - np.eye(self.d))) > ABS_FLOOR:
             raise SpaceCheckError("E(1) is not the identity of B")
         rng = np.random.default_rng(self.seed + 1)
         for _ in range(3):
@@ -98,14 +103,6 @@ class OVMatrixSpace:
             rhs = b1 @ self.cond_expect(a) @ b2
             if np.max(np.abs(lhs - rhs)) > ABS_FLOOR * max(1.0, np.max(np.abs(rhs))):
                 raise SpaceCheckError("E(b1 a b2) differs from b1 E(a) b2")
-
-    @property
-    def identity_b(self) -> np.ndarray:
-        return self._eye_b
-
-    @property
-    def identity_a(self) -> np.ndarray:
-        return self._eye_a
 
     def variable(self, idx: int) -> np.ndarray:
         if idx not in self.variables:
@@ -134,7 +131,8 @@ class OVMatrixSpace:
 class MultiMap:
     """Multilinear map B^{(x) arity} -> B over a matrix space.
 
-    ``kind`` is one of 'id' (the identity on B), 'gen' (leaf evaluator),
+    ``kind`` is one of 'id' (the identity on B, one per space:
+    ``OVMatrixSpace.identity``), 'gen' (leaf evaluator),
     'compose' (operadic composition) or 'lincomb' (pointwise linear
     combination).  A leaf carries ``fn``, its values on a batch, and
     ``build``, which returns its structure tensor directly.  Instances are
@@ -142,16 +140,15 @@ class MultiMap:
     (N, d, d) per slot.
     """
 
-    __slots__ = ("space", "arity", "kind", "fn", "label", "parts", "build", "_tensor")
+    __slots__ = ("space", "arity", "kind", "fn", "parts", "build", "_tensor")
 
-    def __init__(self, space, arity, kind, fn=None, label="", parts=(), build=None):
+    def __init__(self, space, arity, kind, fn=None, parts=(), build=None):
         if kind == "gen" and build is None:
             raise ValueError("a leaf needs build, which returns its structure tensor")
         self.space = space
         self.arity = arity
         self.kind = kind
         self.fn = fn
-        self.label = label
         self.parts = tuple(parts)
         self.build = build
         self._tensor = None
@@ -219,7 +216,7 @@ class MultiMap:
         return t
 
     def __repr__(self):
-        return "MultiMap(%s, arity=%d)" % (self.label or self.kind, self.arity)
+        return "MultiMap(%s, arity=%d)" % (self.kind, self.arity)
 
 
 def _contract(t: np.ndarray, args) -> np.ndarray:
@@ -263,10 +260,6 @@ def _compose_tensor(node: MultiMap) -> np.ndarray:
     return out.reshape(done, d, d)
 
 
-def identity_map(space) -> MultiMap:
-    return MultiMap(space, 1, "id", label="id_B")
-
-
 def moment_map(space, var_indices) -> MultiMap:
     """(b_0, ..., b_n) -> E(b_0 a_{v_1} b_1 ... a_{v_n} b_n).
 
@@ -294,11 +287,10 @@ def moment_map(space, var_indices) -> MultiMap:
         eye = np.eye(d)
         return np.einsum("ar,m,bs->ambrs", eye, traces, eye).reshape(-1, d, d)
 
-    label = "E[%s]" % ",".join(str(v) for v in var_indices)
-    return MultiMap(space, len(var_indices) + 1, "gen", fn=fn, label=label, build=build)
+    return MultiMap(space, len(var_indices) + 1, "gen", fn=fn, build=build)
 
 
-def sandwich_map(space, mats, label="sandwich") -> MultiMap:
+def sandwich_map(space, mats) -> MultiMap:
     """(b_1, ..., b_n) -> A_0 b_1 A_1 ... b_n A_n for fixed d x d matrices.
 
     On elementary matrices b_m = e_{i_m j_m} entry (r, s) of the value is
@@ -320,13 +312,11 @@ def sandwich_map(space, mats, label="sandwich") -> MultiMap:
             chain = np.einsum("...i,jc->...ijc", chain, mat)
         return np.ascontiguousarray(chain.reshape(d, -1, d).transpose(1, 0, 2))
 
-    return MultiMap(space, len(mats) - 1, "gen", fn=fn, label=label, build=build)
+    return MultiMap(space, len(mats) - 1, "gen", fn=fn, build=build)
 
 
-def random_multimap(space, arity, rng, label="random") -> MultiMap:
-    return sandwich_map(
-        space, [random_matrix(rng, space.d) for _ in range(arity + 1)], label=label
-    )
+def random_multimap(space, arity, rng) -> MultiMap:
+    return sandwich_map(space, [random_matrix(rng, space.d) for _ in range(arity + 1)])
 
 
 def multimap_compose(alpha: MultiMap, betas) -> MultiMap:
@@ -351,7 +341,7 @@ def multimap_partial(alpha: MultiMap, slot: int, beta: MultiMap) -> MultiMap:
     """Insert ``beta`` into input ``slot`` of ``alpha`` (1-based)."""
     if not 1 <= slot <= alpha.arity:
         raise DimensionMismatch("slot %d out of range 1..%d" % (slot, alpha.arity))
-    betas = [identity_map(alpha.space)] * alpha.arity
+    betas = [alpha.space.identity] * alpha.arity
     betas[slot - 1] = beta
     return multimap_compose(alpha, betas)
 
@@ -401,14 +391,18 @@ def probe_batch(d: int, arity: int, n_probes: int = N_PROBES, seed: int = _PROBE
 
 
 def deviation(x, y) -> float:
-    """Relative max deviation with an absolute floor of 1e-12."""
+    """Relative max deviation with an absolute floor of 1e-12.  A value
+    that is not finite on either side makes it infinite, so that no
+    maximum over deviations drops it and no comparison passes."""
     diff = float(np.max(np.abs(x - y))) if np.size(x) else 0.0
-    scale = max(float(np.max(np.abs(x))) if np.size(x) else 0.0,
-                float(np.max(np.abs(y))) if np.size(y) else 0.0,
-                1.0)
+    # np.max propagates NaN, so each side's peak is finite only when all
+    # of its values are
+    peaks = [float(np.max(np.abs(v))) if np.size(v) else 0.0 for v in (x, y)]
+    if not all(map(math.isfinite, peaks)):
+        return math.inf
     if diff <= ABS_FLOOR:
         return 0.0
-    return diff / scale
+    return diff / max(peaks + [1.0])
 
 
 def multimap_dev(f: MultiMap, g: MultiMap) -> float:
@@ -436,8 +430,3 @@ def exchange_dev(gen, words) -> float:
         for gv in maps
     )
 
-
-def multimap_eq(f: MultiMap, g: MultiMap, tol: float = DEFAULT_TOL) -> bool:
-    """Decide f == g from their values on all tuples of elementary matrices
-    when (d^2)^arity <= 4096, otherwise on 20 seeded pseudorandom tuples."""
-    return multimap_dev(f, g) <= tol

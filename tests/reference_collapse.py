@@ -8,7 +8,7 @@ result must not depend on that choice, so tests compare it with
 
 from ovc.cumulants import partition_colors
 from ovc.ncpart import restrict
-from ovc.ovps import identity_map, multimap_partial
+from ovc.ovps import multimap_partial
 
 
 def interval_blocks(pi):
@@ -18,7 +18,7 @@ def interval_blocks(pi):
 
 def rightmost_collapse(pi, family):
     if pi.size == 0:
-        return identity_map(family.space)
+        return family.space.identity
     block = interval_blocks(pi)[-1]
     k, l = block[0], block[-1]
     gen = family.generator(partition_colors(pi)[k - 1 : l])

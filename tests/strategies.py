@@ -9,7 +9,6 @@ import numpy as np
 from hypothesis import strategies as st
 
 from ovc.ovps import (
-    identity_map,
     moment_map,
     multimap_compose,
     multimap_lincomb,
@@ -26,7 +25,7 @@ def multimap_trees(draw, space, arity, depth=3):
     if depth == 0 or shape == "leaf":
         leaf = draw(st.sampled_from(("id", "moment", "sandwich")))
         if leaf == "id" and arity == 1:
-            return identity_map(space)
+            return space.identity
         if leaf == "moment":
             word = draw(st.lists(st.sampled_from(sorted(space.variables)),
                                  min_size=arity - 1, max_size=arity - 1))

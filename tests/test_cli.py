@@ -15,7 +15,7 @@ import ovc
 from ovc import cli
 from ovc.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, RunConfig, main
 from ovc.cumulants import cumulant_families
-from ovc.ovps import deviation, elementary_batch, probe_batch
+from ovc.ovps import MultiMap, OVMatrixSpace, deviation, elementary_batch, probe_batch
 from ovc.suites import VerifyContext
 from helpers import matrix_from_json
 from reference_walk import walk_eval
@@ -87,6 +87,74 @@ def test_non_finite_matrix_entry_is_usage_error(capsys, tmp_path, command, entry
     assert "variable 'a' has a non-finite entry" in json.loads(err)["error"]
 
 
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError("not JSON: %s" % constant)
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_non_finite_values_fail_their_rows(capsys, tmp_path):
+    # every moment of order >= 2 of 1e200 overflows, and the cumulants
+    # subtract infinities; no row may read such values as equal
+    cfg = tmp_path / "cfg.json"
+    huge = [[[1e200, 0.0]]]
+    cfg.write_text(json.dumps({"d": 1, "k": 1, "variables": {"a": huge, "b": huge}}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, _ = run(capsys, ["verify", "--config", str(cfg)])
+        cum_code, cum_out, cum_err = run(
+            capsys, ["cumulants", "--kind", "free", "--word", "a.a", "--config", str(cfg)]
+        )
+    assert code == EXIT_FAIL
+    rows = {
+        row["id"]: row
+        for suite in _strict_json(out)["suites"]
+        for row in suite["assertions"]
+    }
+    failed = {ident for ident, row in rows.items() if not row["passed"]}
+    moment_rows = {
+        "moment-cumulant.%s-%s" % (space, kind)
+        for space in ("scalar", "matrix")
+        for kind in ("free", "boolean", "monotone")
+    }
+    moment_rows |= {
+        "oracle.moment-exchange",
+        "oracle.extension-vs-recursive",
+        "oracle.exponential-vs-recursive",
+        "oracle.two-variable-extension",
+        "oracle.antipode-inverse",
+        "splitting.free-fixed-point",
+        "splitting.boolean-fixed-point",
+        "monotone.exchange-hypothesis",
+        "monotone.log-cross-check",
+    }
+    assert moment_rows <= failed
+    assert all(rows[ident]["dev"] is None for ident in failed)
+    assert cum_code == EXIT_USAGE and cum_out == ""
+    assert "not finite" in json.loads(cum_err)["error"]
+
+
+def test_one_identity_map_per_space(capsys, monkeypatch):
+    spaces, identities = [], []
+    build_space, build_map = OVMatrixSpace.__init__, MultiMap.__init__
+
+    def counted_space(self, *args, **kwargs):
+        build_space(self, *args, **kwargs)
+        spaces.append(self)
+
+    def counted_map(self, space, arity, kind, *args, **kwargs):
+        build_map(self, space, arity, kind, *args, **kwargs)
+        if kind == "id":
+            identities.append(self)
+
+    monkeypatch.setattr(OVMatrixSpace, "__init__", counted_space)
+    monkeypatch.setattr(MultiMap, "__init__", counted_map)
+    code, _, _ = run(capsys, ["verify", "--suite", "shuffle,splitting", "--order", "3"])
+    assert code == EXIT_OK
+    assert len(identities) == len(spaces) >= 1
+    assert identities == [space.identity for space in spaces]
+
+
 @pytest.mark.parametrize(
     "config, argv, message",
     [
@@ -118,6 +186,9 @@ def test_non_finite_matrix_entry_is_usage_error(capsys, tmp_path, command, entry
          "d must be a number"),
         ({"tolerance": "1e-9"}, [], "tolerance must be a number"),
         ({"variables": {"a": {"seed": "101"}}}, [], "seed of variable 'a' must be a number"),
+        # a boolean is not a number, in a matrix entry as in a seed
+        ({"d": 1, "k": 1, "variables": {"a": [[[True, False]]]}}, [],
+         "variable 'a' is neither a seed spec nor a matrix"),
     ],
 )
 def test_malformed_configuration_is_usage_error(capsys, tmp_path, config, argv, message):

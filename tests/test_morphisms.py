@@ -47,7 +47,6 @@ from ovc.ovps import (
     deviation,
     elementary_batch,
     exchange_dev,
-    identity_map,
     moment_map,
     multimap_compose,
     multimap_dev,
@@ -176,7 +175,9 @@ def test_exp_prec_on_nested_partition(space):
     # the outer block with the singleton inserted in its middle slot
     expected_terms = multimap_partial(k.gen(gen1(3)), 2, k.gen(gen1(2)))
     direct = k.gen(pi)
-    combo = WordSum.word(space, (expected_terms,)) + WordSum.word(space, (direct,))
+    combo = WordSum.sum(
+        space, (pi.arity,), (WordSum.word(space, (expected_terms,)), WordSum.word(space, (direct,)))
+    )
     assert word_sum_dev(WordSum.word(space, (got,)), combo) <= TOL
 
 
@@ -211,7 +212,7 @@ def test_exp_succ_boolean_structure(space):
     b = family_infinitesimal(moments)
     B = exp_succ(b)
     nested = NCPartition([(1, 3), (2,)])
-    zero = WordSum.zero(space, (nested.arity,))
+    zero = WordSum(space, (nested.arity,))
     assert word_sum_dev(WordSum.word(space, (B.letter_value(nested),)), zero) <= TOL
     two = NCPartition([(1,), (2,)])
     expected = multimap_partial(b.gen(gen1(2)), 1, b.gen(gen1(2)))
@@ -354,6 +355,23 @@ def test_infinitesimal_locality(space):
     assert v.profile == (1, 3, 1) and len(v.terms) == 1
 
 
+def test_every_identity_is_the_space_identity(space):
+    # the unit of the operad of maps is one node per space, wherever it
+    # appears: an empty partition, the padding of a partial composition, the
+    # empty letters of a morphism's word and a unit word's value
+    moments = cumulant_families(space)["moment"]
+    assert e_pi_map(EMPTY, moments) is space.identity
+    e2 = moments.generator((0,))
+    assert multimap_partial(e2, 1, e2).parts[2] is space.identity
+    padded = word(EMPTY, gen1(3), EMPTY)
+    (_, maps), = seeded_infinitesimal(space, seed=22).value(padded).terms
+    assert maps[0] is maps[2] is space.identity
+    assert moment_morphism(moments).value(padded).terms[0][1][0] is space.identity
+    for unit in (unit_word(2), word(EMPTY, EMPTY)):
+        (_, maps), = eta_eps_morphism(space).value(unit).terms
+        assert all(m is space.identity for m in maps)
+
+
 def test_morphisms_of_other_words_or_spaces_do_not_combine(space):
     from ovc.winsert import WWord
 
@@ -394,7 +412,7 @@ def test_word_sum_profile_checks_raise(space):
     with pytest.raises(DimensionMismatch):
         WordSum(space, (2,), [(1, (e3,))])
     with pytest.raises(DimensionMismatch):
-        WordSum.word(space, (e2,)) + WordSum.word(space, (e3,))
+        WordSum.sum(space, (3,), (WordSum.word(space, (e2,)), WordSum.word(space, (e3,))))
     with pytest.raises(DimensionMismatch):
         WordSum.word(space, (e2, e2)).collapse()
 

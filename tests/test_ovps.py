@@ -12,12 +12,10 @@ from ovc.ovps import (
     OVMatrixSpace,
     deviation,
     elementary_batch,
-    identity_map,
     matrix_to_json,
     moment_map,
     multimap_compose,
     multimap_dev,
-    multimap_eq,
     multimap_lincomb,
     multimap_partial,
     probe_batch,
@@ -33,7 +31,17 @@ def space():
 
 
 def test_cond_expect_unital(space):
-    assert np.allclose(space.cond_expect(space.identity_a), space.identity_b, atol=1e-14)
+    assert np.allclose(space.cond_expect(np.eye(space.dk)), np.eye(space.d), atol=1e-14)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_a_value_that_is_not_finite_deviates_infinitely(bad):
+    finite = np.ones((3, 2, 2), dtype=complex)
+    other = finite.copy()
+    other[1, 0, 1] = bad
+    with np.errstate(invalid="ignore"):
+        for x, y in ((finite, other), (other, finite), (other, other)):
+            assert deviation(x, y) == np.inf
 
 
 def test_cond_expect_retracts_embedding(space):
@@ -66,7 +74,7 @@ def test_moment_map_order_zero_is_identity(space):
 
 
 def test_moment_map_at_identity(space):
-    ev = moment_map(space, [0]).eval(space.identity_b, space.identity_b)
+    ev = moment_map(space, [0]).eval(np.eye(space.d), np.eye(space.d))
     assert np.allclose(ev, space.cond_expect(space.variable(0)), atol=1e-13)
 
 
@@ -84,7 +92,7 @@ def test_moment_generator_relation(space):
 
 def test_compose_with_identities_is_identity(space):
     f = moment_map(space, [0, 1])
-    assert multimap_compose(f, [identity_map(space)] * f.arity) is f
+    assert multimap_compose(f, [space.identity] * f.arity) is f
 
 
 def test_nested_composition_matches_direct_matrix_computation(space):
@@ -109,13 +117,14 @@ def test_composition_associativity(space):
 
 
 def test_multimap_eq_basics(space):
+    # equality of maps is a deviation within the default tolerance
     e2 = moment_map(space, [0])
     e3 = moment_map(space, [0, 0])
-    assert multimap_eq(e2, e2)
-    assert multimap_eq(multimap_partial(e2, 2, e2), multimap_partial(e2, 1, e2))
-    assert not multimap_eq(e3, multimap_partial(e2, 2, e2))
+    assert multimap_dev(e2, e2) <= 1e-9
+    assert multimap_dev(multimap_partial(e2, 2, e2), multimap_partial(e2, 1, e2)) <= 1e-9
+    assert multimap_dev(e3, multimap_partial(e2, 2, e2)) > 1e-9
     with pytest.raises(DimensionMismatch):
-        multimap_eq(e2, e3)
+        multimap_dev(e2, e3)
 
 
 def test_multilinearity(space):
@@ -157,17 +166,19 @@ def test_compose_letterwise_matches_direct_nesting(space):
 
 def test_identity_is_not_recognised_by_label(space):
     f = moment_map(space, [0, 1])
-    lookalike = sandwich_map(space, [space.identity_b] * 2, label="id_B")
+    # a sandwich of identity matrices has the identity's values, but it is
+    # a leaf, not the identity
+    lookalike = sandwich_map(space, [np.eye(space.d)] * 2)
     composed = multimap_compose(f, [lookalike] * f.arity)
     assert composed is not f and composed.kind == "compose"
     assert multimap_compose(lookalike, [f]) is not f
     # same values all the same
     assert multimap_dev(composed, f) <= 1e-12
-    assert multimap_compose(identity_map(space), [f]) is f
+    assert multimap_compose(space.identity, [f]) is f
 
 
 def test_identity_tensor_is_the_elementary_basis(space):
-    t = identity_map(space).tensor()
+    t = space.identity.tensor()
     assert np.array_equal(t, elementary_batch(space.d, 1)[0])
 
 
