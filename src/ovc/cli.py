@@ -15,6 +15,7 @@ Only ``cumulants`` and the numeric suites load numpy and the numeric layer;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -23,7 +24,8 @@ from typing import TYPE_CHECKING
 
 from . import ncpart
 from .ncpart import KINDS, EnumerationBound, enumerate_interval, enumerate_nc
-from .suites import EXACT_SUITES, SUITES, TWO_VARIABLE_SUITES, VerifyContext, run_suites
+from .suites import EXACT_SUITES, FAULT_SUITES, SUITES, TWO_VARIABLE_SUITES
+from .suites import VerifyContext, run_suites
 
 if TYPE_CHECKING:
     from .ovps import OVMatrixSpace
@@ -210,6 +212,17 @@ def _load_config(ns) -> RunConfig:
     return RunConfig(data)
 
 
+def _quiet_float_errors(numeric: bool = True):
+    """A context in which numpy prints no floating-point warning, since a
+    numeric command reports values that are not finite itself (``"dev":
+    null``, exit 2); a null one, loading no numpy, when not ``numeric``."""
+    if not numeric:
+        return contextlib.nullcontext()
+    import numpy as np
+
+    return np.errstate(all="ignore")
+
+
 def _emit(ns, payload) -> None:
     """Print ``payload`` and flush, so that a closed or full stdout fails
     here and not at interpreter exit."""
@@ -252,12 +265,13 @@ def cmd_cumulants(ns) -> int:
         raise ConfigError(
             "word length %d exceeds max_order %d" % (len(word), config.max_order)
         )
-    space = config.build_space()
-    gen = cumulant_families(space)[ns.kind].generator(word)
-    values, basis = gen.tensor(), "elementary"
-    if values is None:
-        batch = probe_batch(space.d, gen.arity, seed=config.seed)
-        values, basis = gen.eval_batch(batch), "probes"
+    with _quiet_float_errors():
+        space = config.build_space()
+        gen = cumulant_families(space)[ns.kind].generator(word)
+        values, basis = gen.tensor(), "elementary"
+        if values is None:
+            batch = probe_batch(space.d, gen.arity, seed=config.seed)
+            values, basis = gen.eval_batch(batch), "probes"
     # np.max propagates NaN, so the peak is finite only when every value is
     if not math.isfinite(float(np.max(np.abs(values)))):
         raise ConfigError(
@@ -283,15 +297,21 @@ def cmd_verify(ns) -> int:
     two_variable = sorted(TWO_VARIABLE_SUITES.intersection(config.suites))
     if two_variable and len(config.variable_specs) < 2:
         raise ConfigError("suites %s need two variables" % ", ".join(two_variable))
+    if ns.inject_fault and FAULT_SUITES.isdisjoint(config.suites):
+        raise ConfigError(
+            "--inject-fault corrupts a table that only the suites %s read"
+            % ", ".join(sorted(FAULT_SUITES))
+        )
     exact_only = EXACT_SUITES.issuperset(config.suites)
-    ctx = VerifyContext(
-        space=None if exact_only else config.build_space(),
-        tol=config.tolerance,
-        seed=config.seed,
-        max_order=config.max_order,
-        inject_fault=ns.inject_fault,
-    )
-    report = run_suites(ctx, config.suites)
+    with _quiet_float_errors(numeric=not exact_only):
+        ctx = VerifyContext(
+            space=None if exact_only else config.build_space(),
+            tol=config.tolerance,
+            seed=config.seed,
+            max_order=config.max_order,
+            inject_fault=ns.inject_fault,
+        )
+        report = run_suites(ctx, config.suites)
     payload = {
         "config": {
             "d": config.d,

@@ -4,10 +4,10 @@ Basis elements are horizontal words (concatenations) of letters, plus
 vertical stacks of such words (``BoxStack``, a tuple of interned words).
 The letters are non-crossing partitions: any of them (``PartitionWord``)
 or, in ``winsert``, the finest colorings that stand for words of variables
-(``WWord``).  Letters insert through ``ncpart.gap_insert``, and each word
-type supplies its letters' cuts, as ``ncpart.Cut`` records; the
-coproducts, half-coproducts, ``nabla``, counit and ``eta_eps`` here are
-built from those alone and serve both word types.  Linear
+(``WWord``).  Letters insert through ``ncpart.gap_insert`` and are cut by
+``ncpart.cuts``; the coproducts, half-coproducts, antipode, ``nabla``,
+counit and ``eta_eps`` here are built from those alone and serve both
+word types.  Linear
 combinations carry exact coefficients: ``int`` while a coefficient is
 integral, ``Fraction`` otherwise.  Every identity checked at this level is
 exact, never tolerance-based.  Each builder adds its terms into one dict
@@ -47,9 +47,7 @@ class Word:
     ``ncpart.EMPTY``.  The word-level structure is shared by every word
     type: cuts, unit words, the vertical product, whose letters insert
     through ``ncpart.gap_insert``, and the block count ``total_blocks``.
-    A subclass supplies its ``SORT_TAG`` and three letter operations:
-    ``letter_cuts`` (the letter's ``ncpart.Cut`` records, whose
-    ``kept_mask`` has bit 0 set when position 1 stays below),
+    A subclass supplies its ``SORT_TAG`` and two letter operations:
     ``letter_text`` and ``letter_partition`` (the colored non-crossing
     partition a letter stands for, which the morphism builders evaluate).
 
@@ -166,10 +164,12 @@ _WORDS = InternTable()
 
 @functools.lru_cache(maxsize=256)
 def _word_cuts(w: Word) -> tuple:
-    """The product of the letters' cuts of ``w``; ``Word.cuts`` documents
-    the triples.  Bounded, since each entry holds every cut of its word:
-    the checks reuse a word's cuts soon after first building them, so 256
-    words miss 455 times (749 hits) on the 441 words of the splitting and
+    """The product of the letters' ``ncpart.cuts`` of ``w``, whose
+    ``kept_mask`` has bit 0 set when position 1 stays below; ``Word.cuts``
+    documents the triples.  ``cuts`` is read from this module on each
+    call, so a wrapped ``cuts`` is used.  Bounded, since each entry holds
+    every cut of its word: the checks reuse a word's cuts soon after first
+    building them, so 256 words miss 455 times (749 hits) on the 441 words of the splitting and
     shuffle suites at order 3, while splitting at order 5 queries 11,160
     words and a cache of all of them raises its peak memory from 68 to
     85 MB and makes it slower (6.3 to 7.5 s).  The default hopf suite
@@ -178,7 +178,7 @@ def _word_cuts(w: Word) -> tuple:
     trusted = type(w)._trusted
     anchor = next((i for i, l in enumerate(w.letters) if l.size > 0), None)
     out = []
-    for combo in itertools.product(*map(w.letter_cuts, w.letters)):
+    for combo in itertools.product(*map(cuts, w.letters)):
         lower = trusted(tuple([c.lower for c in combo]))
         upper = trusted(tuple([u for c in combo for u in c.upper]))
         flag = None if anchor is None else bool(combo[anchor].kept_mask & 1)
@@ -196,11 +196,6 @@ class PartitionWord(Word):
     @staticmethod
     def letter_partition(letter):
         return letter
-
-    # looked up on each call, so a wrapped ``cuts`` is used
-    @staticmethod
-    def letter_cuts(letter):
-        return cuts(letter)
 
 
 def word(*letters) -> PartitionWord:
@@ -344,19 +339,8 @@ class FormalSum:
     def __len__(self):
         return len(self.terms)
 
-    def map_basis(self, f) -> "FormalSum":
-        """Linear extension of a basis map returning sums or basis elements."""
-        acc = {}
-        for b, c in self.terms.items():
-            for fb, fc in FormalSum.lift(f(b)).terms.items():
-                acc[fb] = acc.get(fb, 0) + c * fc
-        return FormalSum(acc)
-
     def __repr__(self):
         return "FormalSum(%r)" % (sum_to_text(self),)
-
-
-ZERO = FormalSum()
 
 
 def single(basis, coeff=1) -> FormalSum:
@@ -457,23 +441,15 @@ def reduced_coproduct(w) -> FormalSum:
     return cut_sum(w, reduced=True)
 
 
-def delta_prec_plus(w) -> FormalSum:
-    """Cut terms whose block containing the first position stays below."""
-    return cut_sum(w, True)
-
-
-def delta_succ_plus(w) -> FormalSum:
-    """Cut terms whose block containing the first position moves above."""
-    return cut_sum(w, False)
-
-
 def delta_prec(w) -> FormalSum:
-    """Reduced left half-coproduct: delta_prec_plus minus w % unit."""
+    """Reduced left half-coproduct: the cuts whose block of the first
+    position stays below, ``cut_sum(w, True)``, minus w % unit."""
     return cut_sum(w, True, reduced=True)
 
 
 def delta_succ(w) -> FormalSum:
-    """Reduced right half-coproduct: delta_succ_plus minus unit % w."""
+    """Reduced right half-coproduct: the cuts whose block of the first
+    position moves above, ``cut_sum(w, False)``, minus unit % w."""
     return cut_sum(w, False, reduced=True)
 
 
@@ -504,16 +480,11 @@ def half_coproducts(w) -> tuple:
 def antipode(w) -> FormalSum:
     """Letterwise: interval partitions pick up (-1)^blocks, any non-interval
     letter kills the whole word.  Multiplicative over concatenation."""
-
-    def on_word(basis):
-        sign = 1
-        for l in basis.letters:
-            if not l.is_interval():
-                return ZERO
-            sign *= (-1) ** l.n_blocks
-        return single(basis, sign)
-
-    return FormalSum.lift(w).map_basis(on_word)
+    out = {}
+    for basis, c in FormalSum.lift(w).terms.items():
+        if all(l.is_interval() for l in basis.letters):
+            out[basis] = (-1) ** basis.total_blocks * c
+    return FormalSum(out)
 
 
 def counit(w):

@@ -754,9 +754,11 @@ def suite_monotone_scalar(ctx: VerifyContext):
 
     monotone = ctx.scalar_families["monotone"]
     # named diagnostic: the exchange hypothesis behind the tree-factorial
-    # formula, in its first-slot/after-last-slot form; on the scalar
-    # backend every slot variant coincides, which is why the formula is
-    # asserted only there
+    # formula, in its first-slot/after-last-slot form.  The formula needs
+    # this slot exchange, not d = 1: the seeded random generators of
+    # monotone.star-vs-left have it only at d = 1, which is why that row
+    # runs on the scalar space, while the cumulant tables have it on the
+    # matrix space too
     rows.append(
         _numeric(
             "monotone.exchange-hypothesis",
@@ -797,6 +799,9 @@ SUITES = {
 
 # Suites whose words color letters with the variables 0 and 1.
 TWO_VARIABLE_SUITES = frozenset(("monotone-scalar", "oracle"))
+
+# Suites that read the free table ``--inject-fault`` corrupts.
+FAULT_SUITES = frozenset(("moment-cumulant", "splitting"))
 
 # Suites of exact arithmetic only: they never read the context's space.
 EXACT_SUITES = frozenset(("hopf", "operad"))

@@ -9,14 +9,17 @@ sub-operad of the partition operad: insertion interleaves the arguments
 into the gaps of the host word, which is ``ncpart.gap_insert``, and a cut
 of a letter word keeps a subset of its positions below and pushes the
 complementary segments above, which is ``ncpart.cuts``.  Words of letter
-words (``WWord``) share every word operation of ``formal.Word``, the
-antipode included: a singleton block is an interval, so the antipode is
-the sign (-1)^length.
+words (``WWord``) share every word operation of ``formal.Word``, cuts and
+antipode included, and supply only their letters' text and
+``letter_partition``: a singleton block is an interval, so the antipode
+is the sign (-1)^length.
 
 The splitting map sends a letter word to the sum of all non-crossing
 partitions of its positions, colored by the letters; it intertwines the two
 half-coproduct structures, which is what transports the operator-valued
-moment-cumulant fixed points from partitions to plain words.
+moment-cumulant fixed points from partitions to plain words.  On a word it
+is the product of its letters' sums, so ``split`` adds one partition word
+per choice of a coloring for each letter into one dict.
 
 Everything here is exact and imports only ``formal`` and ``ncpart``.  The
 numeric reading of letter words is ``morphisms``' with ``word_type=WWord``:
@@ -31,7 +34,7 @@ import functools
 import itertools
 
 from . import formal, ncpart
-from .formal import FormalSum, PartitionWord, single
+from .formal import FormalSum, PartitionWord
 from .ncpart import EMPTY, NCPartition, enumerate_nc
 
 
@@ -59,16 +62,6 @@ def letter_word_to_text(x: NCPartition) -> str:
     return ".".join(ncpart.color_name(v) for v in x.colors)
 
 
-@functools.lru_cache(maxsize=None)
-def letter_cuts(x: NCPartition) -> tuple:
-    """The cuts of a letter word, ``ncpart.cuts`` of its finest coloring:
-    every subset of positions kept below, ordered by ``kept_mask``, whose
-    bit i keeps position i + 1.  Memoised per letter word, since the cuts
-    of a colored partition are recolored on every call; the result is
-    immutable and shared between calls."""
-    return tuple(ncpart.cuts(x))
-
-
 class WWord(formal.Word):
     """Horizontal word of letter words; the empty list is the unit 1.  Its
     cuts, unit words, vertical product and antipode are those of
@@ -76,7 +69,6 @@ class WWord(formal.Word):
 
     __slots__ = ()
     SORT_TAG = 2
-    letter_cuts = staticmethod(letter_cuts)
     letter_text = staticmethod(letter_word_to_text)
 
     def __new__(cls, letters=()):
@@ -149,18 +141,16 @@ def split(w) -> FormalSum:
     """Sum over all non-crossing colorings of each letter's positions;
     multiplicative over words.  The empty letter maps to the empty
     partition, the unit word to the unit word."""
-    out = None
+    out = {}
     for basis, c in FormalSum.lift(w).terms.items():
-        term = single(PartitionWord(()), c)
-        for letter in basis.letters:
-            colorings = (
-                NCPartition._trusted(pi.blocks, pi.size, letter.colors)
-                for pi in enumerate_nc(letter.size)
-            )
-            letter_sum = FormalSum({PartitionWord._trusted((pi,)): 1 for pi in colorings})
-            term = formal.hconcat(term, letter_sum)
-        out = term if out is None else out + term
-    return out if out is not None else FormalSum()
+        colorings = (
+            [NCPartition._trusted(pi.blocks, pi.size, x.colors) for pi in enumerate_nc(x.size)]
+            for x in basis.letters
+        )
+        for combo in itertools.product(*colorings):
+            key = PartitionWord._trusted(combo)
+            out[key] = out.get(key, 0) + c
+    return FormalSum(out)
 
 
 def split_insert_defect(alpha: NCPartition, betas) -> tuple:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ovc.formal import ZERO, FormalSum, basis_from_text
+from ovc.formal import FormalSum, basis_from_text
 from ovc.winsert import WWord
 
 W_ONE = WWord(())
@@ -16,7 +16,7 @@ W_ONE = WWord(())
 def sum_from_text(text: str) -> FormalSum:
     text = text.strip()
     if text == "0":
-        return ZERO
+        return FormalSum()
     if text.startswith("- "):
         text = "-" + text[2:]
     tokens = re.split(r" ([+-]) ", text)

@@ -1,10 +1,15 @@
-"""Reference insertion and cuts of letter words, on tuples of variable
-indices.
+"""Reference insertion, cuts and splitting map of letter words.
 
 ``winsert`` keeps a letter word as its finest coloring and reads its
-insertion and cuts off ``ncpart``.  These are the direct definitions on
-plain color tuples, which tests compare with that route.
+insertion and cuts off ``ncpart``.  ``interleave`` and ``subset_cuts`` are
+the direct definitions on plain color tuples, which tests compare with
+that route.  ``split_by_letters`` is the splitting map as a product of
+per-letter sums, which tests compare with ``winsert.split``'s single pass.
 """
+
+from ovc import formal
+from ovc.formal import FormalSum
+from ovc.ncpart import NCPartition, enumerate_nc
 
 
 def interleave(host, args):
@@ -32,4 +37,22 @@ def subset_cuts(colors):
             tuple(colors[bounds[g] + 1 : bounds[g + 1]]) for g in range(len(kept) + 1)
         )
         out.append((tuple(colors[i] for i in kept), uppers, mask))
+    return out
+
+
+def split_by_letters(w):
+    """The splitting map letter by letter: each letter's sum of the
+    non-crossing partitions of its positions, colored by the letter, and
+    the word's value the ``formal.hconcat`` product of its letters' sums;
+    a sum is split term by term."""
+    out = FormalSum()
+    for basis, c in FormalSum.lift(w).terms.items():
+        term = formal.single(formal.ONE, c)
+        for x in basis.letters:
+            colorings = FormalSum(
+                [(formal.word(NCPartition(pi.blocks, colors=x.colors)), 1)
+                 for pi in enumerate_nc(x.size)]
+            )
+            term = formal.hconcat(term, colorings)
+        out = out + term
     return out

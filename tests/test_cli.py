@@ -16,7 +16,7 @@ from ovc import cli
 from ovc.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, RunConfig, main
 from ovc.cumulants import cumulant_families
 from ovc.ovps import MultiMap, OVMatrixSpace, deviation, elementary_batch, probe_batch
-from ovc.suites import VerifyContext
+from ovc.suites import FAULT_SUITES, VerifyContext
 from helpers import matrix_from_json
 from reference_walk import walk_eval
 
@@ -255,6 +255,28 @@ def _run_optimized(argv):
         [sys.executable, "-O"] + argv, capture_output=True, text=True, env=_child_env(),
         timeout=300,
     )
+
+
+def test_non_finite_values_print_no_numpy_warning(tmp_path):
+    # each command overflows; stderr holds the JSON error of exit 2, or
+    # nothing on exit 1, and no floating-point warning of numpy
+    cfg = tmp_path / "cfg.json"
+    huge = [[[1e200, 0.0]]]
+    cfg.write_text(json.dumps({"d": 1, "k": 1, "variables": {"a": huge, "b": huge}}))
+    for argv, code in (
+        (["cumulants", "--kind", "free", "--word", "a.a"], EXIT_USAGE),
+        (["verify", "--suite", "moment-cumulant", "--order", "2"], EXIT_FAIL),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ovc.cli"] + argv + ["--config", str(cfg)],
+            capture_output=True, text=True, env=_child_env(), timeout=300,
+        )
+        assert proc.returncode == code, proc.stderr
+        if code == EXIT_USAGE:
+            assert proc.stdout == ""
+            assert "not finite" in json.loads(proc.stderr)["error"]
+        else:
+            assert proc.stderr == ""
 
 
 def test_exact_commands_never_load_the_numeric_layer():
@@ -501,6 +523,28 @@ def test_injected_fault_fails_exactly_the_free_rows(capsys):
     ]
     assert code == EXIT_FAIL
     assert failing == ["moment-cumulant.matrix-free", "splitting.free-fixed-point"]
+
+
+@pytest.mark.parametrize("suite", ["shuffle", "hopf", "oracle", "monotone-scalar", "operad"])
+def test_fault_injection_needs_a_suite_that_reads_the_table(capsys, suite):
+    # none of these suites reads the free table, so the run could not fail
+    code, out, err = run(capsys, ["verify", "--suite", suite, "--order", "2", "--inject-fault"])
+    assert code == EXIT_USAGE and out == ""
+    error = json.loads(err)["error"]
+    assert all(name in error for name in FAULT_SUITES)
+
+
+def test_fault_injection_fails_the_splitting_suite(capsys):
+    code, out, _ = run(capsys, ["verify", "--suite", "hopf,splitting", "--order", "2",
+                                "--inject-fault"])
+    failing = [
+        a["id"]
+        for s in json.loads(out)["suites"]
+        for a in s["assertions"]
+        if not a["passed"]
+    ]
+    assert code == EXIT_FAIL
+    assert failing == ["splitting.free-fixed-point"]
 
 
 def test_cumulants_monotone_kind(capsys):

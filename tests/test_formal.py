@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ovc import formal, winsert
 from ovc.formal import (
     ONE,
-    ZERO,
     BoxStack,
     FormalSum,
     GradingError,
@@ -19,9 +18,7 @@ from ovc.formal import (
     coproduct,
     counit,
     delta_prec,
-    delta_prec_plus,
     delta_succ,
-    delta_succ_plus,
     eta_eps,
     half_coproducts,
     hconcat,
@@ -36,7 +33,7 @@ from ovc.formal import (
     word,
     word_from_text,
 )
-from ovc.ncpart import EMPTY, NCPartition, enumerate_nc, full_partition
+from ovc.ncpart import EMPTY, NCPartition, cuts, enumerate_nc, full_partition
 from helpers import sum_from_text
 
 NESTED = NCPartition([(1, 3), (2,)])
@@ -136,8 +133,8 @@ def test_vcompose_grading_error():
 
 
 def _fresh_cuts(w):
-    """The product of the letters' cuts, built with the public constructor
-    and no cache: what ``Word.cuts`` must return."""
+    """The product of the letters' ``ncpart.cuts``, built with the public
+    constructor and no cache: what ``Word.cuts`` must return."""
     cls = type(w)
     anchor = next((i for i, l in enumerate(w.letters) if l.size > 0), None)
     return tuple(
@@ -146,7 +143,7 @@ def _fresh_cuts(w):
             cls(u for c in combo for u in c[1]),
             None if anchor is None else bool(combo[anchor].kept_mask & 1),
         )
-        for combo in itertools.product(*map(w.letter_cuts, w.letters))
+        for combo in itertools.product(*map(cuts, w.letters))
     )
 
 
@@ -185,6 +182,27 @@ def test_cached_word_cuts_equal_a_fresh_product():
     misses = formal._word_cuts.cache_info().misses
     assert words[-1].cuts() == _fresh_cuts(words[-1])
     assert formal._word_cuts.cache_info().misses == misses + 1
+
+
+def test_word_cuts_come_from_ncpart_cuts(monkeypatch):
+    uncolored = all_words(3, 2)
+    colored = [
+        PartitionWord(
+            NCPartition(l.blocks, colors=tuple((i + j) % 2 for j in range(l.size)))
+            for l in w.letters
+        )
+        for i, w in enumerate(uncolored)
+    ]
+    for w in uncolored + colored + winsert.all_w_words((0, 1), 3, 2):
+        assert w.cuts() == _fresh_cuts(w), w.text()
+    for cls in (formal.Word, PartitionWord, winsert.WWord):
+        assert not hasattr(cls, "letter_cuts"), cls
+    # ``cuts`` is read from ``formal`` on each call, so a wrapped one is used
+    seen = []
+    monkeypatch.setattr(formal, "cuts", lambda pi: seen.append(pi) or cuts(pi))
+    formal._word_cuts.cache_clear()
+    w = word(NESTED, EMPTY, gen1(2))
+    assert w.cuts() == _fresh_cuts(w) and seen == list(w.letters)
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +289,10 @@ def test_coassociativity_and_antipode_on_colored_words():
 
 def test_delta_prec_examples():
     assert delta_prec(word(gen1(3))).is_zero()
-    assert delta_prec_plus(word(gen1(3))) == single(
+    assert formal.cut_sum(word(gen1(3)), True) == single(
         stack(word(gen1(3)), unit_word(3))
     )
-    assert delta_succ_plus(word(gen1(3))) == single(
+    assert formal.cut_sum(word(gen1(3)), False) == single(
         stack(unit_word(1), word(gen1(3)))
     )
     assert delta_prec(word(NESTED)) == single(
@@ -287,7 +305,7 @@ def test_half_coproducts_reject_unit_words():
     with pytest.raises(UnitWordError):
         delta_prec(unit_word(2))
     with pytest.raises(UnitWordError):
-        delta_succ_plus(ONE)
+        formal.cut_sum(ONE, False)
 
 
 @st.composite
@@ -373,14 +391,14 @@ def test_extension_rule_for_half_coproducts():
                 prefix = single(stack(unit_word(q), unit_word(q)))
                 exp_prec = hconcat(
                     prefix,
-                    hconcat(delta_prec_plus(word(pi)), coproduct(tail)),
+                    hconcat(formal.cut_sum(word(pi), True), coproduct(tail)),
                 )
                 exp_succ = hconcat(
                     prefix,
-                    hconcat(delta_succ_plus(word(pi)), coproduct(tail)),
+                    hconcat(formal.cut_sum(word(pi), False), coproduct(tail)),
                 )
-                assert w.map_basis(delta_prec_plus) == exp_prec
-                assert w.map_basis(delta_succ_plus) == exp_succ
+                assert formal.cut_sum(w, True) == exp_prec
+                assert formal.cut_sum(w, False) == exp_succ
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +410,15 @@ def test_antipode_values():
     assert antipode(word(TWO_SINGLETONS)) == single(word(TWO_SINGLETONS))
     assert antipode(word(NESTED)).is_zero()
     assert antipode(word(EMPTY)) == single(word(EMPTY))
+    # linear: the sign is (-1)^(total blocks) per word
+    s = (
+        single(word(gen1(3)), Fraction(1, 2))
+        + 3 * single(word(NESTED, gen1(2)))
+        + single(word(TWO_SINGLETONS, gen1(2)))
+    )
+    assert antipode(s) == single(word(gen1(3)), Fraction(-1, 2)) - single(
+        word(TWO_SINGLETONS, gen1(2))
+    )
 
 
 def test_antipode_identity():
@@ -473,14 +500,14 @@ def test_sum_text_examples():
     s = single(word(NESTED)) - Fraction(3, 2) * single(word(gen1(2), EMPTY))
     text = sum_to_text(s)
     assert sum_from_text(text) == s
-    assert sum_to_text(ZERO) == "0" and sum_from_text("0") == ZERO
+    assert sum_to_text(FormalSum()) == "0" and sum_from_text("0") == FormalSum()
     assert word_from_text("1") == ONE
 
 
 @st.composite
 def formal_sums(draw):
     n_terms = draw(st.integers(min_value=0, max_value=4))
-    out = ZERO
+    out = FormalSum()
     for _ in range(n_terms):
         n_letters = draw(st.integers(min_value=0, max_value=3))
         letters = []

@@ -30,7 +30,7 @@ from ovc.ncpart import (
     standardize,
     to_text,
 )
-from ovc.winsert import WWord, letter_cuts, letter_word
+from ovc.winsert import WWord, letter_word
 from helpers import W_ONE
 
 
@@ -90,7 +90,7 @@ def test_every_route_to_a_letter_word_returns_one_object(letters):
         assert letter_word(list(x.colors or ())) is x
         assert NCPartition(x.blocks, colors=x.colors) is x
         assert gap_insert(x, [EMPTY] * x.arity) is x
-        for lower, upper, _ in letter_cuts(x):
+        for lower, upper, _ in cuts(x):
             assert letter_word(lower.colors or ()) is lower
             assert all(letter_word(u.colors or ()) is u for u in upper)
             assert gap_insert(lower, upper) is x

@@ -158,6 +158,21 @@ def test_left_right_inverse_lemma(space, words3):
 # Exponentials
 
 
+def test_a_morphism_defined_through_itself_recurses_on_smaller_words(space, words3):
+    # X = k + k > X: the cut that moves all of w above has a unit lower
+    # word, where k vanishes, so X is never evaluated on w itself
+    k = seeded_infinitesimal(space, seed=3)
+    X = morphisms.Morphism(space, formal.PartitionWord, 0, lambda w: rhs.value(w))
+    rhs = k + half_succ(k, X)
+    for w in words3:
+        X.value(w)
+    for n in range(1, 5):
+        w = word(full_partition(n))
+        assert word_sum_dev(X.value(w), k.value(w)) == 0.0
+    w = word(NCPartition([(1,), (2,)]))
+    assert word_sum_dev(X.value(w), k.value(w)) > 0.1
+
+
 def test_exp_prec_on_single_blocks(space):
     k = seeded_infinitesimal(space, seed=12)
     K = exp_prec(k)

@@ -8,8 +8,6 @@ from ovc.cumulants import cumulant_families
 from ovc.formal import (
     UnitWordError,
     counit,
-    delta_prec_plus,
-    delta_succ_plus,
     eta_eps,
     nabla,
     single,
@@ -28,7 +26,6 @@ from ovc.ovps import OVMatrixSpace
 from ovc.winsert import (
     WWord,
     all_w_words,
-    letter_cuts,
     letter_word,
     letter_word_to_text,
     split,
@@ -41,7 +38,7 @@ from ovc.winsert import (
     w_word,
 )
 from helpers import W_ONE
-from reference_letters import interleave, subset_cuts
+from reference_letters import interleave, split_by_letters, subset_cuts
 
 A, B, C = letter_word([0]), letter_word([1]), letter_word([2])
 AB = letter_word([0, 1])
@@ -116,7 +113,6 @@ def test_cuts_of_letter_words_keep_every_subset():
             for lower, uppers, mask in subset_cuts(colors)
         ]
         assert cuts(x) == expected, colors
-        assert list(letter_cuts(x)) == expected, colors
 
 
 def test_wword_letters_must_be_letter_words():
@@ -143,20 +139,6 @@ def test_w_vcompose_units():
 # Coproducts
 
 
-def test_letter_cuts_are_memoised_and_immutable():
-    x = letter_word([0, 1, 0])
-    first = letter_cuts(x)
-    again = letter_cuts(letter_word([0, 1, 0]))
-    assert first == again and len(first) == 2 ** x.size
-    assert again is first
-    assert isinstance(first, tuple)
-    assert all(isinstance(cut, tuple) and isinstance(cut[1], tuple) for cut in first)
-    with pytest.raises(TypeError):
-        first[0] = first[1]
-    assert (letter_word([0, 0]), (EMPTY, B, EMPTY), 0b101) in first
-    assert letter_cuts(EMPTY) == ((EMPTY, (EMPTY,), 0),)
-
-
 def test_w_coproduct_single_letter():
     got = w_coproduct(w_word(A))
     expected = single(stack(w_word(EMPTY), w_word(A))) + single(
@@ -178,8 +160,8 @@ def test_w_half_coproducts():
     reduced = w_delta_prec(w_word(AB))
     assert reduced == single(stack(w_word(A), w_word(EMPTY, B)))
     assert w_delta_succ(w_word(AB)) == single(stack(w_word(B), w_word(A, EMPTY)))
-    assert delta_prec_plus(w_word(A)) == single(stack(w_word(A), WWord.unit(2)))
-    assert delta_succ_plus(w_word(A)) == single(stack(w_word(EMPTY), w_word(A)))
+    assert formal.cut_sum(w_word(A), True) == single(stack(w_word(A), WWord.unit(2)))
+    assert formal.cut_sum(w_word(A), False) == single(stack(w_word(EMPTY), w_word(A)))
     with pytest.raises(UnitWordError):
         w_delta_prec(W_ONE)
 
@@ -273,6 +255,19 @@ def test_split_examples():
     three = split(w_word(letter_word([0, 0, 0])))
     assert len(three) == 5
     assert split(W_ONE) == single(formal.ONE)
+
+
+def test_split_equals_the_letter_by_letter_product():
+    words = all_w_words((0, 1), 4, 2)
+    for w in words:
+        assert split(w) == split_by_letters(w), w.text()
+    rng = random.Random(29)
+    for _ in range(20):
+        picks = [rng.choice(words) for _ in range(5)]
+        # repeated words: their coefficients add up, or cancel
+        s = formal.FormalSum([(w, rng.randint(-2, 2)) for w in picks + picks[:3]])
+        assert split(s) == split_by_letters(s)
+    assert split(formal.FormalSum([(w_word(AB), 2), (w_word(AB), -2)])).is_zero()
 
 
 def test_split_intertwines_half_coproducts():
