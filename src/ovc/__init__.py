@@ -14,17 +14,19 @@ from .ncpart import (
     gap_insert,
     partial_insert,
 )
-from .formal import FormalSum, PartitionWord, coproduct, delta_prec, delta_succ
 
 __version__ = "0.1.0"
 
 # These names are imported on first access (PEP 562).  The numeric layer
 # needs numpy, which the exact layer does not; ``winsert`` is exact, but
-# only the numeric suites read letter words.  So a run of the exact suites
-# neither loads numpy nor compiles ``winsert``.
+# only the numeric suites read letter words; and ``cumulants`` and
+# ``enumerate`` read no formal sum.  So a run of the exact suites neither
+# loads numpy nor compiles ``winsert``, and the probe path compiles no
+# ``formal``.
 _LAZY = {
     name: module
     for module, names in (
+        ("formal", ("FormalSum", "PartitionWord", "coproduct", "delta_prec", "delta_succ")),
         ("ovps", ("OVMatrixSpace", "MultiMap", "moment_map")),
         ("cumulants", ("cumulant_families", "e_pi", "verify_mc")),
         ("morphisms", ("convolve", "exp_prec", "exp_star", "exp_succ", "half_prec",

@@ -9,7 +9,10 @@ Exit codes: 0 all checks pass, 1 an assertion failed, 2 usage or
 configuration error, or standard output could not be written.
 
 Only ``cumulants`` and the numeric suites load numpy and the numeric layer;
-``enumerate`` and ``verify --suite hopf,operad`` start without them.
+``enumerate`` and ``verify --suite hopf,operad`` start without them.  Only
+``verify`` and a configuration that names its suites load ``suites``:
+``cumulants`` loads ``ncpart``, ``ovps`` and ``cumulants``, and ``enumerate``
+only ``ncpart``.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ from typing import TYPE_CHECKING
 
 from . import ncpart
 from .ncpart import KINDS, EnumerationBound, enumerate_interval, enumerate_nc
-from .suites import EXACT_SUITES, FAULT_SUITES, SUITES, TWO_VARIABLE_SUITES
-from .suites import VerifyContext, run_suites
 
 if TYPE_CHECKING:
     from .ovps import OVMatrixSpace
@@ -39,7 +40,7 @@ DEFAULT_CONFIG = {
     "max_order": 4,
     "tolerance": 1e-9,
     "seed": 7,
-    "suites": sorted(SUITES),
+    "suites": None,  # every suite of ``suites.SUITES``
 }
 SEED_SPEC_KEYS = ("seed", "hermitian")
 
@@ -80,6 +81,24 @@ def _no_unknown_keys(data, known, what):
         raise ConfigError("unknown keys in the %s: %s" % (what, ", ".join(map(str, unknown))))
 
 
+def _checked_suites(names):
+    """``names``, a configured list of suite names, after checking that it
+    is a non-empty list of distinct names of ``suites.SUITES``."""
+    if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
+        raise ConfigError("suites must be a list of suite names")
+    from .suites import SUITES
+
+    unknown = [s for s in names if s not in SUITES]
+    if unknown:
+        raise ConfigError("unknown suites: %s" % ", ".join(unknown))
+    if not names:
+        raise ConfigError("no suites selected")
+    repeated = sorted({s for s in names if names.count(s) > 1})
+    if repeated:
+        raise ConfigError("suites selected more than once: %s" % ", ".join(repeated))
+    return names
+
+
 class RunConfig:
     """Validated run configuration; see DEFAULT_CONFIG for the shape."""
 
@@ -96,7 +115,6 @@ class RunConfig:
         self.max_order = _number(merged["max_order"], "max_order")
         self.tolerance = _number(merged["tolerance"], "tolerance", float)
         self.seed = _seed(merged["seed"], "seed")
-        self.suites = merged["suites"]
         self.variable_specs = merged["variables"]
         if self.d < 1 or self.k < 1 or self.d * self.k > 16:
             raise ConfigError("require 1 <= d, k and d*k <= 16")
@@ -108,22 +126,20 @@ class RunConfig:
             raise ConfigError("variables must be a JSON object")
         if not self.variable_specs:
             raise ConfigError("at least one variable is required")
-        if not isinstance(self.suites, list) or not all(
-            isinstance(s, str) for s in self.suites
-        ):
-            raise ConfigError("suites must be a list of suite names")
-        unknown = [s for s in self.suites if s not in SUITES]
-        if unknown:
-            raise ConfigError("unknown suites: %s" % ", ".join(unknown))
-        if not self.suites:
-            raise ConfigError("no suites selected")
-        repeated = sorted({s for s in self.suites if self.suites.count(s) > 1})
-        if repeated:
-            raise ConfigError("suites selected more than once: %s" % ", ".join(repeated))
+        self._suites = _checked_suites(data["suites"]) if "suites" in data else None
         self._variables = [
             self._variable(i, name, spec)
             for i, (name, spec) in enumerate(self.variable_specs.items())
         ]
+
+    @property
+    def suites(self):
+        """The selected suite names: the configured list, or every suite."""
+        if self._suites is None:
+            from .suites import SUITES
+
+            return sorted(SUITES)
+        return self._suites
 
     @property
     def variable_names(self):
@@ -293,14 +309,27 @@ def cmd_cumulants(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
+    from .suites import (
+        EXACT_SUITES,
+        FAULT_SUITES,
+        TWO_VARIABLE_SUITES,
+        VerifyContext,
+        run_suites,
+    )
+
     config = _load_config(ns)
     two_variable = sorted(TWO_VARIABLE_SUITES.intersection(config.suites))
     if two_variable and len(config.variable_specs) < 2:
         raise ConfigError("suites %s need two variables" % ", ".join(two_variable))
-    if ns.inject_fault and FAULT_SUITES.isdisjoint(config.suites):
+    if ns.inject_fault and not any(
+        config.max_order >= FAULT_SUITES.get(s, math.inf) for s in config.suites
+    ):
         raise ConfigError(
-            "--inject-fault corrupts a table that only the suites %s read"
-            % ", ".join(sorted(FAULT_SUITES))
+            "--inject-fault corrupts a table entry that only the suites %s read"
+            % " and ".join(
+                name if order == 1 else "%s (at order >= %d)" % (name, order)
+                for name, order in sorted(FAULT_SUITES.items())
+            )
         )
     exact_only = EXACT_SUITES.issuperset(config.suites)
     with _quiet_float_errors(numeric=not exact_only):

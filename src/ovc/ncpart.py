@@ -78,13 +78,14 @@ class InvariantError(ArithmeticError):
 
 
 def _checked_ground(blocks) -> int:
-    """Return p after checking blocks partition {1..p} exactly."""
+    """Return p after checking blocks partition {1..p} exactly; each
+    element is a positive ``int`` (not a ``bool``)."""
     seen = set()
     for b in blocks:
         if len(b) == 0:
             raise MalformedPartition("empty block")
         for x in b:
-            if not isinstance(x, int) or x < 1:
+            if not isinstance(x, int) or isinstance(x, bool) or x < 1:
                 raise MalformedPartition("elements must be positive integers, got %r" % (x,))
             if x in seen:
                 raise MalformedPartition("element %d occurs twice" % x)
@@ -113,24 +114,25 @@ def _checked_colors(colors, size: int) -> Optional[tuple]:
 
 def _blocks_cross(b1, b2) -> bool:
     # b1, b2 sorted and disjoint; crossing iff their elements alternate
-    # at least three times along the merged order.
+    # at least three times along the merged order.  Only names the pair
+    # in a CrossingError; the check itself is _crossing_free.
     merged = sorted([(x, 0) for x in b1] + [(x, 1) for x in b2])
     changes = sum(1 for u, v in zip(merged, merged[1:]) if u[1] != v[1])
     return changes >= 3
 
 
-def _crossing_free(canon, size) -> bool:
-    """Stack scan in O(p) over canonical blocks: reading 1..p left to right,
-    every element after the first of its block must belong to the innermost
-    block still open."""
+def _crossing_free(blocks, size) -> bool:
+    """Stack scan in O(p) over blocks that partition 1..p, each sorted:
+    reading 1..p left to right, every element after the first of its block
+    must belong to the innermost block still open."""
     owner = [0] * (size + 1)
-    for i, b in enumerate(canon):
+    for i, b in enumerate(blocks):
         for x in b:
             owner[x] = i
     open_blocks = []
     for x in range(1, size + 1):
         i = owner[x]
-        b = canon[i]
+        b = blocks[i]
         if x == b[0]:
             open_blocks.append(i)
         elif open_blocks[-1] != i:
@@ -146,11 +148,8 @@ def is_noncrossing(blocks) -> bool:
     The blocks must partition {1..p} for some p; otherwise a
     MalformedPartition error is raised.
     """
-    _checked_ground(blocks)
-    sorted_blocks = [tuple(sorted(b)) for b in blocks]
-    return not any(
-        _blocks_cross(b1, b2) for b1, b2 in itertools.combinations(sorted_blocks, 2)
-    )
+    size = _checked_ground(blocks)
+    return _crossing_free([sorted(b) for b in blocks], size)
 
 
 # Re-entrant, because a reference's callback takes it too and may run

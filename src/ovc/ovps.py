@@ -17,7 +17,10 @@ Whole-basis equality checks compare these tensors.  Above the limit,
 equality is checked on 20 seeded probe tuples, evaluated by walking the DAG
 on stacked argument batches.  The walk stops at every linear combination
 that holds its tensor, which is then contracted with the arguments instead,
-so a memoised sub-map below the limit costs one contraction per use.
+so a memoised sub-map below the limit costs one contraction per use.  A
+contraction multiplies out the coordinates of the leading slots and reads
+them against the tensor in one ``einsum``, then takes the other slots one
+``einsum`` each, and no contraction's output is larger than the tensor.
 
 All tolerances are relative with an absolute floor of 1e-12, and a value
 that is not finite deviates infinitely.
@@ -222,21 +225,31 @@ class MultiMap:
 def _contract(t: np.ndarray, args) -> np.ndarray:
     """Values of the map with structure tensor ``t`` on a batch: a d x d
     argument's entries, read row-major, are its coordinates in the elementary
-    basis, and the slots are contracted one at a time.  Rows go D = d*d at a
-    time, so no intermediate array outgrows ``t``."""
+    basis.  The coordinates of the first k slots are multiplied out row by
+    row, k the fewest slots with D**k >= the batch's rows (D = d*d), or all
+    of them; that block is contracted with ``t`` in one ``einsum``, then each
+    remaining slot in one more.  Rows go D**k at a time, so no contraction's
+    output outgrows ``t``.  Plain ``einsum``, not a BLAS product, whose
+    threads this module does not control."""
     d = t.shape[-1]
     n_mats = d * d
     if not args:
         return t.copy()
     n = args[0].shape[0]
     coords = [a.reshape(n, n_mats) for a in args]
-    first = t.reshape(n_mats, -1)
+    k, width = 1, n_mats
+    while width < n and k < len(coords):
+        k, width = k + 1, width * n_mats
+    head = t.reshape(width, -1)
     out = np.empty((n, d, d), dtype=complex)
-    for lo in range(0, n, n_mats):
-        rows = slice(lo, lo + n_mats)
-        acc = np.einsum("er,ne->nr", first, coords[0][rows])
-        for c in coords[1:]:
-            acc = np.einsum("ner,ne->nr", acc.reshape(len(acc), n_mats, -1), c[rows])
+    for lo in range(0, n, width):
+        rows = slice(lo, lo + width)
+        block = coords[0][rows]
+        for c in coords[1:k]:
+            block = (block[:, :, None] * c[rows, None, :]).reshape(len(block), -1)
+        acc = np.einsum("ne,er->nr", block, head)
+        for c in coords[k:]:
+            acc = np.einsum("ne,ner->nr", c[rows], acc.reshape(len(acc), n_mats, -1))
         out[rows] = acc.reshape(-1, d, d)
     return out
 

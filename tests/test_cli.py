@@ -16,7 +16,7 @@ from ovc import cli
 from ovc.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, RunConfig, main
 from ovc.cumulants import cumulant_families
 from ovc.ovps import MultiMap, OVMatrixSpace, deviation, elementary_batch, probe_batch
-from ovc.suites import FAULT_SUITES, VerifyContext
+from ovc.suites import FAULT_SUITES, SUITES, VerifyContext
 from helpers import matrix_from_json
 from reference_walk import walk_eval
 
@@ -298,6 +298,32 @@ print(json.dumps([codes, loaded, OVMatrixSpace.__module__]))
     assert json.loads(proc.stdout) == [[EXIT_OK, EXIT_OK], [], "ovc.ovps"]
 
 
+def test_probe_and_enumeration_commands_load_only_their_layers():
+    proc = subprocess.run([sys.executable, "-c", """
+import contextlib, io, json, sys
+from ovc import cli
+unneeded = ("ovc.suites", "ovc.formal", "ovc.morphisms", "ovc.winsert")
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["enumerate", "6"])]
+    loaded = [[name for name in ("numpy", "ovc.ovps") + unneeded if name in sys.modules]]
+    codes.append(cli.main(["cumulants", "--kind", "monotone", "--word", "a.a.a.a.a",
+                           "--order", "5"]))
+loaded.append([name for name in unneeded if name in sys.modules])
+print(json.dumps([codes, loaded]))
+"""], capture_output=True, text=True, env=_child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[EXIT_OK, EXIT_OK], [[], []]]
+
+
+def test_cumulants_rejects_a_config_naming_an_unknown_suite(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": ["hopf", "bogus"]}))
+    code, out, err = run(capsys, ["cumulants", "--kind", "free", "--word", "a",
+                                  "--config", str(cfg)])
+    assert code == EXIT_USAGE and out == ""
+    assert "bogus" in json.loads(err)["error"]
+
+
 def test_insertion_operad_loads_no_numeric_code():
     proc = subprocess.run([sys.executable, "-c", """
 import json, sys
@@ -525,10 +551,17 @@ def test_injected_fault_fails_exactly_the_free_rows(capsys):
     assert failing == ["moment-cumulant.matrix-free", "splitting.free-fixed-point"]
 
 
-@pytest.mark.parametrize("suite", ["shuffle", "hopf", "oracle", "monotone-scalar", "operad"])
-def test_fault_injection_needs_a_suite_that_reads_the_table(capsys, suite):
-    # none of these suites reads the free table, so the run could not fail
-    code, out, err = run(capsys, ["verify", "--suite", suite, "--order", "2", "--inject-fault"])
+@pytest.mark.parametrize(
+    "suite, order",
+    [pytest.param(suite, 2, id=suite)
+     for suite in ("shuffle", "hopf", "oracle", "monotone-scalar", "operad")]
+    # splitting reads the corrupted two-letter word only from order 2 on
+    + [pytest.param("splitting", 1, id="splitting-order-1")],
+)
+def test_fault_injection_needs_a_suite_that_reads_the_table(capsys, suite, order):
+    # none of these runs reads the corrupted entry, so it could not fail
+    code, out, err = run(capsys, ["verify", "--suite", suite, "--order", str(order),
+                                  "--inject-fault"])
     assert code == EXIT_USAGE and out == ""
     error = json.loads(err)["error"]
     assert all(name in error for name in FAULT_SUITES)
@@ -545,6 +578,20 @@ def test_fault_injection_fails_the_splitting_suite(capsys):
     ]
     assert code == EXIT_FAIL
     assert failing == ["splitting.free-fixed-point"]
+
+
+def test_fault_injection_at_order_one_fails_the_moment_cumulant_suite(capsys):
+    # splitting reads no two-letter word at order 1; moment-cumulant does
+    code, out, _ = run(capsys, ["verify", "--suite", "moment-cumulant,splitting", "--order",
+                                "1", "--inject-fault"])
+    failing = [
+        a["id"]
+        for s in json.loads(out)["suites"]
+        for a in s["assertions"]
+        if not a["passed"]
+    ]
+    assert code == EXIT_FAIL
+    assert failing == ["moment-cumulant.matrix-free"]
 
 
 def test_cumulants_monotone_kind(capsys):
@@ -645,7 +692,7 @@ raise SystemExit(0 if rejected == ["word", "stack", "partition"] else 3)
 
 
 _BAD = st.sampled_from(["x", None, [1], {"a": 1}, True, -1, 0, 1.5, float("inf"), float("nan")])
-_SUITE_NAMES = sorted(cli.SUITES)
+_SUITE_NAMES = sorted(SUITES)
 _FIELDS = ["d", "k", "tolerance", "seed", "variables", "max_order", "suites",
            "body", "variable", "--order", "--seed", "--tol", "--suite"]
 

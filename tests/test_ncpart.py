@@ -97,7 +97,7 @@ def test_is_noncrossing_nested():
 
 
 def test_is_noncrossing_matches_quadruple_scan():
-    for p in range(6):
+    for p in range(8):
         for bs in set_partitions(tuple(range(1, p + 1))):
             naive = any(
                 a < c < b < d
@@ -113,6 +113,9 @@ def test_is_noncrossing_rejects_malformed():
         is_noncrossing([(1, 2), (2, 3)])
     with pytest.raises(MalformedPartition):
         is_noncrossing([(1,), (3,)])
+    for blocks in ([(True, 2)], [(True,)]):
+        with pytest.raises(MalformedPartition):
+            is_noncrossing(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +480,14 @@ def test_standardize_shift_invariance(pi, shift):
 def test_colors_are_checked_at_the_boundary(build):
     with pytest.raises(MalformedPartition):
         build()
+
+
+@pytest.mark.parametrize("blocks", [[(True, 2)], [(True,)]])
+def test_boolean_elements_are_rejected(blocks):
+    with pytest.raises(MalformedPartition):
+        NCPartition(blocks)
+    # nothing was interned under a boolean element
+    assert to_text(full_partition(1)) == "1"
 
 
 def test_two_crossing_blocks_are_rejected():

@@ -263,6 +263,33 @@ def test_contraction_intermediates_stay_within_the_tensor(space, monkeypatch):
     assert sizes and max(sizes) <= t.size
 
 
+def _dense_values(t, args):
+    """The values on a batch as the sum over every elementary tuple of its
+    coordinate product times the tuple's entry of ``t``."""
+    d = t.shape[-1]
+    n_mats = d * d
+    if not args:
+        return t.copy()
+    codes = np.arange(len(t))
+    weights = np.ones((len(args[0]), len(t)), dtype=complex)
+    for slot, a in enumerate(args):
+        e = codes // n_mats ** (len(args) - 1 - slot) % n_mats
+        weights *= a.reshape(len(a), n_mats)[:, e]
+    return np.einsum("nc,cij->nij", weights, t)
+
+
+@pytest.mark.parametrize("d, max_arity", [(1, 6), (2, 6), (3, 3)])
+@pytest.mark.parametrize("n_rows", [1, 5, 20, 100])
+def test_contraction_matches_the_dense_sum(d, max_arity, n_rows):
+    rng = np.random.default_rng(d * 1000 + n_rows)
+    for arity in range(max_arity + 1):
+        shape = ((d * d) ** arity, d, d)
+        t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        args = probe_batch(d, arity, n_probes=n_rows, seed=arity)
+        got = ovps._contract(t, args)
+        np.testing.assert_allclose(got, _dense_values(t, args), rtol=1e-12, atol=0)
+
+
 def test_arity_zero_sandwich_evaluates_to_a_batch_of_one(space):
     f = random_multimap(space, 0, np.random.default_rng(5))
     assert f.arity == 0
