@@ -13,6 +13,15 @@ Only ``cumulants`` and the numeric suites load numpy and the numeric layer;
 ``verify`` and a configuration that names its suites load ``suites``:
 ``cumulants`` loads ``ncpart``, ``ovps`` and ``cumulants``, and ``enumerate``
 only ``ncpart``.
+
+``main`` runs numpy's BLAS on one thread: its first statement writes
+``OPENBLAS_NUM_THREADS=1`` into the process's C environment, which OpenBLAS
+reads when numpy loads, and no module-level import of ``ovc`` or
+``ovc.cli`` loads numpy before it.  The maps checked here act on d x d
+matrices with d*k <= 16, where a second thread never pays but its worker
+spins through start-up.  The write overrides a user's value, since a run is
+fixed by its configuration and command line; it reads no variable, and a
+library caller that imports ``ovc`` keeps its own BLAS settings.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ if TYPE_CHECKING:
     from .ovps import OVMatrixSpace
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+MAX_JSON_INDENT = 16
 
 DEFAULT_CONFIG = {
     "d": 2,
@@ -239,6 +249,15 @@ def _quiet_float_errors(numeric: bool = True):
     return np.errstate(all="ignore")
 
 
+def _checked_json_indent(ns) -> None:
+    """Check ``--json-indent``: the output grows linearly in it."""
+    indent = getattr(ns, "json_indent", None)
+    if indent is not None and not 0 <= indent <= MAX_JSON_INDENT:
+        raise ConfigError(
+            "--json-indent must be between 0 and %d, got %d" % (MAX_JSON_INDENT, indent)
+        )
+
+
 def _emit(ns, payload) -> None:
     """Print ``payload`` and flush, so that a closed or full stdout fails
     here and not at interpreter exit."""
@@ -410,9 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    os.putenv("OPENBLAS_NUM_THREADS", "1")  # before numpy loads; see the module docstring
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
+        _checked_json_indent(ns)
         return ns.fn(ns)
     except (ConfigError, EnumerationBound, json.JSONDecodeError) as exc:
         error = exc

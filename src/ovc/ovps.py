@@ -19,8 +19,10 @@ on stacked argument batches.  The walk stops at every linear combination
 that holds its tensor, which is then contracted with the arguments instead,
 so a memoised sub-map below the limit costs one contraction per use.  A
 contraction multiplies out the coordinates of the leading slots and reads
-them against the tensor in one ``einsum``, then takes the other slots one
+them against the tensor in one BLAS product, then takes the other slots one
 ``einsum`` each, and no contraction's output is larger than the tensor.
+The command line runs BLAS on one thread (``ovc.cli``); a library caller
+keeps its own setting.
 
 All tolerances are relative with an absolute floor of 1e-12, and a value
 that is not finite deviates infinitely.
@@ -227,10 +229,9 @@ def _contract(t: np.ndarray, args) -> np.ndarray:
     argument's entries, read row-major, are its coordinates in the elementary
     basis.  The coordinates of the first k slots are multiplied out row by
     row, k the fewest slots with D**k >= the batch's rows (D = d*d), or all
-    of them; that block is contracted with ``t`` in one ``einsum``, then each
-    remaining slot in one more.  Rows go D**k at a time, so no contraction's
-    output outgrows ``t``.  Plain ``einsum``, not a BLAS product, whose
-    threads this module does not control."""
+    of them; that block is contracted with ``t`` in one matrix product, then
+    each remaining slot in one ``einsum``.  Rows go D**k at a time, so no
+    contraction's output outgrows ``t``."""
     d = t.shape[-1]
     n_mats = d * d
     if not args:
@@ -247,7 +248,7 @@ def _contract(t: np.ndarray, args) -> np.ndarray:
         block = coords[0][rows]
         for c in coords[1:k]:
             block = (block[:, :, None] * c[rows, None, :]).reshape(len(block), -1)
-        acc = np.einsum("ne,er->nr", block, head)
+        acc = block @ head
         for c in coords[k:]:
             acc = np.einsum("ne,ner->nr", c[rows], acc.reshape(len(acc), n_mats, -1))
         out[rows] = acc.reshape(-1, d, d)
@@ -394,13 +395,29 @@ def elementary_batch(d: int, arity: int):
     return batches
 
 
+_PROBE_DRAWS = {}  # (d, n_probes, seed) -> the longest draw so far
+_MAX_PROBE_DRAWS = 64
+
+
 def probe_batch(d: int, arity: int, n_probes: int = N_PROBES, seed: int = _PROBE_SEED):
-    rng = np.random.default_rng(seed)
-    return [
-        (rng.standard_normal((n_probes, d, d)) + 1j * rng.standard_normal((n_probes, d, d)))
-        / np.sqrt(2)
-        for _ in range(arity)
-    ]
+    """``arity`` read-only (n_probes, d, d) arrays of seeded complex normal
+    probes.  The slots are drawn in order from one generator, so a draw
+    holds every shorter draw of its key as its first slots; each key's
+    longest draw is kept and its first ``arity`` arrays returned."""
+    key = (d, n_probes, seed)
+    draw = _PROBE_DRAWS.get(key, ())
+    if len(draw) < arity:
+        rng = np.random.default_rng(seed)
+        draw = []
+        for _ in range(arity):
+            a = rng.standard_normal((n_probes, d, d)) + 1j * rng.standard_normal((n_probes, d, d))
+            a /= np.sqrt(2)
+            a.flags.writeable = False
+            draw.append(a)
+        if key not in _PROBE_DRAWS and len(_PROBE_DRAWS) >= _MAX_PROBE_DRAWS:
+            del _PROBE_DRAWS[next(iter(_PROBE_DRAWS))]
+        _PROBE_DRAWS[key] = draw
+    return list(draw[:arity])
 
 
 def deviation(x, y) -> float:

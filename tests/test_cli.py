@@ -315,6 +315,30 @@ print(json.dumps([codes, loaded]))
     assert json.loads(proc.stdout) == [[EXIT_OK, EXIT_OK], [[], []]]
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_the_command_line_runs_blas_on_one_thread():
+    env = {key: value for key, value in _child_env().items()
+           if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    script = """
+import contextlib, io, os, sys
+from ovc import cli
+if sys.argv[1] == "main":
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["enumerate", "1"])
+import numpy
+print(len(os.listdir("/proc/self/task")))
+"""
+    threads = {}
+    for mode in ("main", "import"):
+        proc = subprocess.run([sys.executable, "-c", script, mode], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        threads[mode] = int(proc.stdout)
+    assert threads["main"] == 1
+    if len(os.sched_getaffinity(0)) > 1:
+        assert threads["import"] > 1
+
+
 def test_cumulants_rejects_a_config_naming_an_unknown_suite(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"suites": ["hopf", "bogus"]}))
@@ -511,6 +535,10 @@ def test_config_validation(capsys, tmp_path):
         code, out, err = run(capsys, ["verify", "--suite", suite])
         assert code == EXIT_USAGE and out == ""
         assert message in json.loads(err)["error"]
+    for indent in ("10000", "-1"):
+        code, out, err = run(capsys, ["enumerate", "2", "--json-indent", indent])
+        assert code == EXIT_USAGE and out == ""
+        assert "--json-indent" in json.loads(err)["error"]
 
 
 def test_verify_deterministic_output(capsys):

@@ -319,6 +319,27 @@ def test_probe_batch_deterministic():
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
+def _fresh_probes(d, arity, n_probes, seed):
+    rng = np.random.default_rng(seed)
+    return [(rng.standard_normal((n_probes, d, d)) + 1j * rng.standard_normal((n_probes, d, d)))
+            / np.sqrt(2) for _ in range(arity)]
+
+
+@pytest.mark.parametrize("seed, arities", [(1001, (2, 9, 4, 0, 9)), (1002, (9, 4, 2)),
+                                           (1003, (1, 3, 6, 5))])
+def test_probe_batch_is_one_draw_per_key(seed, arities):
+    for arity in arities:
+        got = probe_batch(2, arity, n_probes=7, seed=seed)
+        want = _fresh_probes(2, arity, 7, seed)
+        assert len(got) == arity
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+        for a in got:
+            with pytest.raises(ValueError):
+                a[0, 0, 0] = 1.0
+    longest = probe_batch(2, max(arities), n_probes=7, seed=seed)
+    assert all(x is y for x, y in zip(probe_batch(2, 2, n_probes=7, seed=seed), longest))
+
+
 def test_matrix_json_round_trip():
     rng = np.random.default_rng(17)
     m = random_matrix(rng, 3)

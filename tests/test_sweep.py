@@ -1,5 +1,6 @@
-"""`tools/sweep.py` runs each sweep command in its own process; a run that
-outlives its timeout is recorded as a result, not dropped."""
+"""`tools/sweep.py` runs each sweep command in its own process and records
+its exit code, wall time, CPU time and peak RSS; a run that outlives its
+timeout is recorded as a result, not dropped."""
 
 import importlib.util
 import sys
@@ -37,3 +38,6 @@ def test_a_timeout_is_recorded(sweep, tmp_path):
     killed = sweep.run_one(["verify", "--suite", "splitting", "--order", "8"], timeout=0.5, cwd=tmp_path)
     assert killed["exit"] is None and killed["timed_out"] is True
     assert killed["wall_s"] >= 0.5
+    for run in (done, killed):
+        assert set(run) == {"exit", "timed_out", "wall_s", "cpu_s", "peak_rss_mb"}
+        assert run["cpu_s"] >= 0 and run["peak_rss_mb"] > 0

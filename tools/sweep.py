@@ -5,9 +5,11 @@ Runs, one process at a time,
     ovc cumulants --kind K --word a.a.a.a.a.a.a.a --order 8   for every kind
     ovc verify --suite S --order N    for S in shuffle, splitting, N = 4..8
 
-and prints one JSON line per run with its exit code and wall time.  Each
-run is killed after ``TIMEOUT_S`` (120) seconds; a killed run is a result
-(``"timed_out": true``, exit code null), not a skipped one.
+and prints one JSON line per run with its exit code, wall time, CPU time
+(user plus system) and peak RSS, the last two from ``os.wait4`` on the
+run's process.  Each run is killed after ``TIMEOUT_S`` (120) seconds; a
+killed run is a result (``"timed_out": true``, exit code null), not a
+skipped one.
 
 The program comes from the ``src`` directory next to this script's parent
 and runs in an empty temporary directory, so nothing else in the checkout
@@ -23,6 +25,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -52,18 +55,40 @@ def runs():
 def run_one(argv, timeout, cwd):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ovc.cli"] + argv,
+        cwd=cwd,
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    killed = []
+
+    def kill():
+        # Popen.kill polls first, so it sends nothing once wait4 has reaped the run
+        killed.append(True)
+        proc.kill()
+
+    timer = threading.Timer(timeout, kill)
+    timer.start()
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "ovc.cli"] + argv,
-            cwd=cwd,
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-            timeout=timeout,
-        )
-    except subprocess.TimeoutExpired:
-        return {"exit": None, "timed_out": True, "wall_s": round(time.perf_counter() - start, 3)}
-    return {"exit": proc.returncode, "timed_out": False, "wall_s": round(time.perf_counter() - start, 3)}
+        _, status, usage = os.wait4(proc.pid, 0)
+    except BaseException:
+        proc.kill()
+        proc.wait()
+        raise
+    finally:
+        timer.cancel()
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    timed_out = bool(killed) and os.WIFSIGNALED(status)
+    return {
+        "exit": None if timed_out else proc.returncode,
+        "timed_out": timed_out,
+        "wall_s": round(wall, 3),
+        "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
+        "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 2),
+    }
 
 
 def main() -> int:
