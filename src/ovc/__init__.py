@@ -28,7 +28,7 @@ _LAZY = {
     for module, names in (
         ("formal", ("FormalSum", "PartitionWord", "coproduct", "delta_prec", "delta_succ")),
         ("ovps", ("OVMatrixSpace", "MultiMap", "moment_map")),
-        ("cumulants", ("cumulant_families", "e_pi", "verify_mc")),
+        ("cumulants", ("cumulant_families", "verify_mc")),
         ("morphisms", ("convolve", "exp_prec", "exp_star", "exp_succ", "half_prec",
                        "half_succ", "log_star")),
         ("winsert", ("WWord", "letter_word", "split")),
@@ -58,7 +58,6 @@ __all__ = [
     "cuts",
     "delta_prec",
     "delta_succ",
-    "e_pi",
     "enumerate_interval",
     "enumerate_nc",
     "exp_prec",

@@ -136,6 +136,9 @@ class RunConfig:
             raise ConfigError("variables must be a JSON object")
         if not self.variable_specs:
             raise ConfigError("at least one variable is required")
+        for name in self.variable_specs:  # see _parse_word
+            if name in ("", "e") or "." in name or name != name.strip():
+                raise ConfigError("variable name %r: no --word can name it" % (name,))
         self._suites = _checked_suites(data["suites"]) if "suites" in data else None
         self._variables = [
             self._variable(i, name, spec)
@@ -282,6 +285,9 @@ def cmd_enumerate(ns) -> int:
 
 
 def _parse_word(config: RunConfig, text: str):
+    """Variable indices of ``text``: names joined by ".", "e" the empty
+    word, outer spaces stripped; ``RunConfig`` rejects the names it cannot
+    read."""
     text = text.strip()
     if text == "e":
         return ()
@@ -292,7 +298,7 @@ def cmd_cumulants(ns) -> int:
     import numpy as np
 
     from .cumulants import cumulant_families
-    from .ovps import matrix_to_json, probe_batch
+    from .ovps import basis_values, matrix_to_json
 
     config = _load_config(ns)
     word = _parse_word(config, ns.word)
@@ -303,10 +309,7 @@ def cmd_cumulants(ns) -> int:
     with _quiet_float_errors():
         space = config.build_space()
         gen = cumulant_families(space)[ns.kind].generator(word)
-        values, basis = gen.tensor(), "elementary"
-        if values is None:
-            batch = probe_batch(space.d, gen.arity, seed=config.seed)
-            values, basis = gen.eval_batch(batch), "probes"
+        (values,), basis = basis_values((gen,), config.seed)
     # np.max propagates NaN, so the peak is finite only when every value is
     if not math.isfinite(float(np.max(np.abs(values)))):
         raise ConfigError(

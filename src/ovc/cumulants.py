@@ -230,11 +230,6 @@ def e_pi_map(pi: NCPartition, family: CumulantFamily):
     return collapse_factorization(pi, lambda _, colors: family.generator(colors), multimap_partial)
 
 
-def e_pi(pi: NCPartition, family: CumulantFamily, args):
-    """Evaluate the recursive collapse on a tuple of arity(pi) elements of B."""
-    return e_pi_map(pi, family).eval(*args)
-
-
 def family_sum_map(word, family: CumulantFamily):
     """The weighted sum of e_pi over ``lattice(family.kind, len(word))``
     for one word.  Each lattice partition is valid, so coloring it by the

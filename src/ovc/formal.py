@@ -169,12 +169,12 @@ def _word_cuts(w: Word) -> tuple:
     documents the triples.  ``cuts`` is read from this module on each
     call, so a wrapped ``cuts`` is used.  Bounded, since each entry holds
     every cut of its word: the checks reuse a word's cuts soon after first
-    building them, so 256 words miss 455 times (749 hits) on the 441 words of the splitting and
-    shuffle suites at order 3, while splitting at order 5 queries 11,160
-    words and a cache of all of them raises its peak memory from 68 to
-    85 MB and makes it slower (6.3 to 7.5 s).  The default hopf suite
-    queries 1,066 words and ends with 3,397 hits and 7,240 misses at this
-    bound (``cache_info()`` after ``verify --suite hopf``)."""
+    building them, so 256 words miss 455 times (661 hits) on the 441
+    words of the splitting and shuffle suites at order 3, while splitting
+    at order 5 queries 11,160 words and a cache of all of them raises its
+    peak memory from 68 to 85 MB and makes it slower (6.3 to 7.5 s).  The
+    default hopf suite queries 1,066 words and ends with 3,397 hits and
+    7,240 misses at this bound (``cache_info()`` after ``verify --suite hopf``)."""
     trusted = type(w)._trusted
     anchor = next((i for i, l in enumerate(w.letters) if l.size > 0), None)
     out = []

@@ -15,11 +15,13 @@ Everything here is generic over the source words: a morphism carries its
 ``formal.Word`` subclass and reads cuts, profiles and unit words off the
 words themselves, so the words-insertion operad reuses the same machinery.
 
-Two morphism values are compared as sums of words of maps.  When
-(d^2)^inputs <= WORD_BASIS_LIMIT, a sum's values on every tuple of
-elementary matrices are its structure tensor: per word, the coefficient
-times the Kronecker product of its maps' tensors, so no argument batch is
-built.  Beyond the limit both sums are evaluated on seeded probes.
+Two morphism values are compared as sums of words of maps by
+``ovps.multimap_dev``, the one comparison of maps.  When (d^2)^inputs <=
+WORD_BASIS_LIMIT, a sum's values on every tuple of elementary matrices are
+its structure tensor: per word, the coefficient times the Kronecker product
+of its maps' tensors, so no argument batch is built.  Beyond the limit its
+``tensor()`` is None and both sums are evaluated on the probes of the one
+seed maps are compared on, ``ovps._PROBE_SEED``.
 """
 
 from __future__ import annotations
@@ -34,15 +36,15 @@ from . import formal
 from .cumulants import e_pi_map, partition_colors
 from .ncpart import NCPartition, operadic_factorization
 from .ovps import (
-    EXACT_BASIS_LIMIT,
     DimensionMismatch,
-    deviation,
     multimap_compose,
+    multimap_dev,
     multimap_lincomb,
     multimap_partial,
-    probe_batch,
     random_multimap,
 )
+
+WORD_BASIS_LIMIT = 256
 
 
 class UnitAmbiguity(ValueError):
@@ -86,9 +88,6 @@ class WordSum:
         """One sum of the terms of ``sums``, in order; each term is checked
         against ``profile``."""
         return cls(space, profile, [term for part in sums for term in part.terms])
-
-    def is_zero(self):
-        return not self.terms
 
     def scale(self, coeff):
         return WordSum(
@@ -156,11 +155,12 @@ class WordSum:
         in ``elementary_batch`` order: each term's coefficient times the
         Kronecker product of its maps' structure tensors, letter by letter.
         Built on each call and never kept.  None when D**inputs exceeds
-        EXACT_BASIS_LIMIT."""
+        WORD_BASIS_LIMIT, so ``ovps.multimap_dev`` compares such sums on
+        probes."""
         d = self.space.d
         n_mats = d * d
         n_rows = n_mats ** sum(self.profile)
-        if n_rows > EXACT_BASIS_LIMIT:
+        if n_rows > WORD_BASIS_LIMIT:
             return None
         dim = d ** len(self.profile)
         total = np.zeros((n_rows, dim, dim), dtype=complex)
@@ -172,24 +172,6 @@ class WordSum:
                 acc = np.einsum("xij,ykl->xyikjl", acc, t).reshape(rows, side, side)
             total += coeff * acc
         return total
-
-
-WORD_BASIS_LIMIT = 256
-
-
-def word_sum_dev(a: WordSum, b: WordSum) -> float:
-    """Deviation of two morphism values.  When (d^2)^inputs <=
-    WORD_BASIS_LIMIT the sums' structure tensors are compared, which covers
-    every tuple of elementary arguments and builds no batch; beyond that
-    both sums are evaluated on the probe batch of seed 0."""
-    if a.profile != b.profile:
-        raise DimensionMismatch("profiles %r vs %r" % (a.profile, b.profile))
-    n_inputs = sum(a.profile)
-    d = a.space.d
-    if (d * d) ** n_inputs <= WORD_BASIS_LIMIT:
-        return deviation(a.tensor(), b.tensor())
-    args = probe_batch(d, n_inputs, seed=0)
-    return deviation(a.eval_batch(args), b.eval_batch(args))
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +474,10 @@ def seeded_infinitesimal(space, seed, word_type=formal.PartitionWord,
 
 
 def morphism_dev(a: Morphism, b: Morphism, words) -> float:
-    """Largest word-sum deviation of two morphisms across test words."""
+    """Largest deviation of two morphisms' values across test words."""
     worst = 0.0
     for w in words:
-        worst = max(worst, word_sum_dev(a.value(w), b.value(w)))
+        worst = max(worst, multimap_dev(a.value(w), b.value(w)))
     return worst
 
 

@@ -12,17 +12,19 @@ composition.
 Two evaluations exist.  Where (d^2)^arity <= EXACT_BASIS_LIMIT a map has a
 structure tensor, its values on every tuple of elementary matrices, built
 bottom-up from its parts: leaves build theirs directly, linear combinations
-sum their parts' tensors, compositions contract one slot at a time.
-Whole-basis equality checks compare these tensors.  Above the limit,
-equality is checked on 20 seeded probe tuples, evaluated by walking the DAG
-on stacked argument batches.  The walk stops at every linear combination
-that holds its tensor, which is then contracted with the arguments instead,
-so a memoised sub-map below the limit costs one contraction per use.  A
-contraction multiplies out the coordinates of the leading slots and reads
-them against the tensor in one BLAS product, then takes the other slots one
-``einsum`` each, and no contraction's output is larger than the tensor.
-The command line runs BLAS on one thread (``ovc.cli``); a library caller
-keeps its own setting.
+sum their parts' tensors, compositions contract one slot at a time.  Above
+the limit ``tensor()`` is None, and ``basis_values``, the one switch, reads
+the 20 probe tuples of one seed, ``_PROBE_SEED``, by walking the DAG on
+stacked argument batches.  ``multimap_dev`` is the one comparison, of two
+maps or of two sums of words of maps (``morphisms.WordSum``, whose
+``tensor()`` stops at a smaller limit).  The walk stops at every linear
+combination that holds its tensor, which is then contracted with the
+arguments instead, so a memoised sub-map below the limit costs one
+contraction per use.  A contraction multiplies out the coordinates of the
+leading slots and reads them against the tensor in one BLAS product, then
+takes the other slots one ``einsum`` each, and no contraction's output is
+larger than the tensor.  The command line runs BLAS on one thread
+(``ovc.cli``); a library caller keeps its own setting.
 
 All tolerances are relative with an absolute floor of 1e-12, and a value
 that is not finite deviates infinitely.
@@ -186,6 +188,11 @@ class MultiMap:
                 total += complex(coeff) * m.eval_batch(args)
             return total
         raise AssertionError(self.kind)
+
+    @property
+    def profile(self):
+        """``(arity,)``: a map compares as a one-letter word (``multimap_dev``)."""
+        return (self.arity,)
 
     def eval(self, *args) -> np.ndarray:
         batch = [np.asarray(a, dtype=complex)[None, :, :] for a in args]
@@ -435,17 +442,28 @@ def deviation(x, y) -> float:
     return diff / max(peaks + [1.0])
 
 
-def multimap_dev(f: MultiMap, g: MultiMap) -> float:
-    """Max relative deviation of f and g: over every elementary tuple, by
-    comparing structure tensors, when (d^2)^arity <= EXACT_BASIS_LIMIT;
-    otherwise over the seeded probe batch, by walking both DAGs."""
-    if f.arity != g.arity:
-        raise DimensionMismatch("arity %d vs %d" % (f.arity, g.arity))
-    tf = f.tensor()
-    if tf is not None:
-        return deviation(tf, g.tensor())
-    args = probe_batch(f.space.d, f.arity)
-    return deviation(f.eval_batch(args), g.eval_batch(args))
+def basis_values(values, seed: int = _PROBE_SEED):
+    """``values``, maps or sums of words of maps of one type and profile,
+    read on one basis, and the basis's name: their structure tensors and
+    "elementary" where their type's ``tensor()`` has one, else their values
+    on one probe batch of ``seed`` over their inputs and "probes"."""
+    tensors = [f.tensor() for f in values]
+    if tensors[0] is not None:
+        return tensors, "elementary"
+    args = probe_batch(values[0].space.d, sum(values[0].profile), seed=seed)
+    return [f.eval_batch(args) for f in values], "probes"
+
+
+def multimap_dev(f, g) -> float:
+    """Max relative deviation of two values of one type and one profile:
+    two maps, or two sums of words of maps (``morphisms.WordSum``), read
+    by ``basis_values``: over every elementary tuple where the type's
+    ``tensor()`` has one, otherwise on the probe batch of ``_PROBE_SEED``."""
+    if type(f) is not type(g) or f.profile != g.profile:
+        raise DimensionMismatch("%s %r vs %s %r" % (
+            type(f).__name__, f.profile, type(g).__name__, g.profile))
+    (x, y), _ = basis_values((f, g))
+    return deviation(x, y)
 
 
 def exchange_dev(gen, words) -> float:

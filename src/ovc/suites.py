@@ -716,9 +716,8 @@ def suite_monotone_scalar(ctx: VerifyContext):
         log_star,
         moment_morphism,
         seeded_infinitesimal,
-        word_sum_dev,
     )
-    from .ovps import exchange_dev
+    from .ovps import exchange_dev, multimap_dev
 
     rows = []
     space = ctx.scalar_space
@@ -742,7 +741,7 @@ def suite_monotone_scalar(ctx: VerifyContext):
     for p in range(1, 6):
         for weight, pi in lattice("monotone", p):
             w = formal.word(pi)
-            dev = max(dev, word_sum_dev(star.value(w), left.value(w).scale(weight)))
+            dev = max(dev, multimap_dev(star.value(w), left.value(w).scale(weight)))
     rows.append(
         _numeric(
             "monotone.star-vs-left",
@@ -774,7 +773,7 @@ def suite_monotone_scalar(ctx: VerifyContext):
         for word in itertools.product((0, 1), repeat=n):
             w = winsert.w_word(winsert.letter_word(word))
             target = WordSum.word(space, (monotone.generator(word),))
-            dev_h = max(dev_h, word_sum_dev(log_m.value(w), target))
+            dev_h = max(dev_h, multimap_dev(log_m.value(w), target))
     rows.append(
         _numeric(
             "monotone.log-cross-check",

@@ -213,6 +213,21 @@ def test_hermitian_must_be_a_boolean(capsys, tmp_path, command, flag):
     assert "hermitian of variable 'a' must be true or false" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--suite", "operad", "--order", "2"],
+    # with a variable named e, "e" would still read as the empty word and
+    # print the identity, not E(e) = 2
+    ["cumulants", "--kind", "moment", "--word", "e"],
+])
+@pytest.mark.parametrize("name", ["e", "", "a.b", ".", " a", "a "])
+def test_a_variable_name_no_word_can_name_is_a_usage_error(capsys, tmp_path, command, name):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d": 1, "k": 1, "variables": {name: [[[2, 0]]]}}))
+    code, out, err = run(capsys, command + ["--config", str(cfg)])
+    assert code == EXIT_USAGE and out == ""
+    assert "variable name %r" % name in json.loads(err)["error"]
+
+
 def test_benchmark_configuration_keys_are_accepted(capsys, tmp_path):
     # the shape of the configurations that perfbench/run.py writes
     cfg = tmp_path / "cfg.json"

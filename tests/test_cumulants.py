@@ -11,7 +11,6 @@ from ovc import cumulants
 from ovc.cumulants import (
     CumulantFamily,
     cumulant_families,
-    e_pi,
     e_pi_map,
     family_sum_map,
     lattice,
@@ -70,7 +69,7 @@ def test_two_singletons_collapse_orders_agree(space):
         @ a
         @ space.embed(args[2])
     )
-    got = e_pi(pi, fam, args)
+    got = e_pi_map(pi, fam).eval(*args)
     assert np.max(np.abs(outer_first - inner_first)) <= 1e-10
     assert np.max(np.abs(got - outer_first)) <= 1e-10
 
@@ -84,7 +83,7 @@ def test_nested_block_evaluation(space):
     expected = space.cond_expect(
         space.embed(args[0]) @ a @ space.embed(inner) @ a @ space.embed(args[3])
     )
-    assert np.max(np.abs(e_pi(pi, fam, args) - expected)) <= 1e-10
+    assert np.max(np.abs(e_pi_map(pi, fam).eval(*args) - expected)) <= 1e-10
 
 
 def test_collapse_order_independence(space):

@@ -30,7 +30,6 @@ from ovc.morphisms import (
     precompose,
     seeded_infinitesimal,
     shuffle,
-    word_sum_dev,
 )
 from ovc.ncpart import (
     EMPTY,
@@ -50,6 +49,7 @@ from ovc.ovps import (
     moment_map,
     multimap_compose,
     multimap_dev,
+    multimap_lincomb,
     multimap_partial,
     random_multimap,
     sandwich_map,
@@ -168,9 +168,9 @@ def test_a_morphism_defined_through_itself_recurses_on_smaller_words(space, word
         X.value(w)
     for n in range(1, 5):
         w = word(full_partition(n))
-        assert word_sum_dev(X.value(w), k.value(w)) == 0.0
+        assert multimap_dev(X.value(w), k.value(w)) == 0.0
     w = word(NCPartition([(1,), (2,)]))
-    assert word_sum_dev(X.value(w), k.value(w)) > 0.1
+    assert multimap_dev(X.value(w), k.value(w)) > 0.1
 
 
 def test_exp_prec_on_single_blocks(space):
@@ -193,7 +193,7 @@ def test_exp_prec_on_nested_partition(space):
     combo = WordSum.sum(
         space, (pi.arity,), (WordSum.word(space, (expected_terms,)), WordSum.word(space, (direct,)))
     )
-    assert word_sum_dev(WordSum.word(space, (got,)), combo) <= TOL
+    assert multimap_dev(WordSum.word(space, (got,)), combo) <= TOL
 
 
 def test_exp_prec_nested_single_block_support(space):
@@ -228,7 +228,7 @@ def test_exp_succ_boolean_structure(space):
     B = exp_succ(b)
     nested = NCPartition([(1, 3), (2,)])
     zero = WordSum(space, (nested.arity,))
-    assert word_sum_dev(WordSum.word(space, (B.letter_value(nested),)), zero) <= TOL
+    assert multimap_dev(WordSum.word(space, (B.letter_value(nested),)), zero) <= TOL
     two = NCPartition([(1,), (2,)])
     expected = multimap_partial(b.gen(gen1(2)), 1, b.gen(gen1(2)))
     assert multimap_dev(B.letter_value(two), expected) <= TOL
@@ -267,7 +267,7 @@ def test_exp_star_single_block(space):
     E = exp_star(m)
     for n in range(2, 5):
         w = word(gen1(n))
-        assert word_sum_dev(E.value(w), m.value(w)) <= TOL
+        assert multimap_dev(E.value(w), m.value(w)) <= TOL
 
 
 def test_exp_star_matches_left_exponential_over_tree_factorial(scalar_space):
@@ -279,7 +279,7 @@ def test_exp_star_matches_left_exponential_over_tree_factorial(scalar_space):
             w = word(pi)
             weight = Fraction(1, tree_factorial(nesting_forest(pi)))
             expected = left.value(w).scale(weight)
-            assert word_sum_dev(star.value(w), expected) <= TOL, pi
+            assert multimap_dev(star.value(w), expected) <= TOL, pi
 
 
 def test_log_star_round_trips(space, words3):
@@ -364,7 +364,7 @@ def test_exp_star_rejects_unit_component(space):
 def test_infinitesimal_locality(space):
     k = seeded_infinitesimal(space, seed=22)
     w = word(gen1(2), gen1(3))
-    assert k.value(w).is_zero()
+    assert not k.value(w).terms
     padded = word(EMPTY, gen1(3), EMPTY)
     v = k.value(padded)
     assert v.profile == (1, 3, 1) and len(v.terms) == 1
@@ -417,7 +417,7 @@ def test_concurrent_evaluation_matches_sequential(space):
     concurrent = exp_prec(seeded_infinitesimal(space, seed=24))
     with ThreadPoolExecutor(max_workers=4) as pool:
         list(pool.map(concurrent.value, words * 2))
-    dev = max(word_sum_dev(concurrent.value(w), sequential.value(w)) for w in words)
+    dev = max(multimap_dev(concurrent.value(w), sequential.value(w)) for w in words)
     assert dev <= 1e-12
 
 
@@ -492,11 +492,11 @@ def _refuse_batches(monkeypatch):
         raise AssertionError("a batch was evaluated")
 
     for owner, name in ((MultiMap, "eval_batch"), (WordSum, "eval_batch"),
-                        (ovps, "elementary_batch"), (morphisms, "probe_batch")):
+                        (ovps, "elementary_batch"), (ovps, "probe_batch")):
         monkeypatch.setattr(owner, name, refuse)
 
 
-def test_word_sum_dev_compares_tensors_at_the_basis_limit(space, monkeypatch):
+def test_multimap_dev_compares_word_sum_tensors_at_the_basis_limit(space, monkeypatch):
     rng = np.random.default_rng(6)
     k = seeded_infinitesimal(space, seed=31)
     K = exp_prec(k)
@@ -506,27 +506,59 @@ def test_word_sum_dev_compares_tensors_at_the_basis_limit(space, monkeypatch):
     other = WordSum.word(space, (random_multimap(space, 2, rng),) * 2)
     expected = deviation(walked, other.eval_batch(elementary_batch(space.d, 4)))
     _refuse_batches(monkeypatch)
-    assert word_sum_dev(K.value(w), K.value(w)) == 0.0
-    assert abs(word_sum_dev(K.value(w), other) - expected) <= 1e-12 * expected
+    assert multimap_dev(K.value(w), K.value(w)) == 0.0
+    assert abs(multimap_dev(K.value(w), other) - expected) <= 1e-12 * expected
 
 
-def test_word_sum_dev_uses_probes_above_the_basis_limit(space, monkeypatch):
+def test_multimap_dev_compares_word_sums_on_probes_above_the_basis_limit(space, monkeypatch):
     k = seeded_infinitesimal(space, seed=32)
     w = word(gen1(5))
     calls = []
-    original = morphisms.probe_batch
+    original = ovps.probe_batch
     monkeypatch.setattr(
-        morphisms, "probe_batch", lambda *a, **kw: calls.append(a) or original(*a, **kw)
+        ovps, "probe_batch", lambda *a, **kw: calls.append(a) or original(*a, **kw)
     )
-    assert word_sum_dev(exp_prec(k).value(w), exp_prec(k).value(w)) == 0.0
+    assert multimap_dev(exp_prec(k).value(w), exp_prec(k).value(w)) == 0.0
     assert calls == [(space.d, 5)]
 
 
-def test_word_sum_dev_on_empty_words_compares_coefficients(space):
+@pytest.mark.parametrize("arity, tensors", [(1, True), (4, True), (7, False)])
+def test_a_map_and_its_one_letter_word_compare_alike(space, arity, tensors):
+    # one switch and one probe seed: a map and the word of that one map
+    # are read on the same basis, the elementary one or the same probes
+    rng = np.random.default_rng(40 + arity)
+    f, g = random_multimap(space, arity, rng), random_multimap(space, arity, rng)
+    near = multimap_lincomb(space, arity, [(1, f), (1e-6, g)])
+    assert (WordSum.word(space, (f,)).tensor() is not None) == tensors
+    assert (f.tensor() is not None) == (arity <= 4)
+    for a, b in ((f, g), (f, near), (f, f)):
+        dev = multimap_dev(a, b)
+        assert multimap_dev(WordSum.word(space, (a,)), WordSum.word(space, (b,))) == dev
+    assert 0 < multimap_dev(f, near) < 1e-5
+
+
+def test_multimap_dev_rejects_mixed_types_and_profiles(space):
+    rng = np.random.default_rng(47)
+    f2, f3 = random_multimap(space, 2, rng), random_multimap(space, 3, rng)
+    f1 = random_multimap(space, 1, rng)
+    mismatched = [
+        (f3, WordSum.word(space, (f3,))),
+        (WordSum.word(space, (f3,)), f3),
+        (f2, f3),
+        (WordSum.word(space, (f1, f2)), WordSum.word(space, (f2, f1))),
+        (WordSum.word(space, (f3,)), WordSum.word(space, (f1, f2))),
+        (WordSum(space, ()), WordSum.word(space, (f1,))),
+    ]
+    for a, b in mismatched:
+        with pytest.raises(DimensionMismatch):
+            multimap_dev(a, b)
+
+
+def test_multimap_dev_on_empty_words_compares_coefficients(space):
     a = WordSum(space, (), [(2, ())])
     b = WordSum(space, (), [(1, ()), (1.5, ())])
-    assert word_sum_dev(a, a) == 0.0
-    assert word_sum_dev(a, b) == pytest.approx(0.5 / 2.5)
+    assert multimap_dev(a, a) == 0.0
+    assert multimap_dev(a, b) == pytest.approx(0.5 / 2.5)
 
 
 def test_seeded_infinitesimal_keeps_one_leaf_per_letter(space):
