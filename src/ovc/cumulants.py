@@ -66,8 +66,9 @@ class CumulantFamily:
     first-block terms of the module docstring; each term composes a lower
     entry of this table with moment maps (monotone: with graded sums).
     ``corrupt`` scales one entry by ``CORRUPTION_FACTOR``, used as a fault
-    injection hook by negative-control tests; it changes what ``generator``
-    returns, not the table, so no other entry sees it.
+    injection hook by negative-control tests; it builds the scaled entry
+    once and changes what ``generator`` returns, not the table, so no
+    other entry sees it.
     """
 
     def __init__(self, space, kind, moments=None):
@@ -82,17 +83,18 @@ class CumulantFamily:
         self.moments = moments
         self._table = {}
         self._graded_table = {}
-        self._corrupted = None
+        self._corrupted = (None, None)
 
     def generator(self, word):
         word = tuple(int(v) for v in word)
-        entry = self._entry(word)
-        if word == self._corrupted:
-            entry = multimap_lincomb(self.space, entry.arity, [(CORRUPTION_FACTOR, entry)])
-        return entry
+        corrupted_word, corrupted_entry = self._corrupted
+        return corrupted_entry if word == corrupted_word else self._entry(word)
 
     def corrupt(self, word):
-        self._corrupted = tuple(word)
+        word = tuple(int(v) for v in word)
+        entry = self._entry(word)
+        scaled = multimap_lincomb(self.space, entry.arity, [(CORRUPTION_FACTOR, entry)])
+        self._corrupted = (word, scaled)
 
     def _entry(self, word):
         entry = self._table.get(word)

@@ -115,6 +115,12 @@ class Word:
         kept) triples.  The flag refers to position 1 of the first non-empty
         letter; it is None for unit words.  The tuple is cached per process
         for the 256 most recently used words and shared between calls.
+
+        The order is a contract, since each letter's cuts are ordered by
+        ``kept_mask`` and their product is taken in order: for a non-unit
+        word ``w`` the first cut keeps nothing, ``(unit, w, False)``, the
+        last keeps everything, ``(w, unit, True)``, and no cut between them
+        has a unit word on either side.
         """
         return _word_cuts(self)
 
@@ -404,9 +410,10 @@ def cut_sum(w, keep=None, reduced=False) -> FormalSum:
 
     ``keep`` True or False keeps only the cuts whose first-position flag
     equals it: a half-coproduct, undefined on unit words.  ``reduced``
-    subtracts the trivial terms among those kept: w % unit (the first block
-    stays below) and unit % w (it moves above); the reduced full coproduct
-    is zero on unit words.
+    leaves out the trivial terms unit % w (the first block moves above) and
+    w % unit (it stays below), which are the first and the last of a
+    non-unit word's cuts (``Word.cuts``); the reduced full coproduct is
+    zero on unit words.
     """
     out = {}
     for basis, c in FormalSum.lift(w).terms.items():
@@ -415,16 +422,10 @@ def cut_sum(w, keep=None, reduced=False) -> FormalSum:
                 raise UnitWordError("half-coproducts are undefined on unit words")
             if reduced:
                 continue
-        for lower, upper, flag in basis.cuts():
+        for lower, upper, flag in basis.cuts()[1:-1] if reduced else basis.cuts():
             if keep is None or flag == keep:
                 key = BoxStack._trusted((lower, upper))
                 out[key] = out.get(key, 0) + c
-        if reduced and keep is not False:
-            key = BoxStack._trusted((basis, basis.unit(basis.inputs)))
-            out[key] = out.get(key, 0) - c
-        if reduced and keep is not True:
-            key = BoxStack._trusted((basis.unit(basis.outputs), basis))
-            out[key] = out.get(key, 0) - c
     return FormalSum(out)
 
 
@@ -443,33 +444,30 @@ def reduced_coproduct(w) -> FormalSum:
 
 def delta_prec(w) -> FormalSum:
     """Reduced left half-coproduct: the cuts whose block of the first
-    position stays below, ``cut_sum(w, True)``, minus w % unit."""
+    position stays below, ``cut_sum(w, True)``, without w % unit."""
     return cut_sum(w, True, reduced=True)
 
 
 def delta_succ(w) -> FormalSum:
     """Reduced right half-coproduct: the cuts whose block of the first
-    position moves above, ``cut_sum(w, False)``, minus unit % w."""
+    position moves above, ``cut_sum(w, False)``, without unit % w."""
     return cut_sum(w, False, reduced=True)
 
 
 def half_coproducts(w) -> tuple:
     """``(delta_prec(w), delta_succ(w))`` from one walk of each word's
-    cuts: every cut goes to the half its first-position flag names.  For a
-    caller that needs both halves of a large sum, one walk also means each
-    word's cuts are built once, however many words come between."""
+    nontrivial cuts, all but the first and the last: every cut goes to the
+    half its first-position flag names.  For a caller that needs both
+    halves of a large sum, one walk also means each word's cuts are built
+    once, however many words come between."""
     prec, succ = {}, {}
     for basis, c in FormalSum.lift(w).terms.items():
         if basis.is_unit():
             raise UnitWordError("half-coproducts are undefined on unit words")
-        for lower, upper, flag in basis.cuts():
+        for lower, upper, flag in basis.cuts()[1:-1]:
             out = prec if flag else succ
             key = BoxStack._trusted((lower, upper))
             out[key] = out.get(key, 0) + c
-        key = BoxStack._trusted((basis, basis.unit(basis.inputs)))
-        prec[key] = prec.get(key, 0) - c
-        key = BoxStack._trusted((basis.unit(basis.outputs), basis))
-        succ[key] = succ.get(key, 0) - c
     return FormalSum(prec), FormalSum(succ)
 
 
@@ -499,26 +497,31 @@ def eta_eps(w) -> FormalSum:
     )
 
 
-def map_stack(f_bottom, f_top, pairs) -> FormalSum:
-    """Apply linear maps to the two levels of a sum of stacked pairs."""
+def map_stack(f_bottom, f_top, stacks) -> FormalSum:
+    """Apply linear maps to the bottom two levels of a sum of stacks; the
+    levels above them stay as they are."""
     out = {}
-    for b, c in FormalSum.lift(pairs).terms.items():
+    for b, c in FormalSum.lift(stacks).terms.items():
         low = FormalSum.lift(f_bottom(b[0]))
         high = FormalSum.lift(f_top(b[1]))
+        rest = b[2:]
         for lb, lc in low.terms.items():
             for hb, hc in high.terms.items():
-                key = _restack(lb, hb)
+                key = _restack(lb, hb, rest)
                 out[key] = out.get(key, 0) + c * lc * hc
     return FormalSum(out)
 
 
-def _restack(low, high):
-    """Stack two results, flattening when either is itself a stack.  A
-    stack is valid when it is made, so only the new seam is checked."""
+def _restack(low, high, rest):
+    """Stack two results under the levels ``rest``, flattening when either
+    result is itself a stack.  A stack is valid when it is made, so only
+    the new seams are checked."""
     low_parts = low if isinstance(low, BoxStack) else (low,)
     high_parts = high if isinstance(high, BoxStack) else (high,)
     _check_seam(low_parts[-1], high_parts[0])
-    return BoxStack._trusted(low_parts + high_parts)
+    if rest:
+        _check_seam(high_parts[-1], rest[0])
+    return BoxStack._trusted(low_parts + high_parts + rest)
 
 
 # ---------------------------------------------------------------------------

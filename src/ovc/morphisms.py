@@ -282,23 +282,23 @@ def _cut_product(a: Morphism, b: Morphism, keep, unit_coeff) -> Morphism:
     word.  ``keep`` None takes every cut; True or False takes only the cuts
     whose first-position flag equals it, as in ``formal.cut_sum``, and such
     a half product of two factors that both carry a unit part is undefined
-    (UnitAmbiguity).  A cut whose lower word is a unit word while ``a``
-    has no unit part adds nothing, nor one whose upper word is while ``b``
-    has none; such cuts are skipped, so neither factor is evaluated across
-    them, and a morphism defined through itself, as in
+    (UnitAmbiguity).  Of a non-unit word's cuts only the first has a unit
+    lower word and only the last a unit upper word (``Word.cuts``); the
+    first adds nothing when ``a`` has no unit part, nor the last when ``b``
+    has none.  Such a cut is skipped, so neither factor is evaluated
+    across it, and a morphism defined through itself, as in
     ``X = k + half_succ(k, X)``, recurses on smaller words only."""
     a._check_compatible(b)
     a_unit, b_unit = a.unit_coeff != 0, b.unit_coeff != 0
     if keep is not None and a_unit and b_unit:
         raise UnitAmbiguity("both factors of a half product carry a unit")
+    first, stop = (0 if a_unit else 1), (None if b_unit else -1)
 
     def fn(w):
         return WordSum.sum(a.space, w.profile(), (
             a.value(lower).vcompose(b.value(upper))
-            for lower, upper, flag in w.cuts()
-            if (keep is None or flag == keep)
-            and (a_unit or not lower.is_unit())
-            and (b_unit or not upper.is_unit())
+            for lower, upper, flag in w.cuts()[first:stop]
+            if keep is None or flag == keep
         ))
 
     return Morphism(a.space, a.word_type, unit_coeff, fn)

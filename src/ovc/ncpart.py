@@ -13,10 +13,10 @@ All values are immutable and interned: every route to a partition returns
 the one live object with its blocks and colors, so equality and hashing are
 identity.  Every function here is pure.  ``enumerate_nc`` and ``cuts`` of
 uncolored partitions are memoised per process; both return a fresh list on
-every call.  The cuts of a colored partition come from the memoised cuts of
-its uncolored shape, colored from that shape's recoloring plan (made once
-per shape): the positions of the kept elements color the lower partition,
-and each gap's slice of the colors colors its upper partition.
+every call.  The cuts of a colored partition come from the one memoised
+walk of its uncolored shape, which records per cut the positions of the
+kept elements, whose colors color the lower partition, and each gap's
+bounds, whose slice of the colors colors its upper partition.
 
 Validation happens once, at the boundary: ``NCPartition(...)``,
 ``standardize`` and ``from_text`` check the ground set, the crossings and
@@ -632,19 +632,22 @@ class Cut(NamedTuple):
 def cuts(pi: NCPartition) -> list:
     """All cuts of ``pi``, ordered by kept_mask value.
 
-    Includes the two trivial cuts (no blocks kept / all blocks kept).  The
-    empty partition has the single cut (EMPTY, (EMPTY,), 0).  The cuts of an
+    So the first cut keeps no block, ``(EMPTY, (pi,), 0)``, and the last
+    keeps them all, ``(pi, (EMPTY,) * pi.arity, 2**n_blocks - 1)``; every
+    cut between them keeps some blocks and removes some.  The empty
+    partition has the single cut (EMPTY, (EMPTY,), 0).  The cuts of an
     uncolored partition are computed once per process; a colored partition
-    takes the cuts of its uncolored shape and colors them from the shape's
-    recoloring plan, and nothing colored is cached.
+    takes the cuts of its uncolored shape and colors them from the
+    ``_gap_bounds`` that the shape's walk recorded, and nothing colored is
+    cached.
     """
     if pi.colors is None:
-        return list(_uncolored_cuts(pi))
+        return list(_shape_cuts(pi)[0])
     colors = pi.colors
     trusted = NCPartition._trusted
     out = []
-    shape = trusted(pi.blocks, pi.size, None)
-    for cut, (kept, starts, ends) in zip(_uncolored_cuts(shape), _recoloring_plan(shape)):
+    shape_cuts, plan = _shape_cuts(trusted(pi.blocks, pi.size, None))
+    for cut, (kept, starts, ends) in zip(shape_cuts, plan):
         lower = cut.lower
         if lower.size:
             lower = trusted(lower.blocks, lower.size, tuple([colors[i] for i in kept]))
@@ -657,46 +660,27 @@ def cuts(pi: NCPartition) -> list:
 
 
 @functools.lru_cache(maxsize=None)
-def _uncolored_cuts(pi: NCPartition) -> tuple:
-    return tuple(_cuts(pi))
-
-
-@functools.lru_cache(maxsize=None)
-def _recoloring_plan(shape: NCPartition) -> tuple:
-    """How to color each cut of the uncolored ``shape`` from the colors of
-    a partition of that shape, in the order of ``_uncolored_cuts(shape)``:
-    the ``_gap_bounds`` of the cut's kept elements.  One plan per shape,
-    made once, as its cuts are."""
-    return tuple(
-        _gap_bounds(
-            tuple(sorted(
-                x - 1 for i, b in enumerate(shape.blocks) if cut.kept_mask >> i & 1 for x in b
-            )),
-            shape.size,
-        )
-        for cut in _uncolored_cuts(shape)
-    )
-
-
-@functools.lru_cache(maxsize=None)
 def _gap_bounds(kept: tuple, size: int) -> tuple:
     """``(kept, starts, ends)`` for the 0-based indices ``kept`` of the
     kept elements of a partition of ``size`` elements: ``lower`` takes the
     colors at ``kept``, and gap g's ``upper`` the colors
     ``[starts[g]:ends[g]]``, the elements between two kept ones.  Shared
-    by every cut that keeps the same elements, so plans stay small."""
+    by every cut that keeps the same elements, so the walks stay small."""
     return kept, (0,) + tuple(i + 1 for i in kept), kept + (size,)
 
 
-def _cuts(pi: NCPartition) -> list:
-    """The cuts of the uncolored shape ``pi`` computed directly; every
-    lower and upper is a trusted uncolored sub-partition of ``pi``.
-    ``cuts`` colors them from the shape's recoloring plan."""
+@functools.lru_cache(maxsize=None)
+def _shape_cuts(pi: NCPartition) -> tuple:
+    """One walk of the cuts of the uncolored shape ``pi``: the tuple of its
+    cuts, each lower and upper a trusted uncolored sub-partition of ``pi``,
+    and the tuple of each cut's ``_gap_bounds``, read off the kept
+    positions the walk sorts to find the gaps.  ``cuts`` colors a colored
+    partition's cuts from the bounds of its shape."""
     if pi.size == 0:
-        return [Cut(EMPTY, (EMPTY,), 0)]
+        return (Cut(EMPTY, (EMPTY,), 0),), (_gap_bounds((), 0),)
     forest = nesting_forest(pi)
     nb = pi.n_blocks
-    out = []
+    out, plan = [], []
     for mask in range(1 << nb):
         kept = [i for i in range(nb) if mask >> i & 1]
         if any(
@@ -719,7 +703,8 @@ def _cuts(pi: NCPartition) -> list:
                 "%r: the cut with kept mask %d loses removed elements" % (pi, mask)
             )
         out.append(Cut(lower, tuple(upper), mask))
-    return out
+        plan.append(_gap_bounds(tuple([x - 1 for x in positions]), pi.size))
+    return tuple(out), tuple(plan)
 
 
 # ---------------------------------------------------------------------------

@@ -346,3 +346,9 @@ def test_corruption_stays_in_its_entry(space):
     assert np.array_equal(
         corrupted.generator((0, 0, 0)).tensor(), clean.generator((0, 0, 0)).tensor()
     )
+
+
+def test_a_corrupted_entry_is_one_node(space):
+    family = cumulant_families(space)["free"]
+    family.corrupt((0, 0))
+    assert family.generator((0, 0)) is family.generator([0, 0])

@@ -78,6 +78,16 @@ def test_stack_grading_enforced():
         map_stack(coproduct, lambda w: unit_word(2), pair)
 
 
+def test_map_stack_keeps_the_levels_above_the_mapped_pair():
+    w, u = word(gen1(3)), unit_word(3)
+    tall = single(stack(w, u, u))
+    expected = single(stack(unit_word(1), w, u, u)) + single(stack(w, u, u, u))
+    assert map_stack(coproduct, lift, tall) == expected
+    # the seam between the mapped pair and the levels above is checked too
+    with pytest.raises(GradingError):
+        map_stack(lift, lambda v: word(gen1(2), EMPTY, EMPTY), tall)
+
+
 def test_stack_is_the_tuple_of_its_words():
     low, high = word(gen1(3)), unit_word(3)
     s = stack(low, high)
@@ -203,6 +213,44 @@ def test_word_cuts_come_from_ncpart_cuts(monkeypatch):
     formal._word_cuts.cache_clear()
     w = word(NESTED, EMPTY, gen1(2))
     assert w.cuts() == _fresh_cuts(w) and seen == list(w.letters)
+
+
+CONTRACT_WORDS = [
+    w for w in all_words(4, 3) + winsert.all_w_words((0, 1), 3, 3) if not w.is_unit()
+]
+
+
+def test_word_cuts_open_and_close_with_the_trivial_cuts():
+    """The documented order of ``Word.cuts``: a non-unit word's first cut
+    keeps nothing, its last keeps everything, and no other cut has a unit
+    word on either side."""
+    for w in CONTRACT_WORDS:
+        found = w.cuts()
+        assert found[0] == (w.unit(w.outputs), w, False), w.text()
+        assert found[-1] == (w, w.unit(w.inputs), True), w.text()
+        for lower, upper, _ in found[1:-1]:
+            assert not lower.is_unit() and not upper.is_unit(), w.text()
+
+
+def _subtracting_reference(w):
+    """The reduced coproduct and both reduced half-coproducts of ``w`` as
+    all its cuts minus the trivial terms, with nothing read from the order
+    of the cuts."""
+    below = single(stack(w, w.unit(w.inputs)))
+    above = single(stack(w.unit(w.outputs), w))
+    return (
+        coproduct(w) - below - above,
+        formal.cut_sum(w, True) - below,
+        formal.cut_sum(w, False) - above,
+    )
+
+
+def test_reduced_coproducts_leave_out_exactly_the_trivial_terms():
+    for w in CONTRACT_WORDS:
+        reduced, prec, succ = _subtracting_reference(w)
+        assert reduced_coproduct(w) == reduced, w.text()
+        assert (delta_prec(w), delta_succ(w)) == (prec, succ), w.text()
+        assert half_coproducts(w) == (prec, succ), w.text()
 
 
 # ---------------------------------------------------------------------------

@@ -282,7 +282,7 @@ def test_colored_cuts_equal_the_direct_computation():
     elements and gaps, on every 2-colored partition of size <= 5."""
     for p in range(6):
         for shape in enumerate_nc(p):
-            direct = ncpart._cuts(shape)
+            direct, _ = ncpart._shape_cuts(shape)
             assert all(c.lower.colors is None for c in direct)
             for colors in itertools.product((0, 1), repeat=p):
                 pi = NCPartition(shape.blocks, colors=colors)
@@ -548,10 +548,10 @@ def test_cuts_returns_a_fresh_list():
 def test_colored_cuts_are_not_cached():
     pi = NCPartition([(1, 4), (2,), (3,)], colors=(0, 1, 0, 2))
     cuts(NCPartition(pi.blocks))  # the uncolored shape is cached by design
-    before = ncpart._uncolored_cuts.cache_info().currsize
+    before = ncpart._shape_cuts.cache_info().currsize
     for c in cuts(pi):
         assert gap_insert(c.lower, c.upper) == pi
-    assert ncpart._uncolored_cuts.cache_info().currsize == before
+    assert ncpart._shape_cuts.cache_info().currsize == before
 
 
 def test_invariant_checks_survive_optimize():
