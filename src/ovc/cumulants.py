@@ -2,7 +2,8 @@
 
 Each cumulant table is built from the first-block recursion, the paper's
 half-shuffle fixed points read on one word.  Split a partition at the
-block V that holds the word's first letter: the blocks between two letters
+block V that holds the word's first letter (``ncpart.first_blocks``, the
+split both enumerations recurse on): the blocks between two letters
 of V sit in a gap, the blocks after V's last letter form the tail, and the
 evaluated partition is the generator of V composed with the gaps' and the
 tail's sums.  So every entry is its moment map minus the terms whose first
@@ -26,7 +27,8 @@ Collapsing the leftmost interval block, whose generator consumes the gap
 arguments around it, leaves an element of B in the merged gap of the
 restricted partition, so any non-crossing partition becomes nested
 generator compositions.  ``verify_mc`` sums it over the whole lattice of
-each kind, so it checks the tables by a route they were not built by.
+each kind (``ncpart.lattice``), so it checks the tables by a route they
+were not built by.
 """
 
 from __future__ import annotations
@@ -38,11 +40,10 @@ from .ncpart import (
     CUMULANT_KINDS,
     KINDS,
     NCPartition,
+    _checked_colors,
     collapse_factorization,
-    enumerate_interval,
-    enumerate_nc,
-    nesting_forest,
-    tree_factorial,
+    first_blocks,
+    lattice,
 )
 from .ovps import (
     moment_map,
@@ -86,12 +87,12 @@ class CumulantFamily:
         self._corrupted = (None, None)
 
     def generator(self, word):
-        word = tuple(int(v) for v in word)
+        word = _checked_colors(word, len(word)) or ()
         corrupted_word, corrupted_entry = self._corrupted
         return corrupted_entry if word == corrupted_word else self._entry(word)
 
     def corrupt(self, word):
-        word = tuple(int(v) for v in word)
+        word = _checked_colors(word, len(word)) or ()
         entry = self._entry(word)
         scaled = multimap_lincomb(self.space, entry.arity, [(CORRUPTION_FACTOR, entry)])
         self._corrupted = (word, scaled)
@@ -121,8 +122,11 @@ class CumulantFamily:
         blocks that V and its M gap blocks leave, instead of its moment
         map."""
         identity = self.space.identity
-        for block, gaps, tail in _first_blocks(word, self.kind == "boolean"):
-            outer = self._entry(block)
+        for block, ranges in first_blocks(len(word), self.kind == "boolean"):
+            if len(block) == len(word):
+                continue
+            *gaps, tail = [word[r.start : r.stop] for r in ranges]
+            outer = self._entry(tuple([word[i] for i in block]))
             for nested, inner in self._gap_sums(gaps):
                 if m is None:
                     last = self._moment(tail)
@@ -167,40 +171,6 @@ class CumulantFamily:
 def _block_counts(word):
     """The possible block counts of a partition of ``word``."""
     return range(1, len(word) + 1) if word else (0,)
-
-
-def _first_blocks(word, intervals=False):
-    """Split ``word`` at each block that holds its first letter, except
-    the whole word: yields (block word, gap words between the block's
-    letters, tail word after its last letter).  ``intervals`` keeps the
-    blocks {1..s} only."""
-    n = len(word)
-    if intervals:
-        blocks = [tuple(range(s)) for s in range(1, n)]
-    else:
-        blocks = [
-            (0,) + rest
-            for s in range(n - 1)
-            for rest in itertools.combinations(range(1, n), s)
-        ]
-    for block in blocks:
-        gaps = tuple(word[i + 1 : j] for i, j in zip(block, block[1:]))
-        yield tuple(word[i] for i in block), gaps, word[block[-1] + 1 :]
-
-
-def lattice(kind, n):
-    """The (weight, partition) pairs of a cumulant kind on n elements: all
-    non-crossing partitions with weight 1 for free, interval partitions with
-    weight 1 for boolean, non-crossing partitions weighted by the inverse
-    tree factorial of their nesting forest for monotone."""
-    if kind == "boolean":
-        return [(Fraction(1), pi) for pi in enumerate_interval(n)]
-    if kind == "monotone":
-        return [
-            (Fraction(1, tree_factorial(nesting_forest(pi))), pi)
-            for pi in enumerate_nc(n)
-        ]
-    return [(Fraction(1), pi) for pi in enumerate_nc(n)]
 
 
 def cumulant_families(space) -> dict:

@@ -11,12 +11,13 @@ Partitions may carry *colors*: one variable index per element.  Uncolored is
 represented by the absence of a color list, never by a default color.
 All values are immutable and interned: every route to a partition returns
 the one live object with its blocks and colors, so equality and hashing are
-identity.  Every function here is pure.  ``enumerate_nc`` and ``cuts`` of
-uncolored partitions are memoised per process; both return a fresh list on
-every call.  The cuts of a colored partition come from the one memoised
-walk of its uncolored shape, which records per cut the positions of the
-kept elements, whose colors color the lower partition, and each gap's
-bounds, whose slice of the colors colors its upper partition.
+identity.  Every function here is pure.  Both enumerations (per size) and
+``cuts`` of uncolored partitions are memoised per process; each returns a
+fresh list on every call.  The cuts of a colored partition come from the
+one memoised walk of its uncolored shape, which records per cut the
+positions of the kept elements, whose colors color the lower partition,
+and each gap's bounds, whose slice of the colors colors its upper
+partition.
 
 Validation happens once, at the boundary: ``NCPartition(...)``,
 ``standardize`` and ``from_text`` check the ground set, the crossings and
@@ -31,11 +32,17 @@ construction:
 - the lower and upper partitions of a cut, and ``restrict``: a subset of a
   valid partition's canonical blocks, relabelled 1..p in increasing order,
   keeps its blocks sorted, in block order and uncrossed;
-- ``enumerate_nc``, ``enumerate_interval`` and ``full_partition``: their
-  block lists are non-crossing partitions by construction (``full_partition``
-  checks only its size and colors);
+- ``enumerate_nc`` and ``enumerate_interval``: one recursion over
+  ``first_blocks``, which splits off the block holding the first position
+  and leaves its gaps and tail to partition on their own, so no two blocks
+  cross (and with interval blocks only, every block is a run);
+- ``full_partition``: one block, so only its size and colors are checked;
 - recoloring: the shapes are valid, and the colors are a valid colored
   partition's, sliced by position.
+
+The kinds (``KINDS``) and their lattices live here too: ``lattice(kind, n)``
+is the one table of the partitions each cumulant kind sums over and their
+weights.
 """
 
 from __future__ import annotations
@@ -330,36 +337,41 @@ def from_text(text: str) -> NCPartition:
 # Enumeration
 
 
-def _nc_block_lists(ground):
-    """Yield the block lists of all non-crossing partitions of the ordered
-    tuple ``ground``, each exactly once."""
+def first_blocks(n: int, intervals: bool = False):
+    """Yield each block of the positions 0..n-1 that holds position 0,
+    with the ranges of positions it leaves: one per gap between two
+    consecutive members, then the tail after its last member.  Blocks come
+    by size, then in lexicographic order, so the whole 0..n-1 comes last.
+    With ``intervals``, only the blocks 0..s-1, whose gaps are empty.
+
+    This is the split of the left half-shuffle fixed point: both
+    enumerations recurse on it, and the cumulant recursion reads it on one
+    word (``cumulants.CumulantFamily``)."""
+    for k in range(n):
+        for rest in (range(1, k + 1),) if intervals else itertools.combinations(range(1, n), k):
+            block = (0, *rest)
+            yield block, tuple([range(i + 1, j) for i, j in zip(block, block[1:] + (n,))])
+
+
+def _block_lists(ground: tuple, intervals: bool):
+    """Yield the block lists of all non-crossing (or interval) partitions
+    of the ordered tuple ``ground``, each exactly once."""
     if not ground:
         yield []
         return
-    first, rest = ground[0], ground[1:]
-    for k in range(len(rest) + 1):
-        for others in itertools.combinations(rest, k):
-            block = (first,) + others
-            bounds = list(block[1:]) + [None]
-            segments = [[] for _ in range(len(block))]
-            seg = 0
-            for x in rest:
-                if x in others:
-                    continue
-                while bounds[seg] is not None and x > bounds[seg]:
-                    seg += 1
-                segments[seg].append(x)
-            for tail in itertools.product(
-                *(list(_nc_block_lists(tuple(s))) for s in segments)
-            ):
-                yield [block] + [b for part in tail for b in part]
+    for block, ranges in first_blocks(len(ground), intervals):
+        head = [tuple([ground[i] for i in block])]
+        for tail in itertools.product(
+            *[list(_block_lists(ground[r.start : r.stop], intervals)) for r in ranges if r]
+        ):
+            yield head + [b for part in tail for b in part]
 
 
 def _check_size(p: int) -> None:
+    if not isinstance(p, int) or isinstance(p, bool) or p < 0:
+        raise MalformedPartition("size must be a non-negative integer, got %r" % (p,))
     if p > MAX_ELEMENTS:
         raise EnumerationBound("p=%d exceeds the enumeration bound %d" % (p, MAX_ELEMENTS))
-    if p < 0:
-        raise MalformedPartition("negative size")
 
 
 def enumerate_nc(p: int) -> list:
@@ -368,38 +380,26 @@ def enumerate_nc(p: int) -> list:
 
     The partitions are computed once per size and process."""
     _check_size(p)
-    return list(_nc_partitions(p))
+    return list(_partitions(p, False))
+
+
+def enumerate_interval(p: int) -> list:
+    """All interval partitions of {1..p} (blocks are contiguous runs), in
+    the order of ``enumerate_nc``, computed once per size and process."""
+    _check_size(p)
+    return list(_partitions(p, True))
 
 
 @functools.lru_cache(maxsize=None)
-def _nc_partitions(p: int) -> tuple:
+def _partitions(p: int, intervals: bool) -> tuple:
     # every block list is a non-crossing partition of 1..p with sorted
     # blocks, so sorting the list puts it in canonical form
     parts = [
         NCPartition._trusted(tuple(sorted(bs)), p, None)
-        for bs in _nc_block_lists(tuple(range(1, p + 1)))
+        for bs in _block_lists(tuple(range(1, p + 1)), intervals)
     ]
     parts.sort(key=NCPartition.sort_key)
     return tuple(parts)
-
-
-def enumerate_interval(p: int) -> list:
-    """All interval partitions of {1..p} (blocks are contiguous runs)."""
-    _check_size(p)
-    if p == 0:
-        return [EMPTY]
-    out = []
-    for cut_bits in range(1 << (p - 1)):
-        blocks, start = [], 1
-        for pos in range(1, p):
-            if cut_bits >> (pos - 1) & 1:
-                blocks.append(tuple(range(start, pos + 1)))
-                start = pos + 1
-        blocks.append(tuple(range(start, p + 1)))
-        # consecutive runs covering 1..p, in order: valid by construction
-        out.append(NCPartition._trusted(tuple(blocks), p, None))
-    out.sort(key=NCPartition.sort_key)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -579,12 +579,22 @@ def tree_factorial(forest: NestingForest) -> int:
     return result
 
 
-# The moment map and the cumulant kinds.  Each kind is a lattice of the
-# partitions above: free sums over ``enumerate_nc``, boolean over
-# ``enumerate_interval``, monotone over ``enumerate_nc`` weighted by the
-# inverse ``tree_factorial`` of the nesting forest.
 KINDS = ("moment", "free", "boolean", "monotone")
 CUMULANT_KINDS = KINDS[1:]
+
+
+def lattice(kind, n):
+    """The (weight, partition) pairs of a cumulant kind on n elements: all
+    non-crossing partitions with weight 1 for free, interval partitions with
+    weight 1 for boolean, non-crossing partitions weighted by the inverse
+    tree factorial of their nesting forest for monotone."""
+    from fractions import Fraction  # on use: start-up and `ovc enumerate` never need it
+
+    if kind == "boolean":
+        return [(Fraction(1), pi) for pi in enumerate_interval(n)]
+    if kind == "monotone":
+        return [(Fraction(1, tree_factorial(nesting_forest(pi))), pi) for pi in enumerate_nc(n)]
+    return [(Fraction(1), pi) for pi in enumerate_nc(n)]
 
 
 def count_monotone_labelings(pi: NCPartition) -> int:

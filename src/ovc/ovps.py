@@ -36,6 +36,8 @@ import math
 
 import numpy as np
 
+from .ncpart import _checked_colors
+
 ABS_FLOOR = 1e-12
 EXACT_BASIS_LIMIT = 4096
 N_PROBES = 20
@@ -289,7 +291,7 @@ def moment_map(space, var_indices) -> MultiMap:
     tr(A_1[j_0, i_1] ... A_n[j_{n-1}, i_n]) / k, where A[p, q] is the
     (p, q) k x k block of a variable.
     """
-    var_indices = tuple(int(v) for v in var_indices)
+    var_indices = _checked_colors(var_indices, len(var_indices)) or ()
     mats = [space.variable(v) for v in var_indices]
     d, k = space.d, space.k
 

@@ -34,6 +34,7 @@ from .ncpart import (
     full_partition,
     gap_insert,
     is_noncrossing,
+    lattice,
     nesting_forest,
     operadic_factorization,
     partial_insert,
@@ -708,7 +709,6 @@ def suite_splitting(ctx: VerifyContext):
 
 def suite_monotone_scalar(ctx: VerifyContext):
     from . import winsert
-    from .cumulants import lattice
     from .morphisms import (
         WordSum,
         exp_prec,

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ovc import cumulants
+from ovc import cumulants, ncpart
 from ovc.cumulants import (
     CumulantFamily,
     cumulant_families,
@@ -16,14 +16,16 @@ from ovc.cumulants import (
     lattice,
     verify_mc,
 )
-from ovc.ncpart import NCPartition, enumerate_nc
+from ovc.ncpart import MalformedPartition, NCPartition, enumerate_nc
 from ovc.ovps import (
     OVMatrixSpace,
+    moment_map,
     multimap_dev,
     multimap_lincomb,
     probe_batch,
     random_matrix,
 )
+from ovc.winsert import letter_word
 from reference_collapse import interval_blocks, rightmost_collapse
 
 ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
@@ -334,6 +336,25 @@ def test_lattice_mutations_fail_the_check(space, monkeypatch, kind, mutation):
     monkeypatch.setattr(cumulants, "lattice", mutation(cumulants.lattice))
     report = verify_mc(space, order=4)
     assert report["max_dev"][kind] > 1e-9, report["max_dev"]
+
+
+def test_the_lattice_table_is_the_one_in_ncpart():
+    # the mutations above patch the name family_sum_map reads
+    assert cumulants.lattice is ncpart.lattice
+
+
+@pytest.mark.parametrize("word", [[1.9, True], ["1", "0"], [0.99], [True], [0, -1]])
+def test_variable_words_are_read_as_strictly_as_letter_words(space, word):
+    free = cumulant_families(space)["free"]
+    entry_points = [
+        letter_word,
+        free.generator,
+        free.corrupt,
+        lambda w: moment_map(space, w),
+    ]
+    for read in entry_points:
+        with pytest.raises(MalformedPartition):
+            read(word)
 
 
 def test_corruption_stays_in_its_entry(space):

@@ -24,6 +24,7 @@ from ovc.ncpart import (
     cuts,
     enumerate_interval,
     enumerate_nc,
+    first_blocks,
     from_text,
     full_partition,
     gap_insert,
@@ -157,6 +158,44 @@ def test_enumerate_interval_is_subsequence_of_nc():
         nc = enumerate_nc(p)
         idx = [nc.index(i) for i in enumerate_interval(p)]
         assert idx == sorted(idx)
+
+
+def test_both_enumerations_match_brute_force_up_to_nine():
+    # 9 is the largest size verify enumerates
+    for p in range(10):
+        brute = brute_nc(p)
+        assert enumerate_nc(p) == brute
+        assert enumerate_interval(p) == [pi for pi in brute if pi.is_interval()]
+
+
+@pytest.mark.parametrize("enumerate_fn", [enumerate_nc, enumerate_interval])
+@pytest.mark.parametrize("size", [True, False, 2.0, "3", -1])
+def test_enumeration_sizes_are_checked_like_full_partition(enumerate_fn, size):
+    with pytest.raises(MalformedPartition):
+        full_partition(size)
+    with pytest.raises(MalformedPartition):
+        enumerate_fn(size)
+    # a bool size would have been interned as the partition of its value
+    assert type(NCPartition([(1,)]).size) is int
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_first_blocks_split_the_positions(n):
+    split = list(first_blocks(n))
+    blocks = [block for block, _ in split]
+    assert len(blocks) == (2 ** (n - 1) if n else 0)
+    assert len(set(blocks)) == len(blocks)
+    for block, ranges in split:
+        assert block[0] == 0 and len(ranges) == len(block)
+        # each member followed by the range it leaves: 0..n-1 in order
+        assert [x for i, r in zip(block, ranges) for x in (i, *r)] == list(range(n))
+    assert blocks[-1:] == ([tuple(range(n))] if n else [])
+    intervals = list(first_blocks(n, intervals=True))
+    assert len(intervals) == n
+    assert intervals == [(b, rs) for b, rs in split if b == tuple(range(len(b)))]
+    for block, ranges in intervals:
+        assert all(not r for r in ranges[:-1])
+        assert ranges[-1] == range(len(block), n)
 
 
 # ---------------------------------------------------------------------------
