@@ -587,14 +587,17 @@ def lattice(kind, n):
     """The (weight, partition) pairs of a cumulant kind on n elements: all
     non-crossing partitions with weight 1 for free, interval partitions with
     weight 1 for boolean, non-crossing partitions weighted by the inverse
-    tree factorial of their nesting forest for monotone."""
+    tree factorial of their nesting forest for monotone.  Any other kind,
+    ``"moment"`` included, is a ``ValueError``."""
     from fractions import Fraction  # on use: start-up and `ovc enumerate` never need it
 
+    if kind == "free":
+        return [(Fraction(1), pi) for pi in enumerate_nc(n)]
     if kind == "boolean":
         return [(Fraction(1), pi) for pi in enumerate_interval(n)]
     if kind == "monotone":
         return [(Fraction(1, tree_factorial(nesting_forest(pi))), pi) for pi in enumerate_nc(n)]
-    return [(Fraction(1), pi) for pi in enumerate_nc(n)]
+    raise ValueError("no cumulant lattice for the kind %r" % (kind,))
 
 
 def count_monotone_labelings(pi: NCPartition) -> int:

@@ -1,4 +1,8 @@
+import ast
 import contextlib
+import gc
+import importlib
+import inspect
 import io
 import json
 import os
@@ -20,7 +24,8 @@ from ovc.suites import FAULT_SUITES, SUITES, VerifyContext
 from helpers import matrix_from_json
 from reference_walk import walk_eval
 
-README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
 
 
 def run(capsys, argv):
@@ -398,6 +403,17 @@ def test_closed_stdout_is_usage_error():
     assert "Broken pipe" in json.loads(err)["error"]
 
 
+def test_stdout_closed_before_start_is_usage_error():
+    # Python then sets sys.stdout to None, and print to None writes nothing
+    proc = subprocess.run(
+        [sys.executable, "-m", "ovc.cli", "enumerate", "3"],
+        preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True,
+        env=_buffered_env(), timeout=300,
+    )
+    assert proc.returncode == EXIT_USAGE and "Traceback" not in proc.stderr
+    assert "closed" in json.loads(proc.stderr)["error"]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 def test_full_stdout_is_usage_error():
     # a short report fits the output buffer, so only the flush can fail
@@ -417,6 +433,46 @@ def test_fault_injection_fails_under_optimize():
     )
     assert proc.returncode == EXIT_FAIL, proc.stderr
     assert json.loads(proc.stdout)["passed"] is False
+
+
+def test_main_in_process_leaves_the_collector_as_it_was(capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["enumerate", "4"]) == EXIT_OK
+    assert main(["verify", "--suite", "operad", "--order", "2"]) == EXIT_OK
+    assert main(["enumerate", "-1"]) == EXIT_USAGE
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen and gc.isenabled()
+
+
+def test_the_script_and_the_main_block_call_the_same_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        module, _, name = tomllib.load(fh)["project"]["scripts"]["ovc"].partition(":")
+    assert importlib.import_module(module) is cli and getattr(cli, name) is cli.entry
+    main_blocks = [
+        node for node in ast.parse(inspect.getsource(cli)).body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert [ast.unparse(stmt) for block in main_blocks for stmt in block.body] == [name + "()"]
+
+
+@pytest.mark.parametrize("argv, code", [(["enumerate", "3"], EXIT_OK),
+                                        (["enumerate", "-1"], EXIT_USAGE)])
+def test_a_process_exits_with_the_code_of_main_and_a_frozen_heap(argv, code):
+    # atexit handlers still run, after the report, with the heap frozen
+    proc = subprocess.run([sys.executable, "-c", """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0, file=sys.stderr))
+sys.argv = ["ovc"] + sys.argv[1:]
+runpy.run_module("ovc.cli", run_name="__main__", alter_sys=True)
+""", *argv], capture_output=True, text=True, env=_child_env(), timeout=300)
+    assert proc.returncode == code
+    *report, last = proc.stderr.splitlines()
+    assert last == "frozen True"
+    if code == EXIT_OK:
+        assert json.loads(proc.stdout)["count"] == 5 and report == []
+    else:
+        assert proc.stdout == "" and "error" in json.loads(report[0])
 
 
 def test_word_sum_mismatch_raises_under_optimize():

@@ -343,6 +343,14 @@ def test_the_lattice_table_is_the_one_in_ncpart():
     assert cumulants.lattice is ncpart.lattice
 
 
+@pytest.mark.parametrize("kind", ["moment", "bogus", "Free", None])
+def test_the_lattice_rejects_a_kind_without_cumulants(kind):
+    with pytest.raises(ValueError, match="no cumulant lattice"):
+        lattice(kind, 4)
+    sizes = {k: len(lattice(k, 4)) for k in ncpart.CUMULANT_KINDS}
+    assert sizes == {"free": 14, "boolean": 8, "monotone": 14}
+
+
 @pytest.mark.parametrize("word", [[1.9, True], ["1", "0"], [0.99], [True], [0, -1]])
 def test_variable_words_are_read_as_strictly_as_letter_words(space, word):
     free = cumulant_families(space)["free"]
