@@ -46,6 +46,7 @@ from .ncpart import (
     lattice,
 )
 from .ovps import (
+    DimensionMismatch,
     moment_map,
     multimap_compose,
     multimap_dev,
@@ -81,6 +82,8 @@ class CumulantFamily:
             moments = self
         elif moments is None:
             raise ValueError("a %s family needs the moment family it inverts" % (kind,))
+        elif moments.space is not space:
+            raise DimensionMismatch("the moment family lives over another space")
         self.moments = moments
         self._table = {}
         self._graded_table = {}
@@ -215,25 +218,23 @@ def family_sum_map(word, family: CumulantFamily):
     return multimap_lincomb(family.space, n + 1, terms)
 
 
-def verify_mc(space, order, words=None, families=None) -> dict:
-    """Check the moment-cumulant relations up to ``order``.
+def verify_mc(families, order) -> dict:
+    """Check the moment-cumulant relations of the tables ``families`` (from
+    ``cumulant_families``, possibly tampered with) up to ``order``.
 
     For every test word w, the moment map must equal the free sum over
     non-crossing partitions, the boolean sum over interval partitions and
-    the tree-factorial-weighted monotone sum.  Returns a report with the
-    per-order maximum deviation for each kind.  The targets are the leaves
-    of ``families["moment"]``; pass prebuilt ``families`` (from
-    ``cumulant_families``) to check tables that have been tampered with.
+    the tree-factorial-weighted monotone sum.  The test words repeat the
+    first variable of the tables' space and, with two or more variables,
+    alternate the first two; the targets are their leaves in
+    ``families["moment"]``.  Returns the rows and each kind's maximum.
     """
-    if families is None:
-        families = cumulant_families(space)
-    if words is None:
-        vs = sorted(space.variables)
-        words = []
-        for n in range(1, order + 1):
-            words.append((vs[0],) * n)
-            if len(vs) > 1 and n >= 2:
-                words.append(tuple(vs[i % 2] for i in range(n)))
+    vs = sorted(families["moment"].space.variables)
+    words = []
+    for n in range(1, order + 1):
+        words.append((vs[0],) * n)
+        if len(vs) > 1 and n >= 2:
+            words.append(tuple(vs[i % 2] for i in range(n)))
     rows = []
     for w in words:
         target = families["moment"].generator(w)

@@ -178,9 +178,10 @@ def _word_cuts(w: Word) -> tuple:
     building them, so 256 words miss 455 times (661 hits) on the 441
     words of the splitting and shuffle suites at order 3, while splitting
     at order 5 queries 11,160 words and a cache of all of them raises its
-    peak memory from 68 to 85 MB and makes it slower (6.3 to 7.5 s).  The
-    default hopf suite queries 1,066 words and ends with 3,397 hits and
-    7,240 misses at this bound (``cache_info()`` after ``verify --suite hopf``)."""
+    peak memory from 67 to 85 MB, though its time falls from 2.5 to 2.2 s
+    on a 2-core Xeon.  The default hopf suite queries 1,066 words and ends
+    with 3,397 hits and 7,240 misses at this bound (``cache_info()`` after
+    ``verify --suite hopf``)."""
     trusted = type(w)._trusted
     anchor = next((i for i, l in enumerate(w.letters) if l.size > 0), None)
     out = []

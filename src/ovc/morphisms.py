@@ -11,9 +11,11 @@ words of empty letters, zero elsewhere).  Unit conventions: f < unit = f,
 unit < f = 0, and symmetrically for >; both arguments carrying a unit part
 is rejected.
 
-Everything here is generic over the source words: a morphism carries its
-``formal.Word`` subclass and reads cuts, profiles and unit words off the
-words themselves, so the words-insertion operad reuses the same machinery.
+Everything here is generic over the source words: a morphism reads cuts,
+profiles, unit words and the word type off each word it evaluates, so one
+morphism serves partition words and letter words (``winsert.WWord``).
+Letter functions take the one-letter word ``type(w)((x,))``, since a
+letter word is also a partition-word letter with another value.
 
 Two morphism values are compared as sums of words of maps by
 ``ovps.multimap_dev``, the one comparison of maps.  When (d^2)^inputs <=
@@ -32,7 +34,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import formal
 from .cumulants import e_pi_map, partition_colors
 from .ncpart import NCPartition, operadic_factorization
 from .ovps import (
@@ -181,13 +182,12 @@ class WordSum:
 class Morphism:
     """unit_coeff * (eta . eps) plus a reduced part defined on non-unit words.
 
-    ``word_type`` is the ``formal.Word`` subclass of the source words.
-    ``fn`` maps a non-unit basis word to a WordSum; values are memoized.
+    ``fn`` maps a non-unit basis word of any ``formal.Word`` subclass to
+    a WordSum; values are memoized.
     """
 
-    def __init__(self, space, word_type, unit_coeff, fn):
+    def __init__(self, space, unit_coeff, fn):
         self.space = space
-        self.word_type = word_type
         self.unit_coeff = complex(unit_coeff)
         self._fn = fn
         self._memo = {}
@@ -204,7 +204,6 @@ class Morphism:
         self._check_compatible(other)
         return Morphism(
             self.space,
-            self.word_type,
             self.unit_coeff + other.unit_coeff,
             lambda w: WordSum.sum(self.space, w.profile(), (self.value(w), other.value(w))),
         )
@@ -212,29 +211,28 @@ class Morphism:
     def __rmul__(self, coeff):
         return Morphism(
             self.space,
-            self.word_type,
             complex(coeff) * self.unit_coeff,
             lambda w: self.value(w).scale(coeff),
         )
 
     def _check_compatible(self, other):
-        if self.space is not other.space or self.word_type is not other.word_type:
-            raise DimensionMismatch("morphisms over different structures")
+        if self.space is not other.space:
+            raise DimensionMismatch("morphisms over different spaces")
 
 
-def eta_eps_morphism(space, word_type=formal.PartitionWord) -> Morphism:
-    return Morphism(space, word_type, 1, lambda w: WordSum(space, w.profile()))
+def eta_eps_morphism(space) -> Morphism:
+    return Morphism(space, 1, lambda w: WordSum(space, w.profile()))
 
 
 class InfinitesimalMorphism(Morphism):
     """Supported on words with one non-empty letter padded by identities.
 
-    ``gen`` maps a single non-empty letter to a multilinear map of matching
-    arity, or None for letters outside the support.
+    ``gen`` maps the one-letter word of a non-empty letter to a
+    multilinear map of matching arity, or None outside the support.
     """
 
-    def __init__(self, space, gen, word_type=formal.PartitionWord):
-        super().__init__(space, word_type, 0, self._value)
+    def __init__(self, space, gen):
+        super().__init__(space, 0, self._value)
         self.gen = gen
 
     def _value(self, w) -> WordSum:
@@ -243,7 +241,7 @@ class InfinitesimalMorphism(Morphism):
         live = [i for i, x in enumerate(letters) if x.size != 0]
         if len(live) != 1:
             return WordSum(self.space, profile)
-        g = self.gen(letters[live[0]])
+        g = self.gen(type(w)._trusted((letters[live[0]],)))
         if g is None:
             return WordSum(self.space, profile)
         if g.arity != profile[live[0]]:
@@ -255,22 +253,25 @@ class InfinitesimalMorphism(Morphism):
 
 class HorizontalMorphism(Morphism):
     """Multiplicative over concatenation: the value on a word is the word of
-    letter values; empty letters map to the identity."""
+    letter values; empty letters map to the identity.  ``letter_fn`` and
+    ``letter_value`` take one-letter words only and are memoized by them."""
 
-    def __init__(self, space, letter_fn, word_type=formal.PartitionWord):
-        super().__init__(space, word_type, 1, self._value)
+    def __init__(self, space, letter_fn):
+        super().__init__(space, 1, self._value)
         self._letter_fn = letter_fn
         self._letter_memo = {}
 
-    def letter_value(self, x):
-        if x.size == 0:
-            return self.space.identity
-        if x not in self._letter_memo:
-            self._letter_memo[x] = self._letter_fn(x)
-        return self._letter_memo[x]
+    def letter_value(self, w1):
+        value = self._letter_memo.get(w1)
+        if value is None:
+            (x,) = w1.letters
+            value = self.space.identity if x.size == 0 else self._letter_fn(w1)
+            self._letter_memo[w1] = value
+        return value
 
     def _value(self, w) -> WordSum:
-        return WordSum.word(self.space, [self.letter_value(x) for x in w.letters])
+        one = type(w)._trusted
+        return WordSum.word(self.space, [self.letter_value(one((x,))) for x in w.letters])
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +302,7 @@ def _cut_product(a: Morphism, b: Morphism, keep, unit_coeff) -> Morphism:
             if keep is None or flag == keep
         ))
 
-    return Morphism(a.space, a.word_type, unit_coeff, fn)
+    return Morphism(a.space, unit_coeff, fn)
 
 
 def convolve(a: Morphism, b: Morphism) -> Morphism:
@@ -329,14 +330,10 @@ def shuffle(a: Morphism, b: Morphism) -> Morphism:
 
 def _exponential(k: InfinitesimalMorphism, left: bool) -> HorizontalMorphism:
     """The horizontal solution K of K = eta.eps + k < K (``left``) or of
-    K = eta.eps + K > k.  Its value on a letter x is the right-hand side on
-    the one-letter word (x), collapsed to one map; the cuts of (x) reach K
-    only on strictly smaller letters, so the recursion ends."""
-    K = HorizontalMorphism(
-        k.space,
-        lambda x: rhs.value(k.word_type((x,))).collapse(),
-        k.word_type,
-    )
+    K = eta.eps + K > k.  Its value on a one-letter word is the right-hand
+    side on it, collapsed to one map; the cuts of a one-letter word reach
+    K only on strictly smaller letters, so the recursion ends."""
+    K = HorizontalMorphism(k.space, lambda w1: rhs.value(w1).collapse())
     rhs = half_prec(k, K) if left else half_succ(K, k)
     return K
 
@@ -368,7 +365,7 @@ def _power_series(m: Morphism, unit_coeff, coeff) -> Morphism:
             powers[p - 1].value(w).scale(coeff(p)) for p in range(1, w.total_blocks + 1)
         ))
 
-    return Morphism(m.space, m.word_type, unit_coeff, fn)
+    return Morphism(m.space, unit_coeff, fn)
 
 
 def exp_star(m: Morphism) -> Morphism:
@@ -383,7 +380,7 @@ def log_star(phi: Morphism) -> Morphism:
     (phi - eta.eps) with coefficients (-1)^(n+1)/n."""
     if phi.unit_coeff != 1:
         raise ValueError("log expects a morphism with unit coefficient 1")
-    reduced = Morphism(phi.space, phi.word_type, 0, phi.value)
+    reduced = Morphism(phi.space, 0, phi.value)
     return _power_series(reduced, 0, lambda n: Fraction((-1) ** (n + 1), n))
 
 
@@ -393,7 +390,8 @@ def log_star(phi: Morphism) -> Morphism:
 
 def operadic_extension(space, gen) -> HorizontalMorphism:
     """Extend generator values on one-block partitions to all partitions by
-    evaluating the peel-first factorization.
+    evaluating the peel-first factorization of each letter's
+    ``letter_partition``.
 
     ``gen`` maps a color word to a multilinear map of arity len(word)+1.
     ``ovps.exchange_dev`` measures the slot-exchange precondition.
@@ -404,8 +402,9 @@ def operadic_extension(space, gen) -> HorizontalMorphism:
             raise DimensionMismatch("generator arity mismatch")
         return g
 
-    def letter_fn(pi):
+    def letter_fn(w1):
         # colored by ``partition_colors``, every leaf carries its colors
+        pi = type(w1).letter_partition(w1.letters[0])
         colored = NCPartition._trusted(pi.blocks, pi.size, partition_colors(pi))
         return operadic_factorization(colored, leaf, multimap_partial)
 
@@ -416,30 +415,29 @@ def operadic_extension(space, gen) -> HorizontalMorphism:
 # Stock morphisms and seeded test data
 
 
-def family_infinitesimal(family, word_type=formal.PartitionWord) -> InfinitesimalMorphism:
+def family_infinitesimal(family) -> InfinitesimalMorphism:
     """Generator values from a cumulant family on the letters whose
     ``letter_partition`` has one block: every non-empty letter word, and
     the one-block partitions."""
 
-    def gen(x):
-        pi = word_type.letter_partition(x)
+    def gen(w1):
+        (x,) = w1.letters
+        pi = type(w1).letter_partition(x)
         if pi.n_blocks != 1:
             return None
         return family.generator(partition_colors(pi))
 
-    return InfinitesimalMorphism(family.space, gen, word_type)
+    return InfinitesimalMorphism(family.space, gen)
 
 
-def moment_morphism(family, word_type=formal.PartitionWord) -> HorizontalMorphism:
+def moment_morphism(family) -> HorizontalMorphism:
     """The distribution morphism: letter values through the recursive
     partition evaluator of the moment family, read on each letter's
     ``letter_partition``.  On a one-block partition that is the table's
     own entry, so a letter word has one moment leaf however many
     morphisms read it."""
     return HorizontalMorphism(
-        family.space,
-        lambda x: e_pi_map(word_type.letter_partition(x), family),
-        word_type,
+        family.space, lambda w1: e_pi_map(type(w1).letter_partition(w1.letters[0]), family)
     )
 
 
@@ -451,26 +449,26 @@ def _stable_rng(seed, key_text):
 SEEDED_MAX_SIZE = 5
 
 
-def seeded_infinitesimal(space, seed, word_type=formal.PartitionWord,
-                         single_block=False) -> InfinitesimalMorphism:
+def seeded_infinitesimal(space, seed, single_block=False) -> InfinitesimalMorphism:
     """Deterministic pseudorandom generator values on letters up to size
-    ``SEEDED_MAX_SIZE``; values depend only on (seed, letter), not query order.
-    Each letter's map is built once and kept, so its structure tensor is
-    too.  With ``single_block`` the support shrinks to one-block letters."""
+    ``SEEDED_MAX_SIZE``, drawn from the seed and the letter's text in its
+    word's type, not from query order; each is built once and kept, with
+    its structure tensor.  ``single_block`` keeps one-block letters only."""
 
     leaves = {}
 
-    def gen(x):
-        if x.arity - 1 > SEEDED_MAX_SIZE:
+    def gen(w1):
+        (x,) = w1.letters
+        if x.size > SEEDED_MAX_SIZE:
             return None
-        if single_block and word_type.letter_partition(x).n_blocks != 1:
+        if single_block and type(w1).letter_partition(x).n_blocks != 1:
             return None
-        if x not in leaves:
-            rng = _stable_rng(seed, word_type.letter_text(x))
-            leaves[x] = random_multimap(space, x.arity, rng)
-        return leaves[x]
+        if w1 not in leaves:
+            rng = _stable_rng(seed, type(w1).letter_text(x))
+            leaves[w1] = random_multimap(space, x.arity, rng)
+        return leaves[w1]
 
-    return InfinitesimalMorphism(space, gen, word_type)
+    return InfinitesimalMorphism(space, gen)
 
 
 def morphism_dev(a: Morphism, b: Morphism, words) -> float:
@@ -481,15 +479,15 @@ def morphism_dev(a: Morphism, b: Morphism, words) -> float:
     return worst
 
 
-def precompose(alpha: Morphism, linear_fn, word_type=None) -> Morphism:
-    """alpha pulled back along a linear map from basis words of ``word_type``
-    to formal sums of alpha's words.  The antipode keeps alpha's word type,
-    the default; the splitting map takes letter words (``winsert.WWord``)
-    to partition words."""
+def precompose(alpha: Morphism, linear_fn) -> Morphism:
+    """alpha pulled back along a linear map from basis words to formal
+    sums of words alpha evaluates.  The antipode keeps the word type; the
+    splitting map takes letter words (``winsert.WWord``) to partition
+    words."""
 
     def fn(w):
         return WordSum.sum(alpha.space, w.profile(), (
             alpha.value(basis).scale(complex(coeff)) for basis, coeff in linear_fn(w).terms.items()
         ))
 
-    return Morphism(alpha.space, word_type or alpha.word_type, alpha.unit_coeff, fn)
+    return Morphism(alpha.space, alpha.unit_coeff, fn)

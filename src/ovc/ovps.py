@@ -375,6 +375,8 @@ def multimap_lincomb(space, arity, terms) -> MultiMap:
     for coeff, m in terms:
         if m.arity != arity:
             raise DimensionMismatch("arity mismatch in linear combination")
+        if m.space is not space:
+            raise DimensionMismatch("maps live over different spaces")
         if complex(coeff) == 0:
             continue
         if m.kind == "lincomb":

@@ -22,10 +22,10 @@ is the product of its letters' sums, so ``split`` adds one partition word
 per choice of a coloring for each letter into one dict.
 
 Everything here is exact and imports only ``formal`` and ``ncpart``.  The
-numeric reading of letter words is ``morphisms``' with ``word_type=WWord``:
-the pullback of a partition-word morphism along the splitting map is
-``morphisms.precompose(phi, split, word_type=WWord)``, and the fixed points
-on letter words are rows of ``suites.suite_splitting``.
+numeric reading of letter words is ``morphisms``', whose morphisms read
+the word type off each word they evaluate: the pullback of a morphism
+along the splitting map is ``morphisms.precompose(phi, split)``, and the
+fixed points on letter words are rows of ``suites.suite_splitting``.
 """
 
 from __future__ import annotations

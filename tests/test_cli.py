@@ -379,6 +379,18 @@ print(json.dumps([name for name in ("numpy", "ovc.ovps", "ovc.cumulants", "ovc.m
     assert json.loads(proc.stdout) == []
 
 
+def test_morphisms_load_no_formal_sums():
+    # a morphism reads cuts, profiles and letter types off the words it is
+    # given, so its module never names a word type
+    proc = subprocess.run([sys.executable, "-c", """
+import json, sys
+import ovc.morphisms
+print(json.dumps([name for name in ("ovc.formal", "ovc.winsert") if name in sys.modules]))
+"""], capture_output=True, text=True, env=_child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def _buffered_env():
     """``_child_env`` with a buffered stdout, as in a plain run, so that
     output can still be pending when the interpreter exits."""
@@ -506,7 +518,7 @@ space = OVMatrixSpace(d=1, k=1, variables=1)
 # a generator one input short for every color word
 extension = morphisms.operadic_extension(space, lambda word: moment_map(space, word[1:]))
 try:
-    extension.letter_value(NCPartition([(1,)]))
+    extension.letter_value(PartitionWord([NCPartition([(1,)])]))
 except DimensionMismatch:
     rejected.append("arity")
 raise SystemExit(0 if rejected == ["PartitionWord", "WWord", "arity"] else 3)
@@ -711,7 +723,7 @@ def test_readme_library_example():
     free = cumulant_families(space)["free"]
     k2 = free.generator((0, 0))
     assert k2.arity == 3
-    report = verify_mc(space, order=2)
+    report = verify_mc(cumulant_families(space), order=2)
     assert all(v <= 1e-9 for v in report["max_dev"].values())
 
 

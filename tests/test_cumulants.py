@@ -18,6 +18,7 @@ from ovc.cumulants import (
 )
 from ovc.ncpart import MalformedPartition, NCPartition, enumerate_nc
 from ovc.ovps import (
+    DimensionMismatch,
     OVMatrixSpace,
     moment_map,
     multimap_dev,
@@ -135,7 +136,7 @@ def test_order_three_boolean_differs_from_free(space):
 
 
 def test_verify_mc_small(space):
-    report = verify_mc(space, order=3)
+    report = verify_mc(cumulant_families(space), order=3)
     assert all(v <= 1e-10 for v in report["max_dev"].values()), report["max_dev"]
 
 
@@ -154,21 +155,24 @@ def test_verify_mc_targets_are_the_moment_leaves_of_its_families(space, monkeypa
     monkeypatch.setattr(cumulants, "moment_map", counted_moment_map)
     monkeypatch.setattr(cumulants, "multimap_dev", recorded_dev)
     families = cumulant_families(space)
-    report = verify_mc(space, 3, families=families)
+    report = verify_mc(families, 3)
     assert built and max(built.values()) == 1  # one moment table, one leaf per word
     targets = [families["moment"].generator(row["word"]) for row in report["rows"]]
     assert compared == [t for t in targets for _ in range(3)]
 
 
 def test_verify_mc_scalar_space(scalar_space):
-    report = verify_mc(scalar_space, order=4)
+    report = verify_mc(cumulant_families(scalar_space), order=4)
     assert all(v <= 1e-9 for v in report["max_dev"].values()), report["max_dev"]
 
 
 def test_verify_mc_two_variables(space):
-    words = [(0, 1), (0, 1, 0), (1, 0, 0, 1)]
-    report = verify_mc(space, order=4, words=words)
-    assert all(v <= 1e-9 for v in report["max_dev"].values()), report["max_dev"]
+    families = cumulant_families(space)
+    for word in [(0, 1), (0, 1, 0), (1, 0, 0, 1)]:
+        target = families["moment"].generator(word)
+        for kind in ncpart.CUMULANT_KINDS:
+            dev = multimap_dev(family_sum_map(word, families[kind]), target)
+            assert dev <= 1e-9, (word, kind, dev)
 
 
 def test_corrupted_table_fails(space):
@@ -177,13 +181,18 @@ def test_corrupted_table_fails(space):
     leaf = moments.generator((0, 0))
     before = leaf.tensor().copy()
     families["free"].corrupt((0, 0))
-    report = verify_mc(space, order=3, families=families)
+    report = verify_mc(families, order=3)
     assert report["max_dev"]["free"] > 1e-6
     assert report["max_dev"]["boolean"] <= 1e-10
     assert report["max_dev"]["monotone"] <= 1e-10
     # the moment leaves the families share are untouched
     assert moments.generator((0, 0)) is leaf
     assert np.array_equal(leaf.tensor(), before)
+
+
+def test_a_cumulant_table_rejects_the_moments_of_another_space(space, scalar_space):
+    with pytest.raises(DimensionMismatch):
+        CumulantFamily(space, "free", moments=CumulantFamily(scalar_space, "moment"))
 
 
 def test_families_share_the_moment_leaf_of_each_word(space):
@@ -334,7 +343,7 @@ def _free_without_crossing_nests(original):
 )
 def test_lattice_mutations_fail_the_check(space, monkeypatch, kind, mutation):
     monkeypatch.setattr(cumulants, "lattice", mutation(cumulants.lattice))
-    report = verify_mc(space, order=4)
+    report = verify_mc(cumulant_families(space), order=4)
     assert report["max_dev"][kind] > 1e-9, report["max_dev"]
 
 

@@ -162,7 +162,7 @@ def test_a_morphism_defined_through_itself_recurses_on_smaller_words(space, word
     # X = k + k > X: the cut that moves all of w above has a unit lower
     # word, where k vanishes, so X is never evaluated on w itself
     k = seeded_infinitesimal(space, seed=3)
-    X = morphisms.Morphism(space, formal.PartitionWord, 0, lambda w: rhs.value(w))
+    X = morphisms.Morphism(space, 0, lambda w: rhs.value(w))
     rhs = k + half_succ(k, X)
     for w in words3:
         X.value(w)
@@ -178,18 +178,18 @@ def test_exp_prec_on_single_blocks(space):
     K = exp_prec(k)
     for n in range(1, 5):
         pi = gen1(n + 1)
-        assert multimap_dev(K.letter_value(pi), k.gen(pi)) <= 1e-12
+        assert multimap_dev(K.letter_value(word(pi)), k.gen(word(pi))) <= 1e-12
 
 
 def test_exp_prec_on_nested_partition(space):
     k = seeded_infinitesimal(space, seed=13)
     K = exp_prec(k)
     pi = NCPartition([(1, 3), (2,)])
-    got = K.letter_value(pi)
+    got = K.letter_value(word(pi))
     # contributing cuts: keep everything (generator on pi itself) and keep
     # the outer block with the singleton inserted in its middle slot
-    expected_terms = multimap_partial(k.gen(gen1(3)), 2, k.gen(gen1(2)))
-    direct = k.gen(pi)
+    expected_terms = multimap_partial(k.gen(word(gen1(3))), 2, k.gen(word(gen1(2))))
+    direct = k.gen(word(pi))
     combo = WordSum.sum(
         space, (pi.arity,), (WordSum.word(space, (expected_terms,)), WordSum.word(space, (direct,)))
     )
@@ -202,8 +202,8 @@ def test_exp_prec_nested_single_block_support(space):
     k = seeded_infinitesimal(space, seed=13, single_block=True)
     K = exp_prec(k)
     pi = NCPartition([(1, 3), (2,)])
-    expected = multimap_partial(k.gen(gen1(3)), 2, k.gen(gen1(2)))
-    assert multimap_dev(K.letter_value(pi), expected) <= 1e-12
+    expected = multimap_partial(k.gen(word(gen1(3))), 2, k.gen(word(gen1(2))))
+    assert multimap_dev(K.letter_value(word(pi)), expected) <= 1e-12
 
 
 def test_exp_prec_solves_fixed_point(space, words3):
@@ -228,15 +228,14 @@ def test_exp_succ_boolean_structure(space):
     B = exp_succ(b)
     nested = NCPartition([(1, 3), (2,)])
     zero = WordSum(space, (nested.arity,))
-    assert multimap_dev(WordSum.word(space, (B.letter_value(nested),)), zero) <= TOL
+    assert multimap_dev(WordSum.word(space, (B.letter_value(word(nested)),)), zero) <= TOL
     two = NCPartition([(1,), (2,)])
-    expected = multimap_partial(b.gen(gen1(2)), 1, b.gen(gen1(2)))
-    assert multimap_dev(B.letter_value(two), expected) <= TOL
+    g2 = b.gen(word(gen1(2)))
+    expected = multimap_partial(g2, 1, g2)
+    assert multimap_dev(B.letter_value(word(two)), expected) <= TOL
     three = NCPartition([(1,), (2,), (3,)])
-    chain = multimap_partial(
-        multimap_partial(b.gen(gen1(2)), 1, b.gen(gen1(2))), 1, b.gen(gen1(2))
-    )
-    assert multimap_dev(B.letter_value(three), chain) <= TOL
+    chain = multimap_partial(multimap_partial(g2, 1, g2), 1, g2)
+    assert multimap_dev(B.letter_value(word(three)), chain) <= TOL
 
 
 def test_exp_succ_chain_with_mixed_block_sizes(space):
@@ -246,12 +245,12 @@ def test_exp_succ_chain_with_mixed_block_sizes(space):
     # interval partition with blocks {1,2} and {3}: the chain composes the
     # later block around the earlier one through the first slot
     pi = NCPartition([(1, 2), (3,)])
-    expected = multimap_partial(b.gen(gen1(2)), 1, b.gen(gen1(3)))
-    assert multimap_dev(B.letter_value(pi), expected) <= TOL
+    expected = multimap_partial(b.gen(word(gen1(2))), 1, b.gen(word(gen1(3))))
+    assert multimap_dev(B.letter_value(word(pi)), expected) <= TOL
     # and the mirrored shape {1} | {2,3}
     pi2 = NCPartition([(1,), (2, 3)])
-    expected2 = multimap_partial(b.gen(gen1(3)), 1, b.gen(gen1(2)))
-    assert multimap_dev(B.letter_value(pi2), expected2) <= TOL
+    expected2 = multimap_partial(b.gen(word(gen1(3))), 1, b.gen(word(gen1(2))))
+    assert multimap_dev(B.letter_value(word(pi2)), expected2) <= TOL
 
 
 def test_exp_succ_on_single_blocks(space):
@@ -259,7 +258,7 @@ def test_exp_succ_on_single_blocks(space):
     B = exp_succ(b)
     for n in range(1, 5):
         pi = gen1(n + 1)
-        assert multimap_dev(B.letter_value(pi), b.gen(pi)) <= 1e-12
+        assert multimap_dev(B.letter_value(word(pi)), b.gen(word(pi))) <= 1e-12
 
 
 def test_exp_star_single_block(space):
@@ -296,11 +295,23 @@ def test_log_star_round_trips(space, words3):
 def _as_infinitesimal_from(m, space):
     from ovc.morphisms import InfinitesimalMorphism
 
-    def gen(pi):
-        v = m.value(word(pi))
-        return v.collapse()
+    def gen(w1):
+        return m.value(w1).collapse()
 
     return InfinitesimalMorphism(space, gen)
+
+
+def test_letter_functions_take_one_letter_words_only(space):
+    families = cumulant_families(space)
+    two_letters = word(gen1(3), gen1(2))
+    for letter_fn in (
+        moment_morphism(families["moment"]).letter_value,
+        exp_prec(seeded_infinitesimal(space, seed=13)).letter_value,
+        family_infinitesimal(families["free"]).gen,
+        seeded_infinitesimal(space, seed=13).gen,
+    ):
+        with pytest.raises(ValueError):
+            letter_fn(two_letters)
 
 
 def test_log_star_requires_normalized_unit(space):
@@ -318,7 +329,7 @@ def test_operadic_extension_two_singletons(space):
     ext = operadic_extension(space, lambda w: family.generator(w))
     e2 = family.generator((0,))
     expected = multimap_partial(e2, 2, e2)
-    got = ext.letter_value(NCPartition([(1,), (2,)]))
+    got = ext.letter_value(word(NCPartition([(1,), (2,)])))
     assert multimap_dev(got, expected) <= 1e-10
 
 
@@ -331,7 +342,7 @@ def test_operadic_extension_matches_recursive_evaluator(space):
         for pi in enumerate_nc(p):
             colored = NCPartition(pi.blocks, colors=tuple(i % 2 for i in range(p)))
             assert multimap_dev(
-                ext.letter_value(colored), e_pi_map(colored, family)
+                ext.letter_value(word(colored)), e_pi_map(colored, family)
             ) <= 1e-10, pi
 
 
@@ -341,7 +352,7 @@ def test_operadic_extension_equals_left_exponential_of_cumulants(space):
     ext = operadic_extension(space, lambda w: free.generator(w))
     for p in range(1, 5):
         for pi in enumerate_nc(p):
-            assert multimap_dev(ext.letter_value(pi), K.letter_value(pi)) <= TOL, pi
+            assert multimap_dev(ext.letter_value(word(pi)), K.letter_value(word(pi))) <= TOL, pi
 
 
 def test_exchange_dev_detects_noncommuting_generators(space):
@@ -387,15 +398,11 @@ def test_every_identity_is_the_space_identity(space):
         assert all(m is space.identity for m in maps)
 
 
-def test_morphisms_of_other_words_or_spaces_do_not_combine(space):
-    from ovc.winsert import WWord
-
+def test_morphisms_of_other_spaces_do_not_combine(space):
     other_space = OVMatrixSpace(d=2, k=2, variables=2, seed=41)
     unit = eta_eps_morphism(space)
     f = seeded_infinitesimal(space, seed=23)
     for other in (
-        eta_eps_morphism(space, WWord),
-        seeded_infinitesimal(space, seed=23, word_type=WWord),
         eta_eps_morphism(other_space),
         seeded_infinitesimal(other_space, seed=23),
     ):
@@ -565,10 +572,10 @@ def test_seeded_infinitesimal_keeps_one_leaf_per_letter(space):
     letters = [gen1(2), gen1(3), NCPartition([(1,), (2,)])]
     forward = seeded_infinitesimal(space, seed=33)
     backward = seeded_infinitesimal(space, seed=33)
-    first = [forward.gen(x) for x in letters]
-    second = [backward.gen(x) for x in reversed(letters)][::-1]
+    first = [forward.gen(word(x)) for x in letters]
+    second = [backward.gen(word(x)) for x in reversed(letters)][::-1]
     for x, f, g in zip(letters, first, second):
-        assert forward.gen(x) is f
-        assert forward.gen(NCPartition(x.blocks)) is f
+        assert forward.gen(word(x)) is f
+        assert forward.gen(word(NCPartition(x.blocks))) is f
         assert np.array_equal(f.tensor(), g.tensor())
     assert first[0] is not second[0]

@@ -152,6 +152,17 @@ def test_lincomb_eval(space):
     assert deviation(doubled.eval(*bs), 2 * e2.eval(*bs)) <= 1e-13
 
 
+def test_maps_of_two_spaces_neither_combine_nor_compose(space):
+    other = OVMatrixSpace(d=2, k=2, variables=2, seed=12)
+    e2, foreign = moment_map(space, [0]), moment_map(other, [0])
+    with pytest.raises(DimensionMismatch):
+        multimap_lincomb(space, 2, [(1, e2), (1, foreign)])
+    with pytest.raises(DimensionMismatch):
+        multimap_lincomb(space, 2, [(1, foreign)])
+    with pytest.raises(DimensionMismatch):
+        multimap_compose(e2, (space.identity, foreign))
+
+
 def test_compose_letterwise_matches_direct_nesting(space):
     e2 = moment_map(space, [0])
     rng = np.random.default_rng(4)

@@ -6,6 +6,7 @@ import pytest
 from ovc import formal
 from ovc.cumulants import cumulant_families
 from ovc.formal import (
+    PartitionWord,
     UnitWordError,
     counit,
     eta_eps,
@@ -306,17 +307,16 @@ def space():
 
 
 def test_pullback_of_unit_is_unit(space):
-    unit_nc = eta_eps_morphism(space)
-    unit_w = eta_eps_morphism(space, WWord)
-    assert morphism_dev(precompose(unit_nc, split, word_type=WWord), unit_w, WORDS) <= 1e-12
+    unit = eta_eps_morphism(space)
+    assert morphism_dev(precompose(unit, split), unit, WORDS) <= 1e-12
 
 
 def test_pullback_of_free_exponential_gives_moments(space):
     families = cumulant_families(space)
     K = exp_prec(family_infinitesimal(families["free"]))
-    e_w = moment_morphism(families["moment"], WWord)
+    e_w = moment_morphism(families["moment"])
     words = all_w_words((0, 1), 3, 1)
-    assert morphism_dev(precompose(K, split, word_type=WWord), e_w, words) <= 1e-9
+    assert morphism_dev(precompose(K, split), e_w, words) <= 1e-9
 
 
 def test_pullback_of_boolean_exponential_gives_moments(space):
@@ -324,9 +324,9 @@ def test_pullback_of_boolean_exponential_gives_moments(space):
 
     families = cumulant_families(space)
     B = exp_succ(family_infinitesimal(families["boolean"]))
-    e_w = moment_morphism(families["moment"], WWord)
+    e_w = moment_morphism(families["moment"])
     words = all_w_words((0, 1), 3, 1)
-    assert morphism_dev(precompose(B, split, word_type=WWord), e_w, words) <= 1e-9
+    assert morphism_dev(precompose(B, split), e_w, words) <= 1e-9
 
 
 def test_word_exponentials_factor_through_splitting(space):
@@ -338,11 +338,11 @@ def test_word_exponentials_factor_through_splitting(space):
     families = cumulant_families(space)
     free, boolean = families["free"], families["boolean"]
     words = all_w_words((0, 1), 3, 2)
-    left_w = exp_prec(family_infinitesimal(free, WWord))
-    left_nc = precompose(exp_prec(family_infinitesimal(free)), split, word_type=WWord)
+    left_w = exp_prec(family_infinitesimal(free))
+    left_nc = precompose(exp_prec(family_infinitesimal(free)), split)
     assert morphism_dev(left_w, left_nc, words) <= 1e-9
-    right_w = exp_succ(family_infinitesimal(boolean, WWord))
-    right_nc = precompose(exp_succ(family_infinitesimal(boolean)), split, word_type=WWord)
+    right_w = exp_succ(family_infinitesimal(boolean))
+    right_nc = precompose(exp_succ(family_infinitesimal(boolean)), split)
     assert morphism_dev(right_w, right_nc, words) <= 1e-9
 
 
@@ -350,38 +350,58 @@ def test_builders_read_the_table_entries_on_both_word_types(space):
     # a letter word's letter_partition is its one-block coloring, so the
     # generic builders hand back the table entry itself, on letter words
     # as on one-block partitions; on other partitions they are unchanged:
-    # e_pi_map for moments, no generator for the infinitesimals
+    # e_pi_map for moments, no generator for the infinitesimals.  One
+    # builder object serves both word types.
     import numpy as np
 
     from ovc.cumulants import e_pi_map
 
     families = cumulant_families(space)
     moments = families["moment"]
-    w_moments = moment_morphism(moments, WWord)
-    w_infs = {kind: family_infinitesimal(t, WWord) for kind, t in families.items()}
+    mom = moment_morphism(moments)
+    infs = {kind: family_infinitesimal(t) for kind, t in families.items()}
     for w in all_w_words((0, 1), 4, 1):
         if w.is_unit():
             continue
         (x,) = w.letters
-        assert w_moments.letter_value(x) is moments.generator(x.colors)
-        for kind, inf in w_infs.items():
+        assert mom.letter_value(w) is moments.generator(x.colors)
+        for kind, inf in infs.items():
             ((_, maps),) = inf.value(w).terms
             assert maps[0] is families[kind].generator(x.colors)
-    nc_moments = moment_morphism(moments)
-    nc_infs = {kind: family_infinitesimal(t) for kind, t in families.items()}
     for w in formal.all_words(4, 1):
         if w.is_unit():
             continue
         (pi,) = w.letters
         colors = (0,) * pi.size
-        value = nc_moments.letter_value(pi)
+        value = mom.letter_value(w)
         if pi.n_blocks == 1:
             assert value is moments.generator(colors)
         else:
             assert np.array_equal(value.tensor(), e_pi_map(pi, moments).tensor())
-        for kind, inf in nc_infs.items():
+        for kind, inf in infs.items():
             expected = families[kind].generator(colors) if pi.n_blocks == 1 else None
-            assert inf.gen(pi) is expected
+            assert inf.gen(w) is expected
+
+
+def test_one_builder_gives_the_two_words_of_a_letter_word_their_own_values(space):
+    # the letter word a.b is also a letter of a partition word, its finest
+    # coloring: a letter word stands for its one-block coloring, a
+    # partition for itself, so one morphism reads the two one-letter words
+    # apart, and keeps their values apart whichever it reads first
+    from ovc.cumulants import e_pi_map
+    from ovc.morphisms import operadic_extension, seeded_infinitesimal
+    from ovc.ovps import multimap_dev
+
+    moments = cumulant_families(space)["moment"]
+    x = letter_word([0, 1])
+    as_letters, as_partition = WWord((x,)), PartitionWord((x,))
+    for m in (moment_morphism(moments), operadic_extension(space, moments.generator)):
+        assert m.letter_value(as_letters) is moments.generator((0, 1))
+        value = m.letter_value(as_partition)
+        assert multimap_dev(value, e_pi_map(x, moments)) == 0.0
+        assert multimap_dev(value, m.letter_value(as_letters)) > 0.1
+    k = seeded_infinitesimal(space, seed=49)
+    assert multimap_dev(k.gen(as_letters), k.gen(as_partition)) > 0.1
 
 
 def test_letter_word_block_bound_is_the_finest_split():
@@ -392,7 +412,7 @@ def test_letter_word_block_bound_is_the_finest_split():
 def test_power_series_round_trip_on_letter_words(space):
     from ovc.morphisms import exp_star, log_star, seeded_infinitesimal
 
-    k = seeded_infinitesimal(space, seed=48, word_type=WWord)
+    k = seeded_infinitesimal(space, seed=48)
     words = all_w_words((0, 1), 4, 2)
     assert morphism_dev(log_star(exp_star(k)), k, words) <= 1e-9
 
