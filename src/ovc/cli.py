@@ -455,16 +455,24 @@ def main(argv=None) -> int:
     except (ConfigError, EnumerationBound, json.JSONDecodeError) as exc:
         error = exc
     except OutputError as exc:
-        # Python flushes stdout again at exit; pointing it at the null device
-        # keeps that flush from failing too (the SIGPIPE note of the signal
-        # module's documentation).  A closed stdout is None and never flushed.
-        if sys.stdout is not None:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+        _to_null_device(sys.stdout)
         error = exc
-    print(json.dumps({"error": str(error)}), file=sys.stderr)
+    if sys.stderr is not None:  # None when started closed; print would write to stdout
+        try:
+            print(json.dumps({"error": str(error)}), file=sys.stderr, flush=True)
+        except OSError:  # unwritable, full or a broken pipe: the exit code reports alone
+            _to_null_device(sys.stderr)
     return EXIT_USAGE
+
+
+def _to_null_device(stream) -> None:
+    """Point a standard stream's descriptor at the null device after a failed
+    write, so that Python's flush at exit cannot fail again (the SIGPIPE note
+    of the signal module's documentation).  A stream closed at start is None."""
+    if stream is not None:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
 
 
 def entry() -> None:

@@ -40,6 +40,10 @@ construction:
 - recoloring: the shapes are valid, and the colors are a valid colored
   partition's, sliced by position.
 
+One stack scan, ``_parents``, reads each block's parent (the innermost
+block still open when it opens) or finds a crossing; the validating
+constructors, the cuts and the monotone labelings all read it.
+
 The kinds (``KINDS``) and their lattices live here too: ``lattice(kind, n)``
 is the one table of the partitions each cumulant kind sums over and their
 weights.
@@ -122,31 +126,36 @@ def _checked_colors(colors, size: int) -> Optional[tuple]:
 def _blocks_cross(b1, b2) -> bool:
     # b1, b2 sorted and disjoint; crossing iff their elements alternate
     # at least three times along the merged order.  Only names the pair
-    # in a CrossingError; the check itself is _crossing_free.
+    # in a CrossingError; the check itself is _parents.
     merged = sorted([(x, 0) for x in b1] + [(x, 1) for x in b2])
     changes = sum(1 for u, v in zip(merged, merged[1:]) if u[1] != v[1])
     return changes >= 3
 
 
-def _crossing_free(blocks, size) -> bool:
+def _parents(blocks, size) -> Optional[list]:
     """Stack scan in O(p) over blocks that partition 1..p, each sorted:
     reading 1..p left to right, every element after the first of its block
-    must belong to the innermost block still open."""
+    must belong to the innermost block still open.  Returns each block's
+    parent, the innermost block open when it opens (None for an outer
+    block), or None when two blocks cross."""
     owner = [0] * (size + 1)
     for i, b in enumerate(blocks):
         for x in b:
             owner[x] = i
+    parents = [None] * len(blocks)
     open_blocks = []
     for x in range(1, size + 1):
         i = owner[x]
         b = blocks[i]
         if x == b[0]:
+            if open_blocks:
+                parents[i] = open_blocks[-1]
             open_blocks.append(i)
         elif open_blocks[-1] != i:
-            return False
+            return None
         if x == b[-1]:
             open_blocks.pop()
-    return True
+    return parents
 
 
 def is_noncrossing(blocks) -> bool:
@@ -156,7 +165,7 @@ def is_noncrossing(blocks) -> bool:
     MalformedPartition error is raised.
     """
     size = _checked_ground(blocks)
-    return _crossing_free([sorted(b) for b in blocks], size)
+    return _parents([sorted(b) for b in blocks], size) is not None
 
 
 # Re-entrant, because a reference's callback takes it too and may run
@@ -224,7 +233,7 @@ class NCPartition:
     def __new__(cls, blocks: Iterable[Iterable[int]], colors: Optional[Sequence[int]] = None):
         canon = tuple(sorted(tuple(sorted(b)) for b in blocks))
         size = _checked_ground(canon)
-        if not _crossing_free(canon, size):
+        if _parents(canon, size) is None:
             b1, b2 = next(
                 pair for pair in itertools.combinations(canon, 2) if _blocks_cross(*pair)
             )
@@ -326,10 +335,10 @@ def from_text(text: str) -> NCPartition:
         if colors not in (None, ()):
             raise MalformedPartition("the empty partition takes no colors")
         return EMPTY
-    blocks = [
-        tuple(int(x) for x in chunk.split(","))
-        for chunk in body.split("|")
-    ]
+    try:
+        blocks = [tuple(int(x) for x in chunk.split(",")) for chunk in body.split("|")]
+    except ValueError:
+        raise MalformedPartition("cannot read element in %r" % body) from None
     return NCPartition(blocks, colors=colors)
 
 
@@ -520,63 +529,13 @@ def restrict(pi: NCPartition, positions) -> NCPartition:
 # Nesting structure
 
 
-class NestingForest(NamedTuple):
-    """Blocks of a partition ordered by convex-hull containment.
-
-    ``parent[i]`` is the index of the tightest englobing block of block i
-    (None for outer blocks); ``children`` and ``roots`` are ordered by block
-    minimum, left to right.
-    """
-
-    parent: tuple
-    children: tuple
-    roots: tuple
-
-
-def nesting_forest(pi: NCPartition) -> NestingForest:
-    blocks = pi.blocks
-    parent = []
-    for i, b in enumerate(blocks):
-        best = None
-        for j, w in enumerate(blocks):
-            if i == j:
-                continue
-            if w[0] < b[0] and b[-1] < w[-1]:
-                if best is None or w[0] > blocks[best][0]:
-                    best = j
-        parent.append(best)
-    children = [[] for _ in blocks]
-    roots = []
-    for i, par in enumerate(parent):
-        if par is None:
-            roots.append(i)
-        else:
-            children[par].append(i)
-    return NestingForest(
-        parent=tuple(parent),
-        children=tuple(tuple(c) for c in children),
-        roots=tuple(roots),
-    )
-
-
-def tree_factorial(forest: NestingForest) -> int:
-    """Product over trees of the recursive factorial n * t_1! ... t_k!.
-
-    The empty forest has factorial 1.
-    """
-
-    def rec(v):
-        size, fact = 1, 1
-        for c in forest.children[v]:
-            s, f = rec(c)
-            size += s
-            fact *= f
-        return size, size * fact
-
-    result = 1
-    for r in forest.roots:
-        result *= rec(r)[1]
-    return result
+def tree_factorial(pi: NCPartition) -> int:
+    """The tree factorial of the nesting forest of ``pi``: the product,
+    over its blocks, of the size of the block's subtree, that is 1 plus the
+    number of blocks that start strictly inside its span (no blocks cross,
+    so these are its descendants).  The empty partition gives 1."""
+    starts = [b[0] for b in pi.blocks]
+    return math.prod([1 + sum([b[0] < s < b[-1] for s in starts]) for b in pi.blocks])
 
 
 KINDS = ("moment", "free", "boolean", "monotone")
@@ -586,9 +545,9 @@ CUMULANT_KINDS = KINDS[1:]
 def lattice(kind, n):
     """The (weight, partition) pairs of a cumulant kind on n elements: all
     non-crossing partitions with weight 1 for free, interval partitions with
-    weight 1 for boolean, non-crossing partitions weighted by the inverse
-    tree factorial of their nesting forest for monotone.  Any other kind,
-    ``"moment"`` included, is a ``ValueError``."""
+    weight 1 for boolean, non-crossing partitions weighted by
+    ``1 / tree_factorial(pi)`` for monotone.  Any other kind, ``"moment"``
+    included, is a ``ValueError``."""
     from fractions import Fraction  # on use: start-up and `ovc enumerate` never need it
 
     if kind == "free":
@@ -596,26 +555,27 @@ def lattice(kind, n):
     if kind == "boolean":
         return [(Fraction(1), pi) for pi in enumerate_interval(n)]
     if kind == "monotone":
-        return [(Fraction(1, tree_factorial(nesting_forest(pi))), pi) for pi in enumerate_nc(n)]
+        return [(Fraction(1, tree_factorial(pi)), pi) for pi in enumerate_nc(n)]
     raise ValueError("no cumulant lattice for the kind %r" % (kind,))
 
 
 def count_monotone_labelings(pi: NCPartition) -> int:
     """Number of bijective block labelings with nested blocks labeled smaller.
 
-    Computed by brute force over all permutations and cross-checked against
-    #blocks! / tree_factorial; InvariantError is raised if they differ.
+    Computed by brute force over all permutations of the scan's parents and
+    cross-checked against #blocks! / tree_factorial, which reads the spans
+    instead; InvariantError is raised if they differ.
     """
     k = pi.n_blocks
     if k > MAX_BLOCKS:
         raise EnumerationBound("%d blocks exceeds the bound %d" % (k, MAX_BLOCKS))
-    forest = nesting_forest(pi)
-    pairs = [(child, par) for child, par in enumerate(forest.parent) if par is not None]
+    parents = _parents(pi.blocks, pi.size)
+    pairs = [(child, par) for child, par in enumerate(parents) if par is not None]
     brute = 0
     for labels in itertools.permutations(range(1, k + 1)):
         if all(labels[child] < labels[par] for child, par in pairs):
             brute += 1
-    factorial = tree_factorial(forest)
+    factorial = tree_factorial(pi)
     formula, remainder = divmod(math.factorial(k), factorial)
     if remainder or brute != formula:
         raise InvariantError(
@@ -691,15 +651,12 @@ def _shape_cuts(pi: NCPartition) -> tuple:
     partition's cuts from the bounds of its shape."""
     if pi.size == 0:
         return (Cut(EMPTY, (EMPTY,), 0),), (_gap_bounds((), 0),)
-    forest = nesting_forest(pi)
+    parents = _parents(pi.blocks, pi.size)
     nb = pi.n_blocks
     out, plan = [], []
     for mask in range(1 << nb):
         kept = [i for i in range(nb) if mask >> i & 1]
-        if any(
-            forest.parent[i] is not None and not mask >> forest.parent[i] & 1
-            for i in kept
-        ):
+        if any(parents[i] is not None and not mask >> parents[i] & 1 for i in kept):
             continue
         kept_blocks = [pi.blocks[i] for i in kept]
         lower = _sub_partition(kept_blocks, None)

@@ -35,7 +35,6 @@ from .ncpart import (
     gap_insert,
     is_noncrossing,
     lattice,
-    nesting_forest,
     operadic_factorization,
     partial_insert,
     tree_factorial,
@@ -720,8 +719,7 @@ def suite_monotone_scalar(ctx: VerifyContext):
     rows = []
     space = ctx.scalar_space
     counts_ok = all(
-        count_monotone_labelings(pi) * tree_factorial(nesting_forest(pi))
-        == math.factorial(pi.n_blocks)
+        count_monotone_labelings(pi) * tree_factorial(pi) == math.factorial(pi.n_blocks)
         for p in range(7)
         for pi in enumerate_nc(p)
     )

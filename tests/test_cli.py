@@ -426,6 +426,47 @@ def test_stdout_closed_before_start_is_usage_error():
     assert "closed" in json.loads(proc.stderr)["error"]
 
 
+def _read_only_stderr():
+    os.dup2(os.open(os.devnull, os.O_RDONLY), 2)
+
+
+@pytest.mark.parametrize(
+    "preexec", [lambda: os.close(2), _read_only_stderr], ids=["closed", "read-only"]
+)
+def test_unwritable_stderr_keeps_the_usage_code(preexec):
+    # closed before start, Python sets sys.stderr to None, and print to None
+    # would write the error to stdout; a read-only descriptor fails the write
+    proc = subprocess.run(
+        [sys.executable, "-m", "ovc.cli", "enumerate", "-1"],
+        preexec_fn=preexec, stdout=subprocess.PIPE, text=True, env=_buffered_env(),
+        timeout=300,
+    )
+    assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_full_stderr_keeps_the_usage_code():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ovc.cli", "enumerate", "-1"],
+            stdout=subprocess.PIPE, stderr=full, text=True, env=_buffered_env(), timeout=300,
+        )
+    assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+
+
+def test_closed_pipe_of_stdout_and_stderr_is_usage_error():
+    # the reader goes after 10 bytes, so the error line fails on the same pipe
+    with subprocess.Popen(
+        [sys.executable, "-m", "ovc.cli", "enumerate", "10"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=_buffered_env(),
+    ) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        code = proc.wait(timeout=300)
+    assert head == b'{"count": '
+    assert code == EXIT_USAGE
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 def test_full_stdout_is_usage_error():
     # a short report fits the output buffer, so only the flush can fail

@@ -36,7 +36,6 @@ from ovc.ncpart import (
     NCPartition,
     enumerate_nc,
     full_partition,
-    nesting_forest,
     tree_factorial,
 )
 from ovc.ovps import (
@@ -276,7 +275,7 @@ def test_exp_star_matches_left_exponential_over_tree_factorial(scalar_space):
     for p in range(1, 5):
         for pi in enumerate_nc(p):
             w = word(pi)
-            weight = Fraction(1, tree_factorial(nesting_forest(pi)))
+            weight = Fraction(1, tree_factorial(pi))
             expected = left.value(w).scale(weight)
             assert multimap_dev(star.value(w), expected) <= TOL, pi
 

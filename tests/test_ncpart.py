@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovc import ncpart
+from ovc.formal import word_from_text
 from ovc.ncpart import (
     EMPTY,
     MAX_BLOCKS,
@@ -17,6 +18,7 @@ from ovc.ncpart import (
     CrossingError,
     Cut,
     EnumerationBound,
+    InvariantError,
     MalformedPartition,
     NCPartition,
     collapse_factorization,
@@ -29,7 +31,6 @@ from ovc.ncpart import (
     full_partition,
     gap_insert,
     is_noncrossing,
-    nesting_forest,
     operadic_factorization,
     partial_insert,
     restrict,
@@ -339,22 +340,78 @@ def test_colored_cuts_equal_the_direct_computation():
 
 
 # ---------------------------------------------------------------------------
-# Nesting forests, factorials, monotone labelings
+# Nesting scan, factorials, monotone labelings
 
 
-def test_nesting_forest_shapes():
-    assert nesting_forest(NCPartition([(1,), (2,)])).roots == (0, 1)
-    chain = nesting_forest(NCPartition([(1, 3), (2,)]))
-    assert chain.roots == (0,) and chain.children[0] == (1,)
-    wide = nesting_forest(NCPartition([(1, 6), (2, 3), (4, 5)]))
-    assert wide.roots == (0,) and wide.children[0] == (1, 2)
+def parents(pi):
+    return ncpart._parents(pi.blocks, pi.size)
+
+
+def test_parents_shapes():
+    # the roots are the blocks with no parent, a block's children those naming it
+    assert parents(NCPartition([(1,), (2,)])) == [None, None]
+    assert parents(NCPartition([(1, 3), (2,)])) == [None, 0]
+    assert parents(NCPartition([(1, 6), (2, 3), (4, 5)])) == [None, 0, 0]
 
 
 def test_tree_factorial_values():
-    assert tree_factorial(nesting_forest(gen1(2))) == 1
-    assert tree_factorial(nesting_forest(NCPartition([(1, 3), (2,)]))) == 2
-    assert tree_factorial(nesting_forest(NCPartition([(1, 6), (2, 3), (4, 5)]))) == 3
-    assert tree_factorial(nesting_forest(EMPTY)) == 1
+    assert tree_factorial(gen1(2)) == 1
+    assert tree_factorial(NCPartition([(1, 3), (2,)])) == 2
+    assert tree_factorial(NCPartition([(1, 6), (2, 3), (4, 5)])) == 3
+    assert tree_factorial(EMPTY) == 1
+
+
+def reference_parents(pi):
+    """Each block's tightest englobing block, by a search over all pairs of
+    block spans (None for an outer block)."""
+    found = []
+    for i, b in enumerate(pi.blocks):
+        best = None
+        for j, w in enumerate(pi.blocks):
+            if j != i and w[0] < b[0] and b[-1] < w[-1]:
+                if best is None or w[0] > pi.blocks[best][0]:
+                    best = j
+        found.append(best)
+    return found
+
+
+def reference_tree_factorial(parent):
+    """Product over the trees of the forest ``parent`` of the recursive
+    factorial n * t_1! ... t_k!; the empty forest gives 1."""
+    children = [[] for _ in parent]
+    for i, par in enumerate(parent):
+        if par is not None:
+            children[par].append(i)
+
+    def rec(v):
+        size, fact = 1, 1
+        for c in children[v]:
+            s, f = rec(c)
+            size += s
+            fact *= f
+        return size, size * fact
+
+    return math.prod(rec(r)[1] for r, par in enumerate(parent) if par is None)
+
+
+def test_scan_and_tree_factorial_match_the_references():
+    seen = 0
+    for p in range(9):
+        for pi in enumerate_nc(p):
+            expected = reference_parents(pi)
+            assert parents(pi) == expected, pi
+            assert tree_factorial(pi) == reference_tree_factorial(expected), pi
+            seen += 1
+    assert seen == sum(CATALAN) + 1430
+
+
+def test_labeling_cross_check_does_not_share_the_scan(monkeypatch):
+    # a scan that reports no nesting lets the brute force count all 3!
+    # labelings, while the formula reads the spans: 3! / 3
+    pi = NCPartition([(1, 6), (2, 3), (4, 5)])
+    monkeypatch.setattr(ncpart, "_parents", lambda blocks, size: [None] * len(blocks))
+    with pytest.raises(InvariantError):
+        count_monotone_labelings(pi)
 
 
 def test_count_monotone_labelings_examples():
@@ -374,7 +431,7 @@ def test_count_monotone_matches_formula():
     for p in range(7):
         for pi in enumerate_nc(p):
             n = count_monotone_labelings(pi)
-            assert n * tree_factorial(nesting_forest(pi)) == math.factorial(pi.n_blocks)
+            assert n * tree_factorial(pi) == math.factorial(pi.n_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +519,15 @@ def test_text_round_trip_examples():
     colored = NCPartition([(1, 3), (2,)], colors=(0, 1, 0))
     assert to_text(colored) == "1,3|2;a,b,a"
     assert from_text("1,3|2;a,b,a") == colored
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [(from_text, t) for t in ("", "1,,2", "x", "1|")] + [(word_from_text, "[]")],
+)
+def test_unreadable_elements_are_malformed(read, text):
+    with pytest.raises(MalformedPartition, match="cannot read element"):
+        read(text)
 
 
 @st.composite
@@ -560,7 +626,9 @@ def test_crossing_error_exactly_when_crossing(blocks):
             for c, d in itertools.combinations(b2, 2)
         )
     ]
-    if is_noncrossing(blocks):
+    noncrossing = is_noncrossing(blocks)
+    assert (ncpart._parents(canon, sum(map(len, canon))) is None) == (not noncrossing)
+    if noncrossing:
         assert not crossing
         assert NCPartition(blocks).blocks == tuple(canon)
     else:
@@ -599,19 +667,17 @@ def test_invariant_checks_survive_optimize():
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     script = """
 from ovc import ncpart
-from ovc.ncpart import InvariantError, NCPartition, NestingForest
+from ovc.ncpart import InvariantError, NCPartition
 
 pi = NCPartition([(1, 3), (2,)])
 fired = []
-ncpart.tree_factorial = lambda forest: 3  # 2 blocks: 2! / 3 is no count
+ncpart.tree_factorial = lambda pi: 3  # 2 blocks: 2! / 3 is no count
 try:
     ncpart.count_monotone_labelings(pi)
 except InvariantError:
     fired.append("count")
-# a forest without nesting lets a cut drop the outer block but keep the inner
-ncpart.nesting_forest = lambda pi: NestingForest(
-    (None,) * pi.n_blocks, ((),) * pi.n_blocks, tuple(range(pi.n_blocks))
-)
+# a scan without nesting lets a cut drop the outer block but keep the inner
+ncpart._parents = lambda blocks, size: [None] * len(blocks)
 try:
     ncpart.cuts(pi)
 except InvariantError:
