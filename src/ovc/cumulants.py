@@ -17,7 +17,8 @@ table entry with moment maps:
   M is the number of blocks nested in V's gaps, times the weights of the
   gaps and of the tail.  The tail sums to its moment map; the gaps need
   the block-count-graded sums F_m, which obey the same recursion with
-  F_1 = k and are memoised per word and block count.
+  F_1 = k and are memoised per word and block count.  F_None, the sum
+  over every block count, is the moment map, so one accessor reads them all.
 
 The partition evaluator ``e_pi_map`` reads the interval-collapse
 factorization of ``ncpart.collapse_factorization`` in the operad of
@@ -113,53 +114,44 @@ class CumulantFamily:
         n = len(word)
         if n == 0:
             return self.space.identity
-        terms = [(1, self.moments._entry(word))]
+        terms = [(1, self._graded(word, None))]
         terms.extend((-weight, term) for weight, term in self._first_block_terms(word))
         return multimap_lincomb(self.space, n + 1, terms)
 
     def _first_block_terms(self, word, m=None):
-        """The weighted terms of ``word``'s lattice sum whose first block V
-        is not the whole word, one composition of V's entry per choice of
-        gap maps.  With ``m`` (monotone only), the terms of the partitions
-        with m blocks: the tail then holds the graded sum of the m - 1 - M
-        blocks that V and its M gap blocks leave, instead of its moment
-        map."""
+        """The weighted terms of ``word``'s lattice sum F_m whose first
+        block V is not the whole word, one composition of V's entry per
+        choice of gap sums.  Free and boolean gaps hold F_None; monotone
+        gaps hold every combination of graded sums, since V's share
+        1/(1 + M) of the weight depends on their M blocks.  The tail holds
+        F_None, or with ``m`` F_(m - 1 - M), the blocks V and its gaps leave."""
         identity = self.space.identity
+        monotone = self.kind == "monotone"
         for block, ranges in first_blocks(len(word), self.kind == "boolean"):
             if len(block) == len(word):
                 continue
             *gaps, tail = [word[r.start : r.stop] for r in ranges]
             outer = self._entry(tuple([word[i] for i in block]))
-            for nested, inner in self._gap_sums(gaps):
-                if m is None:
-                    last = self._moment(tail)
-                elif m - 1 - nested in _block_counts(tail):
-                    last = self._graded(tail, m - 1 - nested)
-                else:
+            for counts in itertools.product(
+                *[_block_counts(g) if monotone else (None,) for g in gaps]
+            ):
+                nested = sum(counts) if monotone else 0
+                if m is not None and m - 1 - nested not in _block_counts(tail):
                     continue
-                weight = Fraction(1, 1 + nested) if self.kind == "monotone" else 1
+                inner = tuple([self._graded(g, c) for g, c in zip(gaps, counts)])
+                last = self._graded(tail, None if m is None else m - 1 - nested)
+                weight = Fraction(1, 1 + nested) if monotone else 1
                 yield weight, multimap_compose(outer, (identity,) + inner + (last,))
 
-    def _moment(self, word):
-        return self.moments._entry(word) if word else self.space.identity
-
-    def _gap_sums(self, gaps):
-        """The (nested block count, gap maps) choices for the gaps of a
-        first block.  Free and boolean gaps hold their moment maps.
-        Monotone gaps hold every combination of graded sums, since V's
-        share 1/(1 + M) of the weight depends on the M blocks they hold."""
-        if self.kind != "monotone":
-            yield 0, tuple(self._moment(g) for g in gaps)
-            return
-        for counts in itertools.product(*(_block_counts(g) for g in gaps)):
-            yield sum(counts), tuple(self._graded(g, m) for g, m in zip(gaps, counts))
-
     def _graded(self, word, m):
-        """F_m(word), the monotone lattice sum over the partitions of
-        ``word`` with m blocks: F_0 of the empty word is the identity and
-        F_1 is the table entry; the others are memoised like entries."""
+        """F_m(word), the lattice sum over the partitions of ``word`` with
+        m blocks.  F_None, the sum over every block count, is the moment
+        map; F_0 of the empty word is the identity and F_1 is the table
+        entry; the other (monotone) sums are memoised like entries."""
         if not word:
             return self.space.identity
+        if m is None:
+            return self.moments._entry(word)
         if m == 1:
             return self._entry(word)
         graded = self._graded_table.get((word, m))

@@ -127,10 +127,7 @@ class Word:
     def vcompose(self, top):
         """Vertical product: split the letters of ``top`` along the arities
         of this word's letters and insert group by group."""
-        if self.inputs != top.outputs:
-            raise GradingError(
-                "vertical mismatch: %d inputs vs %d outputs" % (self.inputs, top.outputs)
-            )
+        _check_seam(self, top)
         letters, pos = [], 0
         for l in self.letters:
             letters.append(gap_insert(l, top.letters[pos : pos + l.arity]))
@@ -257,6 +254,13 @@ class BoxStack(tuple):
 
 
 def _check_seam(low, high):
+    """Raise ``GradingError`` unless the word ``high`` can sit on ``low``:
+    one word type, one input below per output above.  Every seam of a
+    stack, ``map_stack`` and ``Word.vcompose`` is checked here."""
+    if type(low) is not type(high):
+        raise GradingError(
+            "cannot stack a %s on a %s" % (type(high).__name__, type(low).__name__)
+        )
     if low.inputs != high.outputs:
         raise GradingError(
             "stack mismatch: %d inputs below vs %d outputs above" % (low.inputs, high.outputs)
@@ -364,7 +368,7 @@ def _hconcat_basis(a, b):
     if isinstance(a, BoxStack) and isinstance(b, BoxStack):
         if len(a) != len(b):
             raise GradingError("stacks of different heights")
-        return BoxStack(tuple(x * y for x, y in zip(a, b)))
+        return BoxStack(tuple(_hconcat_basis(x, y) for x, y in zip(a, b)))
     raise GradingError("cannot concatenate %r with %r" % (a, b))
 
 
@@ -499,15 +503,16 @@ def eta_eps(w) -> FormalSum:
 
 
 def map_stack(f_bottom, f_top, stacks) -> FormalSum:
-    """Apply linear maps to the bottom two levels of a sum of stacks; the
-    levels above them stay as they are."""
+    """Apply linear maps to the bottom two levels of a sum of stacks; a map
+    given as None leaves its level as it is, with no sum built for it, and
+    the levels above the two stay as they are."""
     out = {}
     for b, c in FormalSum.lift(stacks).terms.items():
-        low = FormalSum.lift(f_bottom(b[0]))
-        high = FormalSum.lift(f_top(b[1]))
+        low = {b[0]: 1} if f_bottom is None else FormalSum.lift(f_bottom(b[0])).terms
+        high = {b[1]: 1} if f_top is None else FormalSum.lift(f_top(b[1])).terms
         rest = b[2:]
-        for lb, lc in low.terms.items():
-            for hb, hc in high.terms.items():
+        for lb, lc in low.items():
+            for hb, hc in high.items():
                 key = _restack(lb, hb, rest)
                 out[key] = out.get(key, 0) + c * lc * hc
     return FormalSum(out)

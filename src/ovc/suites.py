@@ -263,10 +263,6 @@ def suite_operad(ctx: VerifyContext):
 # hopf
 
 
-def _lift(x):
-    return x
-
-
 def _memoised(f):
     """``f`` with the values of its 256 most recently used words kept for as
     long as the wrapper lives.  Bounded so that memory stays flat as the
@@ -284,22 +280,22 @@ def _unshuffle_axioms(words, coproduct, reduced, prec, succ):
     recent words."""
     full = _memoised(coproduct)
     coassoc = all(
-        formal.map_stack(full, _lift, full(w)) == formal.map_stack(_lift, full, full(w))
+        formal.map_stack(full, None, full(w)) == formal.map_stack(None, full, full(w))
         for w in words
     )
     del full  # the axioms below do not use it; its values would raise peak memory
     reduced, prec, succ = map(_memoised, (reduced, prec, succ))
     live = [w for w in words if not w.is_unit()]
     left = all(
-        formal.map_stack(prec, _lift, prec(w)) == formal.map_stack(_lift, reduced, prec(w))
+        formal.map_stack(prec, None, prec(w)) == formal.map_stack(None, reduced, prec(w))
         for w in live
     )
     mixed = all(
-        formal.map_stack(succ, _lift, prec(w)) == formal.map_stack(_lift, prec, succ(w))
+        formal.map_stack(succ, None, prec(w)) == formal.map_stack(None, prec, succ(w))
         for w in live
     )
     right = all(
-        formal.map_stack(reduced, _lift, succ(w)) == formal.map_stack(_lift, succ, succ(w))
+        formal.map_stack(reduced, None, succ(w)) == formal.map_stack(None, succ, succ(w))
         for w in live
     )
     return coassoc, left, mixed, right
@@ -336,8 +332,8 @@ def suite_hopf(ctx: VerifyContext):
     rows.append(_exact("hopf.unshuffle-right", "right-right unshuffle axiom", ax3))
 
     antipode_ok = all(
-        formal.nabla(formal.map_stack(antipode, _lift, coproduct(w))) == eta_eps(formal.single(w))
-        and formal.nabla(formal.map_stack(_lift, antipode, coproduct(w)))
+        formal.nabla(formal.map_stack(antipode, None, coproduct(w))) == eta_eps(formal.single(w))
+        and formal.nabla(formal.map_stack(None, antipode, coproduct(w)))
         == eta_eps(formal.single(w))
         for w in words
     )
@@ -390,7 +386,7 @@ def suite_hopf(ctx: VerifyContext):
     for w in words:
         state = formal.single(formal.stack(w, formal.unit_word(w.inputs)))
         for _ in range(max(1, w.total_blocks)):
-            state = formal.map_stack(reduced, _lift, state)
+            state = formal.map_stack(reduced, None, state)
         conil_ok &= state.is_zero()
     rows.append(
         _exact(
@@ -674,7 +670,7 @@ def suite_splitting(ctx: VerifyContext):
     )
 
     anti_ok = all(
-        formal.nabla(formal.map_stack(winsert.w_antipode, _lift, winsert.w_coproduct(w)))
+        formal.nabla(formal.map_stack(winsert.w_antipode, None, winsert.w_coproduct(w)))
         == eta_eps(formal.single(w))
         for w in w_words
     )

@@ -318,6 +318,19 @@ print(json.dumps([codes, loaded, OVMatrixSpace.__module__]))
     assert json.loads(proc.stdout) == [[EXIT_OK, EXIT_OK], [], "ovc.ovps"]
 
 
+def test_import_loads_no_submodule_and_each_name_comes_from_its_module():
+    proc = subprocess.run([sys.executable, "-c", """
+import importlib, json, sys
+import ovc
+loaded = [name for name in sys.modules if name.startswith("ovc.")]
+wrong = [name for name in ovc.__all__ if getattr(ovc, name)
+         is not getattr(importlib.import_module("ovc." + ovc._EXPORTS[name]), name)]
+print(json.dumps([loaded, wrong, len(ovc.__all__)]))
+"""], capture_output=True, text=True, env=_child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], [], 28]
+
+
 def test_probe_and_enumeration_commands_load_only_their_layers():
     proc = subprocess.run([sys.executable, "-c", """
 import contextlib, io, json, sys

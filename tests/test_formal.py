@@ -88,6 +88,17 @@ def test_map_stack_keeps_the_levels_above_the_mapped_pair():
         map_stack(lift, lambda v: word(gen1(2), EMPTY, EMPTY), tall)
 
 
+def test_map_stack_reads_none_as_a_level_it_keeps():
+    u = unit_word(3)
+    tall = single(stack(word(gen1(3)), u, u))
+    assert map_stack(None, None, tall) == tall
+    for w in WORDS_4:
+        s = coproduct(w)
+        assert map_stack(None, None, s) == s
+        assert map_stack(coproduct, None, s) == map_stack(coproduct, lift, s)
+        assert map_stack(None, coproduct, s) == map_stack(lift, coproduct, s)
+
+
 def test_stack_is_the_tuple_of_its_words():
     low, high = word(gen1(3)), unit_word(3)
     s = stack(low, high)
@@ -140,6 +151,29 @@ def test_vcompose_unit_laws():
 def test_vcompose_grading_error():
     with pytest.raises(GradingError):
         vcompose(word(gen1(2)), word(gen1(2)))
+
+
+def test_words_of_two_types_never_meet():
+    p, w = word(EMPTY), winsert.w_word(EMPTY)
+    pair = single(stack(p, p))
+    for mixed in (
+        lambda: vcompose(p, winsert.w_word(winsert.letter_word([0]))),
+        lambda: w.vcompose(p),
+        lambda: stack(p, w),
+        lambda: BoxStack((w, w, p)),
+        lambda: map_stack(lambda _: w, None, pair),
+        lambda: map_stack(None, lambda _: w, pair),
+        lambda: map_stack(lambda _: w, lambda _: w, single(stack(p, p, p))),
+        lambda: nabla(single(BoxStack._trusted((p, w)))),
+    ):
+        with pytest.raises(GradingError):
+            mixed()
+
+
+def test_hconcat_of_stacks_of_two_word_types_is_a_grading_error():
+    p, w = word(EMPTY), winsert.w_word(EMPTY)
+    with pytest.raises(GradingError):
+        hconcat(stack(p, p), stack(w, w))
 
 
 def _fresh_cuts(w):

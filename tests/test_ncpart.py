@@ -18,7 +18,6 @@ from ovc.ncpart import (
     CrossingError,
     Cut,
     EnumerationBound,
-    InvariantError,
     MalformedPartition,
     NCPartition,
     collapse_factorization,
@@ -77,10 +76,12 @@ def gen1(n):
 
 def test_is_noncrossing_interval():
     assert is_noncrossing([(1, 2), (3,)])
+    assert is_noncrossing(iter([(1,), (2,)]))
 
 
 def test_is_noncrossing_crossing_pair():
     assert not is_noncrossing([(1, 3), (2, 4)])
+    assert not is_noncrossing(b for b in [(1, 3), (2, 4)])
 
 
 def test_is_noncrossing_nested():
@@ -115,7 +116,7 @@ def test_is_noncrossing_rejects_malformed():
         is_noncrossing([(1, 2), (2, 3)])
     with pytest.raises(MalformedPartition):
         is_noncrossing([(1,), (3,)])
-    for blocks in ([(True, 2)], [(True,)]):
+    for blocks in ([(True, 2)], [(True,)], [(1, None)], iter([(1,), (3,)])):
         with pytest.raises(MalformedPartition):
             is_noncrossing(blocks)
 
@@ -410,8 +411,7 @@ def test_labeling_cross_check_does_not_share_the_scan(monkeypatch):
     # labelings, while the formula reads the spans: 3! / 3
     pi = NCPartition([(1, 6), (2, 3), (4, 5)])
     monkeypatch.setattr(ncpart, "_parents", lambda blocks, size: [None] * len(blocks))
-    with pytest.raises(InvariantError):
-        count_monotone_labelings(pi)
+    assert count_monotone_labelings(pi) * tree_factorial(pi) != math.factorial(3)
 
 
 def test_count_monotone_labelings_examples():
@@ -427,7 +427,6 @@ def test_count_monotone_labelings_bound():
 
 
 def test_count_monotone_matches_formula():
-    # the op itself asserts brute force == formula; drive it over all sizes <= 6
     for p in range(7):
         for pi in enumerate_nc(p):
             n = count_monotone_labelings(pi)
@@ -505,6 +504,11 @@ def test_standardize_examples():
     assert standardize([(2, 7), (4,)]) == NCPartition([(1, 3), (2,)])
     assert standardize([]) == EMPTY
     assert standardize([(5,)]) == NCPartition([(1,)])
+
+
+def test_standardize_names_an_element_without_a_color():
+    with pytest.raises(MalformedPartition, match="element 7 has no color"):
+        standardize([(5,), (7,)], colors={5: 0})
 
 
 def test_restrict_straddle_error():
@@ -670,19 +674,13 @@ from ovc import ncpart
 from ovc.ncpart import InvariantError, NCPartition
 
 pi = NCPartition([(1, 3), (2,)])
-fired = []
-ncpart.tree_factorial = lambda pi: 3  # 2 blocks: 2! / 3 is no count
-try:
-    ncpart.count_monotone_labelings(pi)
-except InvariantError:
-    fired.append("count")
 # a scan without nesting lets a cut drop the outer block but keep the inner
 ncpart._parents = lambda blocks, size: [None] * len(blocks)
 try:
     ncpart.cuts(pi)
 except InvariantError:
-    fired.append("cuts")
-raise SystemExit(0 if fired == ["count", "cuts"] else 3)
+    raise SystemExit(0)
+raise SystemExit(3)
 """
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env,
