@@ -19,26 +19,17 @@ positions of the kept elements, whose colors color the lower partition,
 and each gap's bounds, whose slice of the colors colors its upper
 partition.
 
-Validation happens once, at the boundary: ``NCPartition(...)``,
-``standardize`` and ``from_text`` check the ground set, the crossings and
-the colors, each a non-negative ``int``.
-Every internal route starts from a valid partition and builds through the
+Validation happens once, at the boundary.  One reader, ``_read_blocks``,
+takes each raw block once as a tuple and checks its elements before
+anything sorts them; ``NCPartition(...)`` (so ``from_text``) and
+``is_noncrossing`` then check the cover of 1..p and the crossings, and
+``standardize`` ranks its ground set and reads its colors from a mapping.
+One integer rule, ``_is_int`` (an ``int``, not a ``bool``), serves
+elements, colors, sizes and slots.  Every internal route (``gap_insert``,
+the cuts, ``restrict``, both enumerations, ``full_partition`` and
+recoloring) starts from a valid partition and builds through the
 unchecked ``NCPartition._trusted``, because its result is valid by
-construction:
-
-- ``gap_insert``: inserting non-crossing partitions into the gaps of a
-  non-crossing one gives a non-crossing one, and the relabelling keeps each
-  block sorted, so only the block order is restored;
-- the lower and upper partitions of a cut, and ``restrict``: a subset of a
-  valid partition's canonical blocks, relabelled 1..p in increasing order,
-  keeps its blocks sorted, in block order and uncrossed;
-- ``enumerate_nc`` and ``enumerate_interval``: one recursion over
-  ``first_blocks``, which splits off the block holding the first position
-  and leaves its gaps and tail to partition on their own, so no two blocks
-  cross (and with interval blocks only, every block is a run);
-- ``full_partition``: one block, so only its size and colors are checked;
-- recoloring: the shapes are valid, and the colors are a valid colored
-  partition's, sliced by position.
+construction; the docstring of each says why.
 
 One stack scan, ``_parents``, reads each block's parent (the innermost
 block still open when it opens) or finds a crossing; the validating
@@ -56,6 +47,7 @@ import itertools
 import math
 import threading
 import weakref
+from collections.abc import Mapping
 from types import NoneType
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -88,28 +80,43 @@ class InvariantError(ArithmeticError):
     """A computed result failed its internal consistency check."""
 
 
-def _checked_ground(blocks) -> int:
-    """Return p after checking blocks partition {1..p} exactly; each
-    element is a positive ``int`` (not a ``bool``)."""
+def _is_int(x) -> bool:
+    """The boundary's one integer rule: an ``int``, not a ``bool``."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _read_blocks(blocks) -> tuple:
+    """The canonical blocks of raw ``blocks``, each read once as a tuple,
+    after checking, before anything sorts them, that no block is empty
+    and every element is an integer that occurs once."""
+    blocks = [tuple(b) for b in blocks]
     seen = set()
     for b in blocks:
-        if len(b) == 0:
+        if not b:
             raise MalformedPartition("empty block")
         for x in b:
-            if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-                raise MalformedPartition("elements must be positive integers, got %r" % (x,))
+            # a plain int passes without the call, which costs a read 9%
+            if type(x) is not int and not _is_int(x):
+                raise MalformedPartition("elements must be integers, got %r" % (x,))
             if x in seen:
                 raise MalformedPartition("element %d occurs twice" % x)
             seen.add(x)
-    p = len(seen)
-    if seen and (min(seen) != 1 or max(seen) != p):
+    return tuple(sorted([tuple(sorted(b)) for b in blocks]))
+
+
+def _checked_ground(canon: tuple) -> int:
+    """p, after checking that the canonical blocks ``canon`` cover 1..p."""
+    p = sum(map(len, canon))
+    if canon and canon[0][0] < 1:
+        raise MalformedPartition("elements must be positive integers, got %r" % (canon[0][0],))
+    if canon and max([b[-1] for b in canon]) != p:
         raise MalformedPartition("elements must cover 1..p without gaps")
     return p
 
 
 def _checked_colors(colors, size: int) -> Optional[tuple]:
     """``colors`` as a tuple, after checking that there are ``size`` of
-    them and that each is a non-negative ``int`` (not a ``bool``); None
+    them and that each is a non-negative integer (``_is_int``); None
     when there are none, since a partition without elements records no
     coloring."""
     if colors is None:
@@ -118,7 +125,7 @@ def _checked_colors(colors, size: int) -> Optional[tuple]:
     if len(colors) != size:
         raise MalformedPartition("expected %d colors, got %d" % (size, len(colors)))
     for c in colors:
-        if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+        if not _is_int(c) or c < 0:
             raise MalformedPartition("colors must be non-negative integers, got %r" % (c,))
     return colors or None
 
@@ -160,13 +167,9 @@ def _parents(blocks, size) -> Optional[list]:
 
 def is_noncrossing(blocks) -> bool:
     """True iff no a < c < b < d exists with a,b in one block, c,d in another.
-
-    The blocks must partition {1..p} for some p; otherwise a
-    MalformedPartition error is raised.
-    """
-    blocks = [tuple(b) for b in blocks]
-    size = _checked_ground(blocks)
-    return _parents([sorted(b) for b in blocks], size) is not None
+    Raises MalformedPartition unless the blocks partition {1..p} for some p."""
+    canon = _read_blocks(blocks)
+    return _parents(canon, _checked_ground(canon)) is not None
 
 
 # Re-entrant, because a reference's callback takes it too and may run
@@ -232,7 +235,7 @@ class NCPartition:
     __slots__ = ("size", "blocks", "colors", "__weakref__")
 
     def __new__(cls, blocks: Iterable[Iterable[int]], colors: Optional[Sequence[int]] = None):
-        canon = tuple(sorted(tuple(sorted(b)) for b in blocks))
+        canon = _read_blocks(blocks)
         size = _checked_ground(canon)
         if _parents(canon, size) is None:
             b1, b2 = next(
@@ -291,8 +294,7 @@ def full_partition(size: int, colors: Optional[Sequence[int]] = None) -> NCParti
     block is valid by construction, so only the size and the colors are
     checked.
     """
-    if not isinstance(size, int) or isinstance(size, bool) or size < 0:
-        raise MalformedPartition("size must be a non-negative integer, got %r" % (size,))
+    _check_size(size)
     blocks = (tuple(range(1, size + 1)),) if size else ()
     return NCPartition._trusted(blocks, size, _checked_colors(colors, size))
 
@@ -337,7 +339,7 @@ def from_text(text: str) -> NCPartition:
             raise MalformedPartition("the empty partition takes no colors")
         return EMPTY
     try:
-        blocks = [tuple(int(x) for x in chunk.split(",")) for chunk in body.split("|")]
+        blocks = [[int(x) for x in chunk.split(",")] for chunk in body.split("|")]
     except ValueError:
         raise MalformedPartition("cannot read element in %r" % body) from None
     return NCPartition(blocks, colors=colors)
@@ -365,7 +367,8 @@ def first_blocks(n: int, intervals: bool = False):
 
 def _block_lists(ground: tuple, intervals: bool):
     """Yield the block lists of all non-crossing (or interval) partitions
-    of the ordered tuple ``ground``, each exactly once."""
+    of the ordered tuple ``ground``, each exactly once: a split-off block
+    leaves its gaps and tail to partition on their own, so none cross."""
     if not ground:
         yield []
         return
@@ -378,10 +381,8 @@ def _block_lists(ground: tuple, intervals: bool):
 
 
 def _check_size(p: int) -> None:
-    if not isinstance(p, int) or isinstance(p, bool) or p < 0:
+    if not _is_int(p) or p < 0:
         raise MalformedPartition("size must be a non-negative integer, got %r" % (p,))
-    if p > MAX_ELEMENTS:
-        raise EnumerationBound("p=%d exceeds the enumeration bound %d" % (p, MAX_ELEMENTS))
 
 
 def enumerate_nc(p: int) -> list:
@@ -402,6 +403,8 @@ def enumerate_interval(p: int) -> list:
 
 @functools.lru_cache(maxsize=None)
 def _partitions(p: int, intervals: bool) -> tuple:
+    if p > MAX_ELEMENTS:
+        raise EnumerationBound("p=%d exceeds the enumeration bound %d" % (p, MAX_ELEMENTS))
     # every block list is a non-crossing partition of 1..p with sorted
     # blocks, so sorting the list puts it in canonical form
     parts = [
@@ -467,8 +470,8 @@ def gap_insert(pi: NCPartition, alphas: Sequence[NCPartition]) -> NCPartition:
 
 def partial_insert(pi: NCPartition, slot: int, alpha: NCPartition) -> NCPartition:
     """Insert ``alpha`` into input slot ``slot`` (1-based; slot i is gap i-1)."""
-    if not 1 <= slot <= pi.arity:
-        raise ArityMismatch("slot %d out of range 1..%d" % (slot, pi.arity))
+    if not _is_int(slot) or not 1 <= slot <= pi.arity:
+        raise ArityMismatch("slot %r out of range 1..%d" % (slot, pi.arity))
     alphas = [EMPTY] * pi.arity
     alphas[slot - 1] = alpha
     return gap_insert(pi, alphas)
@@ -478,22 +481,20 @@ def standardize(blocks, colors=None) -> NCPartition:
     """Relabel blocks over an arbitrary finite integer ground set to {1..p}.
 
     ``colors``, if given, maps each original element to its variable index;
-    an element it does not map is a ``MalformedPartition``.
-    No blocks give the shared EMPTY.  The result is validated like any
-    ``NCPartition``.
+    anything but a mapping, or an element it does not map, is a
+    ``MalformedPartition``.  No blocks give the shared EMPTY.  The blocks
+    are read once, and the result is validated like any ``NCPartition``.
     """
-    if not blocks:
-        return EMPTY
-    ground = sorted(x for b in blocks for x in b)
-    if len(set(ground)) != len(ground):
-        raise MalformedPartition("ground set elements repeat")
-    rank = {x: i + 1 for i, x in enumerate(ground)}
-    new_blocks = [tuple(rank[x] for x in b) for b in blocks]
+    if not isinstance(colors, (Mapping, NoneType)):
+        raise MalformedPartition("colors must map elements to colors, got %r" % (colors,))
+    canon = _read_blocks(blocks)
+    ground = sorted([x for b in canon for x in b])
+    rank = {x: i for i, x in enumerate(ground, 1)}
     try:
-        new_colors = tuple(colors[x] for x in ground) if colors is not None else None
+        new_colors = None if colors is None else [colors[x] for x in ground]
     except KeyError as err:
         raise MalformedPartition("element %r has no color" % (err.args[0],)) from None
-    return NCPartition(new_blocks, colors=new_colors)
+    return NCPartition([[rank[x] for x in b] for b in canon], colors=new_colors)
 
 
 def _sub_partition(blocks, colors) -> NCPartition:
@@ -607,9 +608,9 @@ def cuts(pi: NCPartition) -> list:
     cut between them keeps some blocks and removes some.  The empty
     partition has the single cut (EMPTY, (EMPTY,), 0).  The cuts of an
     uncolored partition are computed once per process; a colored partition
-    takes the cuts of its uncolored shape and colors them from the
-    ``_gap_bounds`` that the shape's walk recorded, and nothing colored is
-    cached.
+    takes the cuts of its valid uncolored shape and colors them, unchecked,
+    with slices of its own colors at the ``_gap_bounds`` that the shape's
+    walk recorded; nothing colored is cached.
     """
     if pi.colors is None:
         return list(_shape_cuts(pi)[0])

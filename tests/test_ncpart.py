@@ -225,6 +225,10 @@ def test_partial_insert_unit_and_examples():
     assert partial_insert(gen1(2), 1, gen1(3)) == NCPartition([(1, 2), (3,)])
     with pytest.raises(ArityMismatch):
         partial_insert(gen1(2), 3, EMPTY)
+    # a slot follows the integer rule: not a bool, not a float
+    for slot in (True, 1.0):
+        with pytest.raises(ArityMismatch):
+            partial_insert(full_partition(2), slot, gen1(2))
 
 
 def test_gap_insert_unit_laws():
@@ -504,6 +508,9 @@ def test_standardize_examples():
     assert standardize([(2, 7), (4,)]) == NCPartition([(1, 3), (2,)])
     assert standardize([]) == EMPTY
     assert standardize([(5,)]) == NCPartition([(1,)])
+    # each block is read once, so one-shot iterables work at both levels
+    assert standardize(iter([(2,), (5,)])) == NCPartition([(1,), (2,)])
+    assert standardize([iter((2, 5))]) == NCPartition([(1, 2)])
 
 
 def test_standardize_names_an_element_without_a_color():
@@ -584,6 +591,8 @@ def test_standardize_shift_invariance(pi, shift):
         lambda: letter_word(["x"]),
         lambda: from_text("1;\u00b2"),
         lambda: from_text("1;v\u00b2"),
+        lambda: standardize([(1,), (2,)], colors=[5, 6, 7]),
+        lambda: standardize([(5,)], colors=[0]),
     ],
 )
 def test_colors_are_checked_at_the_boundary(build):
@@ -591,10 +600,12 @@ def test_colors_are_checked_at_the_boundary(build):
         build()
 
 
-@pytest.mark.parametrize("blocks", [[(True, 2)], [(True,)]])
+@pytest.mark.parametrize("blocks", [[(True, 2)], [(True,)], [(1, "x")]])
 def test_boolean_elements_are_rejected(blocks):
-    with pytest.raises(MalformedPartition):
-        NCPartition(blocks)
+    # every reader of raw blocks checks each element is an int, not a bool
+    for read in (NCPartition, is_noncrossing, standardize):
+        with pytest.raises(MalformedPartition):
+            read(blocks)
     # nothing was interned under a boolean element
     assert to_text(full_partition(1)) == "1"
 
