@@ -89,7 +89,12 @@ def _read_blocks(blocks) -> tuple:
     """The canonical blocks of raw ``blocks``, each read once as a tuple,
     after checking, before anything sorts them, that no block is empty
     and every element is an integer that occurs once."""
-    blocks = [tuple(b) for b in blocks]
+    try:
+        blocks = [tuple(b) for b in blocks]
+    except TypeError:
+        raise MalformedPartition(
+            "blocks must be iterables of integers, got %r" % (blocks,)
+        ) from None
     seen = set()
     for b in blocks:
         if not b:

@@ -12,19 +12,19 @@ composition.
 Two evaluations exist.  Where (d^2)^arity <= EXACT_BASIS_LIMIT a map has a
 structure tensor, its values on every tuple of elementary matrices, built
 bottom-up from its parts: leaves build theirs directly, linear combinations
-sum their parts' tensors, compositions contract one slot at a time.  Above
-the limit ``tensor()`` is None, and ``basis_values``, the one switch, reads
-the 20 probe tuples of one seed, ``_PROBE_SEED``, by walking the DAG on
-stacked argument batches.  ``multimap_dev`` is the one comparison, of two
-maps or of two sums of words of maps (``morphisms.WordSum``, whose
-``tensor()`` stops at a smaller limit).  The walk stops at every linear
-combination that holds its tensor, which is then contracted with the
-arguments instead, so a memoised sub-map below the limit costs one
-contraction per use.  A contraction multiplies out the coordinates of the
-leading slots and reads them against the tensor in one BLAS product, then
-takes the other slots one ``einsum`` each, and no contraction's output is
-larger than the tensor.  The command line runs BLAS on one thread
-(``ovc.cli``); a library caller keeps its own setting.
+sum their parts' tensors, compositions take one matrix product per
+composed slot.  Above the limit ``tensor()`` is None, and ``basis_values``,
+the one switch, reads the 20 probe tuples of one seed, ``_PROBE_SEED``, by
+walking the DAG on stacked argument batches.  ``multimap_dev`` is the one
+comparison, of two maps or of two sums of words of maps
+(``morphisms.WordSum``, whose ``tensor()`` stops at a smaller limit).  The
+walk stops at every linear combination that holds its tensor, which is then
+contracted with the arguments instead, so a memoised sub-map below the
+limit costs one contraction per use.  A contraction multiplies out the
+coordinates of the leading slots and reads them against the tensor in one
+BLAS product, then takes the other slots one ``einsum`` each, and no
+contraction's output is larger than the tensor.  The command line runs BLAS
+on one thread (``ovc.cli``); a library caller keeps its own setting.
 
 All tolerances are relative with an absolute floor of 1e-12, and a value
 that is not finite deviates infinitely.
@@ -207,8 +207,9 @@ class MultiMap:
 
         Leaves and linear combinations keep their tensor once built, and a
         linear combination that holds one evaluates probe batches from it.
-        Compositions rebuild theirs from their parts on each call, so the
-        many short-lived compositions of a lattice sum hold no memory.
+        Compositions rebuild theirs from their parts on each call, one
+        matrix product per composed slot, so the many short-lived
+        compositions of a lattice sum hold no memory.
         """
         d = self.space.d
         n_tuples = (d * d) ** self.arity
@@ -265,8 +266,9 @@ def _contract(t: np.ndarray, args) -> np.ndarray:
 
 
 def _compose_tensor(node: MultiMap) -> np.ndarray:
-    """Contract the outer map's tensor with each inner map's tensor, one slot
-    at a time; identity slots are skipped."""
+    """Contract the outer map's tensor with each inner map's tensor, one
+    batched matrix product per slot; identity slots are skipped.  Each
+    product's output is C-contiguous, so the next slot's reshape is a view."""
     alpha, betas = node.parts[0], node.parts[1:]
     d = node.space.d
     n_mats = d * d
@@ -276,9 +278,7 @@ def _compose_tensor(node: MultiMap) -> np.ndarray:
         width = n_mats ** beta.arity
         if beta.kind != "id":
             inner = beta.tensor().reshape(width, n_mats)
-            out = np.einsum(
-                "peq,xe->pxq", out.reshape(done, n_mats, -1), inner
-            )
+            out = inner @ out.reshape(done, n_mats, -1)
         done *= width
     return out.reshape(done, d, d)
 
@@ -323,9 +323,10 @@ def sandwich_map(space, mats) -> MultiMap:
     d = space.d
 
     def fn(args):
-        n = args[0].shape[0] if args else 1
-        acc = np.broadcast_to(mats[0], (n, d, d)).copy()
-        for mat, b in zip(mats[1:], args):
+        if not args:
+            return mats[0][None].copy()
+        acc = mats[0] @ args[0] @ mats[1]
+        for mat, b in zip(mats[2:], args[1:]):
             acc = acc @ b @ mat
         return acc
 

@@ -600,9 +600,12 @@ def test_colors_are_checked_at_the_boundary(build):
         build()
 
 
-@pytest.mark.parametrize("blocks", [[(True, 2)], [(True,)], [(1, "x")]])
+@pytest.mark.parametrize(
+    "blocks", [[(True, 2)], [(True,)], [(1, "x")], [5], 5, None]
+)
 def test_boolean_elements_are_rejected(blocks):
-    # every reader of raw blocks checks each element is an int, not a bool
+    # every reader of raw blocks checks each element is an int, not a bool,
+    # and each block and the block list are iterable
     for read in (NCPartition, is_noncrossing, standardize):
         with pytest.raises(MalformedPartition):
             read(blocks)

@@ -301,6 +301,73 @@ def test_contraction_matches_the_dense_sum(d, max_arity, n_rows):
         np.testing.assert_allclose(got, _dense_values(t, args), rtol=1e-12, atol=0)
 
 
+def _einsum_tensor(m):
+    """Reference structure tensor: every composed slot contracted with one
+    ``einsum``, the kernel that ``_compose_tensor``'s matrix product
+    replaced, at every level of the DAG."""
+    if m.kind == "lincomb":
+        return sum(complex(c) * _einsum_tensor(part) for c, part in m.parts)
+    if m.kind != "compose":
+        return m.tensor()
+    d = m.space.d
+    n_mats = d * d
+    out = _einsum_tensor(m.parts[0])
+    done = 1
+    for beta in m.parts[1:]:
+        width = n_mats ** beta.arity
+        if beta.kind != "id":
+            inner = _einsum_tensor(beta).reshape(width, n_mats)
+            out = np.einsum("peq,xe->pxq", out.reshape(done, n_mats, -1), inner)
+        done *= width
+    return out.reshape(done, d, d)
+
+
+def _nested(space, arity, depth, rng):
+    """A composition of ``arity`` inputs nested ``depth`` levels deep over
+    sandwich and moment leaves, with identities among its inner maps."""
+    if depth == 0 or arity < 2:
+        if arity >= 1 and rng.random() < 0.5:
+            return moment_map(space, rng.integers(0, 2, size=arity - 1).tolist())
+        return random_multimap(space, arity, rng)
+    n_cuts = rng.integers(1, arity)
+    cuts = sorted(rng.choice(np.arange(1, arity), size=n_cuts, replace=False).tolist())
+    widths = [b - a for a, b in zip([0] + cuts, cuts + [arity])]
+    inner = [
+        space.identity if w == 1 and rng.random() < 0.5 else _nested(space, w, depth - 1, rng)
+        for w in widths
+    ]
+    outer = _nested(space, len(widths), depth - 1, rng)
+    if rng.random() < 0.3:
+        other = random_multimap(space, len(widths), rng)
+        outer = multimap_lincomb(space, len(widths), [(1.5j, outer), (-0.5, other)])
+    return multimap_compose(outer, inner)
+
+
+@pytest.mark.parametrize("d, max_arity", [(1, 6), (2, 6), (3, 3)])
+def test_composed_tensor_matches_the_einsum_reference(d, max_arity):
+    space = OVMatrixSpace(d=d, k=2, variables=2, seed=d)
+    rng = np.random.default_rng(40 + d)
+    cases = []
+    # one inner map, of every arity that fits, at every slot position: the
+    # identity fills every other slot
+    for outer in range(1, max_arity + 1):
+        for slot in range(1, outer + 1):
+            for inner in range(max_arity - outer + 2):
+                alpha = random_multimap(space, outer, rng)
+                cases.append(multimap_partial(alpha, slot, random_multimap(space, inner, rng)))
+    for arity in range(2, max_arity + 1):
+        for depth in (2, 3):
+            cases.extend(_nested(space, arity, depth, rng) for _ in range(4))
+    assert any(f.kind == "compose" and any(p.kind == "compose" for p in f.parts) for f in cases)
+    for f in cases:
+        t = f.tensor()
+        ref = _einsum_tensor(f)
+        assert t.shape == ref.shape and t.flags.c_contiguous
+        # d*d summands per slot, up to 6 slots, each rounded at complex128
+        # epsilon: 1e-13 of the largest entry bounds the difference
+        assert np.max(np.abs(t - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_arity_zero_sandwich_evaluates_to_a_batch_of_one(space):
     f = random_multimap(space, 0, np.random.default_rng(5))
     assert f.arity == 0
